@@ -35,7 +35,7 @@ from .stability import (
     write_sweep_csv,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 TASKS = ("verify-identities", "flow", "deficits", "stability-sweep",
          "convergence")

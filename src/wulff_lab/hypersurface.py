@@ -2,10 +2,11 @@
 
 A surface is a positive radial field r over a SphereGrid together with a
 star center P, embedding node theta to P + r(theta)*theta.  `geometry`
-produces all pointwise quantities (unit normal, area measures, shape
-operator, anisotropic mean curvature); the integral functionals (volume,
-anisotropic perimeter, weighted momenta, the scale-invariant quotient Q)
-are thin quadratures over that cache.
+produces the pointwise quantities the flow and the functionals read (unit
+normal, area measures, F and DF at the normal, the anisotropic mean
+curvature H_F and the largest tangential eigenvalue of D^2F); the integral
+functionals (volume, anisotropic perimeter, weighted momenta, the
+scale-invariant quotient Q) are thin quadratures over that cache.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ class StarSurface:
 class GeometryCache:
     """Pointwise geometric data of a surface/norm pair.
 
-    Shape operator and the tangential Hessian of the norm are stored in the
-    per-node orthonormal tangent frame `frame` (columns are frame vectors).
-    `area_w` and `aniso_area_w` already include the quadrature weights, so
-    integrals over the surface are plain sums against them.
+    `aniso_mean_curv` is H_F = tr(D^2F(normal) o d(normal)) and
+    `norm_hess_max` the largest eigenvalue of D^2F(normal) on the tangent
+    plane.  `area_w` and `aniso_area_w` already include the quadrature
+    weights, so integrals over the surface are plain sums against them.
     """
 
     points: np.ndarray = field(repr=False)
@@ -73,9 +74,7 @@ class GeometryCache:
     f_normal: np.ndarray = field(repr=False)      # F(normal)
     aniso_area_w: np.ndarray = field(repr=False)  # F(normal) d(mu)
     aniso_normal: np.ndarray = field(repr=False)  # DF(normal)
-    frame: np.ndarray = field(repr=False)         # (N, d, n) tangent frame
-    shape_op: np.ndarray = field(repr=False)      # (N, n, n) in that frame
-    norm_hess_tan: np.ndarray = field(repr=False)  # (N, n, n) D^2F restricted
+    norm_hess_max: np.ndarray = field(repr=False)  # top eigenvalue, tangent
     aniso_mean_curv: np.ndarray = field(repr=False)
 
     @property
@@ -100,8 +99,6 @@ def _geometry_curve(surface, norm):
         raise ValueError("non-finite curvature; the surface is under-resolved")
 
     tangent = (rt[:, None] * theta + r[:, None] * tau) / sq[:, None]
-    frame = tangent[:, :, None]
-    shape_op = curv[:, None, None]
 
     f_nu = norm.value(normal)
     hess = norm.hess(normal)
@@ -113,8 +110,7 @@ def _geometry_curve(surface, norm):
         points=points, normal=normal, grad_r=grad_r, area_w=area_w,
         f_normal=f_nu, aniso_area_w=f_nu * area_w,
         aniso_normal=norm.grad(normal),
-        frame=frame, shape_op=shape_op,
-        norm_hess_tan=b[:, None, None], aniso_mean_curv=hf)
+        norm_hess_max=b, aniso_mean_curv=hf)
 
 
 def _geometry_sphere(surface, norm):
@@ -146,56 +142,40 @@ def _geometry_sphere(surface, norm):
     b12 = (2.0 * r_t * r_p - r * h_tp) / sq
     b22 = ((r * st) ** 2 + 2.0 * r_p ** 2 - r * h_pp) / sq
 
+    # chart tangents and the norm Hessian as a bilinear form on them
+    t1 = r_t[:, None] * theta + r[:, None] * e_t
+    t2 = r_p[:, None] * theta + (r * st)[:, None] * e_p
+    f_nu = norm.value(normal)
+    hess = norm.hess(normal)
+    c11 = np.einsum("id,ide,ie->i", t1, hess, t1)
+    c12 = np.einsum("id,ide,ie->i", t1, hess, t2)
+    c22 = np.einsum("id,ide,ie->i", t2, hess, t2)
+
+    # H_F = tr(M S) with M = g^-1 C and S = g^-1 b the shape operator
     det = g11 * g22 - g12 ** 2
+    m11 = (g22 * c11 - g12 * c12) / det
+    m12 = (g22 * c12 - g12 * c22) / det
+    m21 = (g11 * c12 - g12 * c11) / det
+    m22 = (g11 * c22 - g12 * c12) / det
     s11 = (g22 * b11 - g12 * b12) / det
     s12 = (g22 * b12 - g12 * b22) / det
     s21 = (g11 * b12 - g12 * b11) / det
     s22 = (g11 * b22 - g12 * b12) / det
-    if not (np.all(np.isfinite(s11)) and np.all(np.isfinite(s22))):
-        raise ValueError("non-finite shape operator; the surface is under-resolved")
+    hf = m11 * s11 + m12 * s21 + m21 * s12 + m22 * s22
+    if not np.all(np.isfinite(hf)):
+        raise ValueError("non-finite mean curvature; the surface is under-resolved")
 
-    # chart tangents and orthonormal frame
-    t1 = r_t[:, None] * theta + r[:, None] * e_t
-    t2 = r_p[:, None] * theta + (r * st)[:, None] * e_p
-    n1 = np.sqrt(g11)
-    e1 = t1 / n1[:, None]
-    c12 = g12 / n1
-    t2p = t2 - c12[:, None] * e1
-    n2 = np.linalg.norm(t2p, axis=1)
-    e2 = t2p / n2[:, None]
-    frame = np.stack([e1, e2], axis=-1)
-
-    # change of basis: components u_a = C_ai v^i with C = [[n1, c12], [0, n2]]
-    # shape operator in the orthonormal frame: C S C^-1, then symmetrized.
-    cs11 = n1 * s11 + c12 * s21
-    cs12 = n1 * s12 + c12 * s22
-    cs21 = n2 * s21
-    cs22 = n2 * s22
-    # right-multiply by C^-1 = [[1/n1, -c12/(n1 n2)], [0, 1/n2]]
-    o11 = cs11 / n1
-    o12 = -cs11 * c12 / (n1 * n2) + cs12 / n2
-    o21 = cs21 / n1
-    o22 = -cs21 * c12 / (n1 * n2) + cs22 / n2
-    sym12 = 0.5 * (o12 + o21)
-    shape_op = np.empty((grid.n_nodes, 2, 2))
-    shape_op[:, 0, 0] = o11
-    shape_op[:, 0, 1] = sym12
-    shape_op[:, 1, 0] = sym12
-    shape_op[:, 1, 1] = o22
-
-    f_nu = norm.value(normal)
-    hess = norm.hess(normal)
-    bmat = np.einsum("ida,ide,ieb->iab", frame, hess, frame)
-    afb = np.einsum("iab,ibc->iac", bmat, shape_op)
-    hf = afb[:, 0, 0] + afb[:, 1, 1]
+    # largest eigenvalue of M; this form of the discriminant stays accurate
+    # when the eigenvalues coincide, and the clip only absorbs rounding
+    disc = np.maximum((m11 - m22) ** 2 + 4.0 * m12 * m21, 0.0)
+    hess_max = 0.5 * (m11 + m22 + np.sqrt(disc))
 
     area_w = (r ** (grid.dim - 1)) * sq * grid.weights
     return GeometryCache(
         points=points, normal=normal, grad_r=grad_r, area_w=area_w,
         f_normal=f_nu, aniso_area_w=f_nu * area_w,
         aniso_normal=norm.grad(normal),
-        frame=frame, shape_op=shape_op,
-        norm_hess_tan=bmat, aniso_mean_curv=hf)
+        norm_hess_max=hess_max, aniso_mean_curv=hf)
 
 
 def geometry(surface, norm):

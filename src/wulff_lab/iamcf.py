@@ -35,6 +35,10 @@ _CFL_MARGIN = 0.85
 TRACE_COLUMNS = ("t", "dt", "Q", "perimeter_F", "volume", "minHF",
                  "supDistToWulff")
 
+# Per-record arrays of a FlowTrace, appended to while running.
+_RECORD_FIELDS = ("times", "dts", "q", "perimeter", "volume", "min_hf",
+                  "sup_dist", "fitted_a", "barrier_lo", "barrier_hi")
+
 
 def radial_speed(surface, norm, cache=None):
     """dr/dt field of the flow; requires H_F > 0 everywhere."""
@@ -52,14 +56,8 @@ def radial_speed(surface, norm, cache=None):
 def _diffusion_bound(surface, cache):
     """Per-node bound on the second-derivative coefficient of the linearized
     radial operator, measured against unit chart wavenumbers."""
-    if surface.grid.dim == 1:
-        bmax = cache.norm_hess_tan[:, 0, 0]
-    else:
-        b = cache.norm_hess_tan
-        tr = b[:, 0, 0] + b[:, 1, 1]
-        disc = np.sqrt((b[:, 0, 0] - b[:, 1, 1]) ** 2 + 4.0 * b[:, 0, 1] ** 2)
-        bmax = 0.5 * (tr + disc)
-    return cache.f_normal * bmax / (cache.aniso_mean_curv ** 2 * surface.r ** 2)
+    return cache.f_normal * cache.norm_hess_max / (
+        cache.aniso_mean_curv ** 2 * surface.r ** 2)
 
 
 def stable_dt(surface, norm, cache=None):
@@ -149,8 +147,7 @@ class FlowTrace:
     steps_taken: int = 0
 
     def __post_init__(self):
-        for name in ("times", "dts", "q", "perimeter", "volume", "min_hf",
-                     "sup_dist", "fitted_a", "barrier_lo", "barrier_hi"):
+        for name in _RECORD_FIELDS:
             if getattr(self, name) is None:
                 setattr(self, name, [])
 
@@ -159,8 +156,7 @@ class FlowTrace:
             getattr(self, name).append(value)
 
     def finalize(self):
-        for name in ("times", "dts", "q", "perimeter", "volume", "min_hf",
-                     "sup_dist", "fitted_a", "barrier_lo", "barrier_hi"):
+        for name in _RECORD_FIELDS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if len(self.times) and np.any(np.diff(self.times) <= 0.0):
             raise RuntimeError("trace times are not strictly increasing")
@@ -214,7 +210,6 @@ class FlowTrace:
             "sup_dist_final": float(self.sup_dist[-1]),
             "fitted_a_final": float(self.fitted_a[-1]),
             "a_candidate_perimeter": float((per0 / wulff_per) ** (1.0 / n)),
-            "a_candidate_literal": float(per0),
             "barrier_initial": [float(self.barrier_lo[0]), float(self.barrier_hi[0])],
             "barrier_range": [float(np.min(self.barrier_lo)),
                               float(np.max(self.barrier_hi))],

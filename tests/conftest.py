@@ -46,6 +46,19 @@ def ellipse3():
 
 
 @pytest.fixture(scope="session")
+def tilted2():
+    # ellipsoid norm whose axes are not the coordinate axes
+    return EllipsoidNorm(np.array([[3.0, 0.8], [0.8, 1.5]]))
+
+
+@pytest.fixture(scope="session")
+def tilted3():
+    return EllipsoidNorm(np.array([[4.0, 0.5, 0.3],
+                                   [0.5, 2.25, -0.4],
+                                   [0.3, -0.4, 1.0]]))
+
+
+@pytest.fixture(scope="session")
 def perturbed2():
     return PerturbedNorm(2, 0.1)
 

@@ -24,7 +24,7 @@ def test_verify_identities_euclidean(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "pass"
     assert summary["results"]["duality"]["max_residual"] < 1e-12
-    assert summary["schema_version"] == 1
+    assert summary["schema_version"] == 2
     assert summary["config"]["norm"]["family"] == "euclidean"
 
 

@@ -97,6 +97,53 @@ def test_euler_relation(grid256, perturbed2):
     assert np.max(np.abs(resid)) < 1e-13
 
 
+def _asymmetric_surface(grid):
+    if grid.dim == 1:
+        return fourier_surface(grid, 1.0, [
+            {"k": 2, "delta": 0.08, "phase": 0.4},
+            {"k": 3, "delta": 0.05, "phase": 1.3}])
+    return fourier_surface(grid, 1.0, [
+        {"kind": "product", "delta": 0.08},
+        {"kind": "zonal", "k": 3, "delta": 0.05},
+        {"kind": "sectoral", "k": 2, "delta": 0.04}])
+
+
+_NONSYMMETRIC_CASES = [("grid256", "perturbed2"), ("grid256", "tilted2"),
+                       ("grid2_32", "perturbed3"), ("grid2_32", "tilted3")]
+
+
+@pytest.mark.parametrize("grid_name, norm_name", _NONSYMMETRIC_CASES)
+def test_mean_curvature_is_first_variation_of_perimeter(request, grid_name,
+                                                         norm_name):
+    # oracle: d/de per_F(r + e phi) = int H_F * phi * (theta . nu) dmu,
+    # with theta . nu = r / |(r, grad r)| the normal speed of a radial push
+    grid = request.getfixturevalue(grid_name)
+    norm = request.getfixturevalue(norm_name)
+    s = _asymmetric_surface(grid)
+    x = grid.nodes
+    phi = 1.0 + 0.4 * x[:, 0] - 0.3 * x[:, 0] * x[:, 1] + 0.2 * x[:, -1] ** 2
+    cache = geometry(s, norm)
+    sq = np.sqrt(s.r ** 2 + np.einsum("ij,ij->i", cache.grad_r, cache.grad_r))
+    predicted = np.sum(cache.aniso_mean_curv * phi * s.r / sq * cache.area_w)
+    eps = 1e-4
+    fd = (aniso_perimeter(StarSurface(grid, s.r + eps * phi), norm)
+          - aniso_perimeter(StarSurface(grid, s.r - eps * phi), norm)) / (2 * eps)
+    assert fd == pytest.approx(predicted, rel=1e-6)
+
+
+@pytest.mark.parametrize("grid_name, norm_name",
+                         _NONSYMMETRIC_CASES + [("grid2_32", "euclid3")])
+def test_norm_hess_max_is_top_hessian_eigenvalue(request, grid_name,
+                                                 norm_name):
+    # D^2F(nu) nu = 0, so the top tangential eigenvalue is the top eigenvalue
+    # of the full Hessian; euclid3 has two equal tangential eigenvalues
+    grid = request.getfixturevalue(grid_name)
+    norm = request.getfixturevalue(norm_name)
+    cache = geometry(_asymmetric_surface(grid), norm)
+    top = np.linalg.eigvalsh(norm.hess(cache.normal))[:, -1]
+    np.testing.assert_allclose(cache.norm_hess_max, top, rtol=1e-12)
+
+
 def test_volume_examples(grid512, grid2_32, ellipse2):
     assert volume(sphere_surface(grid512)) == pytest.approx(np.pi, abs=1e-12)
     assert volume(sphere_surface(grid2_32, 2.0)) == pytest.approx(
