@@ -4,7 +4,8 @@ Three norm families are provided.  The euclidean norm and the ellipsoidal
 norms sqrt(x^T A x) have closed-form duals and serve as oracles; the
 "perturbed" family has support function h = 1 + eps*Y on the unit sphere,
 with Y the restriction of a low-degree harmonic polynomial, and exercises
-the numerical dual path (grid scan plus Newton refinement on the sphere).
+the numerical dual path (Newton refinement on the sphere, seeded from the
+better of a grid scan and an optional caller-supplied start).
 
 All evaluation methods are vectorized: `x` may be a single vector of shape
 (d,) or a batch of shape (..., d).
@@ -117,6 +118,11 @@ class MinkowskiNorm:
 
     Subclasses implement `value`, `grad`, `hess`, `dual_value`, `dual_grad`.
     Instances are immutable value objects; all methods are pure.
+
+    `dual_grad(x, start)` accepts an optional guess of the answer with the
+    shape of `x` (typically the previous result along a path of nearby
+    points).  Closed-form families ignore it; numerical ones may use it to
+    seed their solver, never changing what is computed beyond roundoff.
     """
 
     family = "abstract"
@@ -134,7 +140,7 @@ class MinkowskiNorm:
     def dual_value(self, x):
         raise NotImplementedError
 
-    def dual_grad(self, x):
+    def dual_grad(self, x, start=None):
         raise NotImplementedError
 
     def wulff_radius(self, directions):
@@ -179,7 +185,7 @@ class EuclideanNorm(MinkowskiNorm):
     def dual_value(self, x):
         return self.value(x)
 
-    def dual_grad(self, x):
+    def dual_grad(self, x, start=None):
         return self.grad(x)
 
     def spec(self):
@@ -238,7 +244,7 @@ class EllipsoidNorm(MinkowskiNorm):
         q = np.einsum("ij,jk,ik->i", x, self.inverse, x)
         return _restore(np.sqrt(q), single, lead)
 
-    def dual_grad(self, x):
+    def dual_grad(self, x, start=None):
         x, single, lead = _as_batch(x, self.ambient_dim)
         _check_nonzero(x)
         bx = x @ self.inverse
@@ -257,8 +263,10 @@ class PerturbedNorm(MinkowskiNorm):
     Construction fails if the perturbation breaks strict convexity of F^2/2.
 
     The dual norm has no closed form; it is evaluated by maximizing
-    x.y / F(y) over unit y with a coarse grid scan followed by Newton
-    refinement in a tangent chart.
+    x.y / F(y) over unit y with Newton refinement in a tangent chart.  Each
+    row's Newton seed is the better, by x.y / F(y), of a coarse grid scan's
+    best direction and the normalized `start` row when `dual_grad` is given
+    one, so a warm start can speed the solve but never worsen its seed.
     """
 
     family = "perturbed"
@@ -364,26 +372,38 @@ class PerturbedNorm(MinkowskiNorm):
         v2 = np.cross(y, v1)
         return np.stack([v1, v2], axis=-1)
 
-    def _dual_maximizer(self, x):
-        """Unit maximizers of y -> x.y / F(y), one per row of x."""
-        scores = (x @ self._scan_dirs.T) / self._scan_f[None, :]
-        y = self._scan_dirs[np.argmax(scores, axis=1)].copy()
+    def _dual_maximizer(self, x, start=None):
+        """Unit maximizers of y -> x.y / F(y), one per row of x.
+
+        Newton starts in each row from the best grid-scan direction, or from
+        the normalized `start` row (shape of x, nonzero rows) where that
+        scores strictly higher.
+        """
+        scores = x @ self._scan_dirs.T
+        scores /= self._scan_f   # in place: no second (rows, scan) array
+        best = np.argmax(scores, axis=1)
+        y = self._scan_dirs[best].copy()
+        if start is not None:
+            ys = start / np.linalg.norm(start, axis=1, keepdims=True)
+            ys_score = np.einsum("ij,ij->i", x, ys) / self._value_batch(ys)
+            warm = ys_score > scores[np.arange(len(x)), best]
+            y[warm] = ys[warm]
         xn = np.linalg.norm(x, axis=1)
         for _ in range(_NEWTON_MAXIT):
             fy = self._value_batch(y)
             gy = self._grad_batch(y)
-            hy = self._hess_batch(y)
             num = np.einsum("ij,ij->i", x, y)
             dphi = x / fy[:, None] - num[:, None] * gy / fy[:, None] ** 2
+            basis = self._tangent_basis(y)
+            gt = np.einsum("idk,id->ik", basis, dphi)
+            if np.max(np.linalg.norm(gt, axis=1) / xn) < _NEWTON_TOL:
+                break
+            hy = self._hess_batch(y)
             cross = x[:, :, None] * gy[:, None, :] + gy[:, :, None] * x[:, None, :]
             d2phi = (-cross / fy[:, None, None] ** 2
                      - num[:, None, None] * hy / fy[:, None, None] ** 2
                      + 2.0 * num[:, None, None] * gy[:, :, None] * gy[:, None, :]
                      / fy[:, None, None] ** 3)
-            basis = self._tangent_basis(y)
-            gt = np.einsum("idk,id->ik", basis, dphi)
-            if np.max(np.linalg.norm(gt, axis=1) / xn) < _NEWTON_TOL:
-                break
             ht = np.einsum("idk,ide,iel->ikl", basis, d2phi, basis)
             try:
                 c = -np.linalg.solve(ht, gt[..., None])[..., 0]
@@ -407,10 +427,13 @@ class PerturbedNorm(MinkowskiNorm):
         vals = np.einsum("ij,ij->i", x, y) / self._value_batch(y)
         return _restore(vals, single, lead)
 
-    def dual_grad(self, x):
+    def dual_grad(self, x, start=None):
         x, single, lead = _as_batch(x, self.ambient_dim)
         _check_nonzero(x)
-        y = self._dual_maximizer(x)
+        if start is not None:
+            start = np.reshape(np.asarray(start, dtype=float), x.shape)
+            _check_nonzero(start)
+        y = self._dual_maximizer(x, start)
         g = y / self._value_batch(y)[:, None]
         return _restore(g, single, lead)
 
@@ -508,9 +531,9 @@ def verify_duality(norm, n_samples=1000, rng=None):
     gap_eq = (np.einsum("ij,ij->i", xeq, y)
               - norm.value(xeq) * f0y) / (norm.value(xeq) * f0y)
     xeq2 = c[:, None] * norm.grad(y)
+    f0xeq2 = norm.dual_value(xeq2)
     gap_eq2 = (np.einsum("ij,ij->i", xeq2, y)
-               - norm.dual_value(xeq2) * norm.value(y)) \
-        / (norm.dual_value(xeq2) * norm.value(y))
+               - f0xeq2 * norm.value(y)) / (f0xeq2 * norm.value(y))
     r5 = float(max(np.max(np.abs(gap_eq)), np.max(np.abs(gap_eq2))))
     return DualityReport(r1, r2, r3, r4, r5, n_samples)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
 from .hypersurface import (
     aniso_perimeter,
@@ -104,7 +105,11 @@ def wulff_profile_about(norm, grid, scale, wulff_center, graph_center):
 
     Solves dual_value(graph_center + s*theta - wulff_center) = scale for
     s > 0 along every node direction by a monotone Newton iteration started
-    beyond the root.  Requires graph_center to lie inside the shape.
+    beyond the root, at max F(node) * scale + |offset| with slack (the Wulff
+    radius 1/F0(theta) never exceeds F(theta)).  Each step makes one dual
+    solve: F0 is 1-homogeneous, so F0(x) = x.DF0(x), and DF0 is warm-started
+    from the previous step's gradient.  Requires graph_center to lie inside
+    the shape.
     """
     wulff_center = np.asarray(wulff_center, dtype=float)
     graph_center = np.asarray(graph_center, dtype=float)
@@ -112,13 +117,15 @@ def wulff_profile_about(norm, grid, scale, wulff_center, graph_center):
     off_val = norm.dual_value(offset) if np.linalg.norm(offset) > 0.0 else 0.0
     if off_val >= 0.999 * scale:
         raise ValueError("graph center lies outside (or too close to) the shape")
-    rho_max = float(np.max(norm.wulff_radius(grid.nodes)))
-    s = np.full(grid.n_nodes, 1.1 * (scale * rho_max + np.linalg.norm(offset)))
+    rho_bound = float(np.max(norm.value(grid.nodes)))
+    s = np.full(grid.n_nodes, 1.1 * (scale * rho_bound + np.linalg.norm(offset)))
     theta = grid.nodes
+    g = None
     for _ in range(60):
         x = offset[None, :] + s[:, None] * theta
-        val = norm.dual_value(x) - scale
-        slope = np.einsum("ij,ij->i", norm.dual_grad(x), theta)
+        g = norm.dual_grad(x, start=g)
+        val = np.einsum("ij,ij->i", x, g) - scale
+        slope = np.einsum("ij,ij->i", g, theta)
         ds = val / slope
         s = s - ds
         if np.max(np.abs(ds)) < 1e-13 * scale:
@@ -267,15 +274,14 @@ class HausdorffResult:
                 "bound": self.bound, "bound_ok": self.bound_ok}
 
 
-def _cloud_min_dists(pts_a, pts_b, block=512):
-    """For each row of pts_a, the index of and distance to the nearest pts_b."""
-    idx = np.empty(len(pts_a), dtype=int)
-    dist = np.empty(len(pts_a))
-    for lo in range(0, len(pts_a), block):
-        hi = min(lo + block, len(pts_a))
-        d = np.linalg.norm(pts_a[lo:hi, None, :] - pts_b[None, :, :], axis=2)
-        idx[lo:hi] = np.argmin(d, axis=1)
-        dist[lo:hi] = d[np.arange(hi - lo), idx[lo:hi]]
+def _cloud_min_dists(pts_a, pts_b):
+    """For each row of pts_a, the distance to and index of the nearest pts_b.
+
+    The neighbour comes from a KD-tree; the distance is recomputed from the
+    matched pair so it does not depend on the tree's arithmetic.
+    """
+    _, idx = cKDTree(pts_b).query(pts_a)
+    dist = np.linalg.norm(pts_a - pts_b[idx], axis=1)
     return dist, idx
 
 
@@ -398,8 +404,10 @@ def _regraph_radial(surface, point):
     return s
 
 
-def _bulk_inverse_dual(surface, norm, center, n_quad=32):
+def _bulk_inverse_dual(surface, norm, center, rho, n_quad=32):
     """Volume integral of 1/dual_value(x - center) over the enclosed domain.
+
+    `rho` is the Wulff radius 1/dual_value at the grid nodes.
 
     Preferred path: re-graph the domain about the weight center, where the
     radial integral is exact and the angular integrand smooth.  When the
@@ -411,7 +419,6 @@ def _bulk_inverse_dual(surface, norm, center, n_quad=32):
     n = grid.dim
     r_about = _regraph_radial(surface, center)
     if r_about is not None:
-        rho = norm.wulff_radius(grid.nodes)
         return grid.integrate(r_about ** n * rho) / n
 
     gl_x, gl_w = np.polynomial.legendre.leggauss(n_quad)
@@ -454,8 +461,8 @@ def gap_integral(surface, norm, center=None, cache=None, wulff=None):
     gap = float(np.sum((dual * cache.f_normal - flux) * cache.area_w))
     gap_norm = float(np.sum((cache.f_normal - flux / dual) * cache.area_w))
     per = float(np.sum(cache.aniso_area_w))
-    divergence = per - n * _bulk_inverse_dual(surface, norm, c)
     w = _wulff(norm, grid, wulff)
+    divergence = per - n * _bulk_inverse_dual(surface, norm, c, w.rho)
     ratio_field = surface.r / w.rho
     grad_ratio = grid.gradient(ratio_field)
     surrogate = grid.integrate(np.einsum("ij,ij->i", grad_ratio, grad_ratio))

@@ -204,3 +204,30 @@ def test_sectoral_harmonic_is_harmonic():
     x = rng.standard_normal((30, 2))
     lap = np.einsum("ijj->i", h.hess(x))
     assert np.max(np.abs(lap)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["perturbed2", "perturbed3"])
+def test_perturbed_dual_grad_warm_start(name, request):
+    # a start only seeds the Newton solve: exact, nearby and antipodal
+    # starts all give the cold answer; the antipodal one lies near the
+    # minimizer of x.y/F(y) and must lose to the grid scan's seed
+    norm = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((200, norm.ambient_dim))
+    cold = norm.dual_grad(x)
+    noise = 0.05 * rng.standard_normal(cold.shape)
+    for start in (cold, cold + noise, -cold):
+        warm = norm.dual_grad(x, start=start)
+        err = np.linalg.norm(warm - cold, axis=1) / np.linalg.norm(cold, axis=1)
+        assert np.max(err) <= 1e-13
+    single = norm.dual_grad(x[0], start=-cold[0])
+    assert np.linalg.norm(single - cold[0]) <= 1e-13 * np.linalg.norm(cold[0])
+
+
+@pytest.mark.parametrize("name", ["euclid2", "euclid3", "ellipse2", "ellipse3"])
+def test_closed_form_dual_grad_ignores_start(name, request):
+    norm = request.getfixturevalue(name)
+    x = np.random.default_rng(6).standard_normal((50, norm.ambient_dim))
+    cold = norm.dual_grad(x)
+    for start in (cold, -cold, x):
+        assert np.array_equal(norm.dual_grad(x, start=start), cold)

@@ -14,6 +14,7 @@ from wulff_lab import (
     full_deficit_report,
     gap_integral,
     hausdorff_to_wulff,
+    make_grid,
     make_wulff,
     moduli,
     pmomentum_chain,
@@ -28,6 +29,7 @@ from wulff_lab import (
     wulff_q_value,
     wulff_surface,
 )
+from wulff_lab.stability import _cloud_min_dists
 
 
 def test_deficit_zero_on_translated_wulff(grid512, ellipse2):
@@ -261,6 +263,44 @@ def test_equality_detection_from_small_deficit(grid512, ellipse2):
     fitted = wulff_profile_about(ellipse2, grid512, res.scale, res.center,
                                  np.zeros(2))
     assert np.max(np.abs(s.r - fitted)) < 1e-5
+
+
+@pytest.mark.parametrize("name, dim, res, p0", [
+    ("perturbed2", 1, 256, [0.2, -0.15]),
+    ("perturbed3", 2, 16, [0.15, -0.1, 0.05]),
+], ids=["perturbed2", "perturbed3"])
+def test_wulff_profile_about_perturbed_off_center(name, dim, res, p0, request):
+    # the re-graph solves F0(offset + s*theta) = scale along every node
+    norm = request.getfixturevalue(name)
+    grid = make_grid(dim, res)
+    p0 = np.array(p0)
+    scale = 1.3
+    s = wulff_profile_about(norm, grid, scale, p0, np.zeros(dim + 1))
+    x = -p0[None, :] + s[:, None] * grid.nodes
+    assert np.max(np.abs(norm.dual_value(x) - scale)) <= 1e-12 * scale
+    # a translated rescaled perturbed Wulff shape has zero asymmetry
+    res = asymmetry_index(wulff_surface(norm, grid, scale, p0), norm)
+    assert res.alpha <= 1e-6
+    assert res.method == "radial"
+
+
+def _brute_min_dists(pts_a, pts_b):
+    d = np.linalg.norm(pts_a[:, None, :] - pts_b[None, :, :], axis=2)
+    return d.min(axis=1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cloud_min_dists_matches_brute_force(d):
+    rng = np.random.default_rng(10 + d)
+    b = rng.standard_normal((300, d))
+    clouds = [(rng.standard_normal((200, d)), b),
+              # duplicated points give exact ties in both roles
+              (np.concatenate([b[:50], b[:50]]), np.concatenate([b, b[:100]]))]
+    for pts_a, pts_b in clouds:
+        dist, idx = _cloud_min_dists(pts_a, pts_b)
+        ref = _brute_min_dists(pts_a, pts_b)
+        assert np.array_equal(dist, ref)
+        assert np.array_equal(np.linalg.norm(pts_a - pts_b[idx], axis=1), ref)
 
 
 def test_wulff_profile_about_rejects_outside_center(grid256, euclid2):
