@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -63,9 +65,18 @@ def _build_grid(cfg):
 
 
 def _tolerances(cfg):
-    tol = dict(_DEFAULT_TOLERANCES)
-    tol.update(cfg.get("tolerances", {}))
-    return tol
+    """Defaults overridden by the config's `tolerances`, each a finite real."""
+    given = cfg.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise ValueError("tolerances must be an object")
+    for key, value in given.items():
+        if key not in _DEFAULT_TOLERANCES:
+            raise ValueError(f"unknown key tolerances.{key}")
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"tolerances.{key} must be a finite number, "
+                             f"got {value!r}")
+    return {**_DEFAULT_TOLERANCES, **given}
 
 
 def _center(cfg, grid):
@@ -105,10 +116,9 @@ def _check(value, tol, mode="abs"):
 # -------------------------------------------------------------------- tasks
 
 
-def _task_verify_identities(cfg, out_dir, seed):
+def _task_verify_identities(cfg, tol, out_dir, seed):
     norm = norm_from_spec(cfg["norm"])
     grid = _build_grid(cfg)
-    tol = _tolerances(cfg)
     rng = np.random.default_rng(seed)
     n_samples = int(cfg.get("samples", 1000))
     report = verify_duality(norm, n_samples, rng)
@@ -128,10 +138,9 @@ def _task_verify_identities(cfg, out_dir, seed):
     return results, checks
 
 
-def _task_flow(cfg, out_dir, seed):
+def _task_flow(cfg, tol, out_dir, seed):
     norm = norm_from_spec(cfg["norm"])
     grid = _build_grid(cfg)
-    tol = _tolerances(cfg)
     surface = surface_from_spec(cfg["surface"], grid, norm)
     flow_cfg = cfg.get("flow", {})
     config = FlowConfig(
@@ -159,10 +168,9 @@ def _task_flow(cfg, out_dir, seed):
     return results, checks
 
 
-def _task_deficits(cfg, out_dir, seed):
+def _task_deficits(cfg, tol, out_dir, seed):
     norm = norm_from_spec(cfg["norm"])
     grid = _build_grid(cfg)
-    tol = _tolerances(cfg)
     surface = surface_from_spec(cfg["surface"], grid, norm)
     center = _center(cfg, grid)
     p_list = [float(p) for p in cfg.get("p_exponents", [2.0])]
@@ -178,10 +186,9 @@ def _task_deficits(cfg, out_dir, seed):
     return {"deficits": report.to_dict()}, checks
 
 
-def _task_stability_sweep(cfg, out_dir, seed):
+def _task_stability_sweep(cfg, tol, out_dir, seed):
     norm = norm_from_spec(cfg["norm"])
     grid = _build_grid(cfg)
-    tol = _tolerances(cfg)
     family = cfg.get("family", {"deltas": [0.05, 0.1, 0.2, 0.4],
                                 "harmonics": [{"k": 1, "delta": 1.0}]})
     p = float(cfg.get("p_exponents", [2.0])[0])
@@ -200,9 +207,8 @@ def _task_stability_sweep(cfg, out_dir, seed):
     return {"rows": rows}, checks
 
 
-def _task_convergence(cfg, out_dir, seed):
+def _task_convergence(cfg, tol, out_dir, seed):
     norm = norm_from_spec(cfg["norm"])
-    tol = _tolerances(cfg)
     dim = int(cfg.get("grid", {}).get("dim", 1))
     resolutions = [int(r) for r in cfg.get(
         "resolutions", [32, 64, 128, 256] if dim == 1 else [12, 16, 24, 32])]
@@ -276,9 +282,10 @@ def run(task, config_path, out_dir=None, seed=None):
         seed = int(cfg.get("seed", 0))
     out_dir = Path(out_dir if out_dir is not None
                    else cfg.get("output_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        results, checks = _TASK_FN[task](cfg, out_dir, seed)
+        tol = _tolerances(cfg)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        results, checks = _TASK_FN[task](cfg, tol, out_dir, seed)
     except (KeyError, ValueError, MeanConvexityError, RuntimeError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

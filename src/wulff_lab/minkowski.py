@@ -4,8 +4,9 @@ Three norm families are provided.  The euclidean norm and the ellipsoidal
 norms sqrt(x^T A x) have closed-form duals and serve as oracles; the
 "perturbed" family has support function h = 1 + eps*Y on the unit sphere,
 with Y the restriction of a low-degree harmonic polynomial, and exercises
-the numerical dual path (Newton refinement on the sphere, seeded from the
-better of a grid scan and an optional caller-supplied start).
+the numerical dual path: per-row Newton refinement on the sphere, seeded
+from an optional caller-supplied start (or x/|x|), certified global by the
+sign of x.y, and re-seeded from a grid scan only for rows that fail.
 
 All evaluation methods are vectorized: `x` may be a single vector of shape
 (d,) or a batch of shape (..., d).
@@ -19,8 +20,10 @@ import numpy as np
 
 from .sphere_grid import SphereGrid, make_grid
 
-_NEWTON_TOL = 1e-13
-_NEWTON_MAXIT = 40
+_NEWTON_TOL = 1e-13        # chart gradient, relative to |x|
+_NEWTON_STEP_TOL = 1e-8    # the step before a passing gradient test
+_NEWTON_MAXIT = 40         # scan-seeded fallback
+_WARM_MAXIT = 8            # first pass, from the start or x/|x|
 
 
 def _as_batch(x, d):
@@ -35,6 +38,22 @@ def _restore(values, single, lead_shape):
     if single:
         return values[0]
     return values.reshape(lead_shape + values.shape[1:])
+
+
+def _tangent_frame(y):
+    """Orthonormal tangent vectors at unit rows y: a list of d-1 (m, d) arrays.
+
+    In 3-D this is the branchless frame of Duff et al., "Building an
+    Orthonormal Basis, Revisited", JCGT 6(1), 2017.
+    """
+    if y.shape[1] == 2:
+        return [np.column_stack([-y[:, 1], y[:, 0]])]
+    y0, y1, y2 = y.T
+    sign = np.copysign(1.0, y2)
+    a = -1.0 / (sign + y2)
+    b = y0 * y1 * a
+    return [np.column_stack([1.0 + sign * y0 * y0 * a, sign * b, -sign * y0]),
+            np.column_stack([b, sign + y1 * y1 * a, -y1])]
 
 
 def _check_nonzero(x):
@@ -205,6 +224,8 @@ class EllipsoidNorm(MinkowskiNorm):
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 3):
             raise ValueError("matrix must be square of size 2 or 3")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix must be finite")
         if not np.allclose(a, a.T, atol=1e-12):
             raise ValueError("matrix must be symmetric")
         try:
@@ -264,9 +285,12 @@ class PerturbedNorm(MinkowskiNorm):
 
     The dual norm has no closed form; it is evaluated by maximizing
     x.y / F(y) over unit y with Newton refinement in a tangent chart.  Each
-    row's Newton seed is the better, by x.y / F(y), of a coarse grid scan's
-    best direction and the normalized `start` row when `dual_grad` is given
-    one, so a warm start can speed the solve but never worsen its seed.
+    row starts from the normalized `start` row when `dual_grad` is given
+    one, else from x/|x|.  x.y/F(y) has exactly two critical points on the
+    sphere, and only the maximizer has x.y > 0, so a converged row with
+    x.y > 0 is the global maximum.  Rows that fail this certificate are
+    solved again from a coarse grid scan's best direction: a warm start can
+    speed the solve but never change its answer beyond roundoff.
     """
 
     family = "perturbed"
@@ -357,67 +381,95 @@ class PerturbedNorm(MinkowskiNorm):
 
     # dual evaluation
 
-    def _tangent_basis(self, y):
-        """Orthonormal basis of the tangent space at unit vectors y: (m, d, d-1)."""
-        m, d = y.shape
-        if d == 2:
-            v = np.empty((m, 2, 1))
-            v[:, 0, 0] = -y[:, 1]
-            v[:, 1, 0] = y[:, 0]
-            return v
-        ref = np.zeros((m, 3))
-        ref[np.arange(m), np.argmin(np.abs(y), axis=1)] = 1.0
-        v1 = np.cross(y, ref)
-        v1 /= np.linalg.norm(v1, axis=1, keepdims=True)
-        v2 = np.cross(y, v1)
-        return np.stack([v1, v2], axis=-1)
+    def _newton(self, x, y, maxit):
+        """Per-row Newton iteration for critical points of x.y / F(y) on the
+        unit sphere, in the tangent chart y -> (y + B c) / |y + B c|.
+
+        Returns the iterates and a mask of the converged rows.  A row stops
+        once its chart gradient is below _NEWTON_TOL * |x| after a step
+        shorter than _NEWTON_STEP_TOL; converged rows drop out of the
+        iteration.  phi is 0-homogeneous, so y.grad(phi) = 0 and the
+        projected Hessian B^T D^2phi B is the Riemannian one.
+        """
+        y = y.copy()
+        done = np.zeros(len(x), dtype=bool)
+        idx = np.arange(len(x))
+        xa, ya = x, y
+        xna = np.linalg.norm(x, axis=1)
+        step = np.full(len(x), np.inf)
+        for _ in range(maxit):
+            fy = self._value_batch(ya)
+            gy = self._grad_batch(ya)
+            num = np.einsum("ij,ij->i", xa, ya)
+            frame = _tangent_frame(ya)
+            xb = [np.einsum("ij,ij->i", xa, b) for b in frame]
+            gb = [np.einsum("ij,ij->i", gy, b) for b in frame]
+            gt = [(xbk - num * gbk / fy) / fy for xbk, gbk in zip(xb, gb)]
+            gnorm = np.sqrt(sum(g * g for g in gt))
+            conv = (gnorm < _NEWTON_TOL * xna) & (step < _NEWTON_STEP_TOL)
+            if np.any(conv):
+                y[idx[conv]] = ya[conv]
+                done[idx[conv]] = True
+                keep = ~conv
+                idx, xa, ya, xna = idx[keep], xa[keep], ya[keep], xna[keep]
+                if idx.size == 0:
+                    break
+                fy, num = fy[keep], num[keep]
+                frame = [b[keep] for b in frame]
+                xb, gb, gt = ([v[keep] for v in vs] for vs in (xb, gb, gt))
+            hb = np.matmul(self._hess_batch(ya), np.stack(frame, axis=-1))
+            f2, f3 = fy * fy, 2.0 * num / (fy * fy * fy)
+
+            def h(k, m):   # entry (k, m) of B^T D^2phi B
+                bhb = np.einsum("ij,ij->i", frame[k], hb[:, :, m])
+                return ((-(xb[k] * gb[m] + gb[k] * xb[m]) - num * bhb) / f2
+                        + f3 * gb[k] * gb[m])
+
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if len(frame) == 1:
+                    c = [-gt[0] / h(0, 0)]
+                else:
+                    h00, h01, h11 = h(0, 0), h(0, 1), h(1, 1)
+                    det = h00 * h11 - h01 * h01
+                    c = [(h01 * gt[1] - h11 * gt[0]) / det,
+                         (h01 * gt[0] - h00 * gt[1]) / det]
+            step = np.sqrt(sum(ck * ck for ck in c))
+            if not np.all(np.isfinite(step)):
+                raise RuntimeError("dual Newton hit a singular Hessian; "
+                                   "the norm may be too close to degenerate")
+            cap = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-300), 1.0)
+            ya = ya + sum((cap * ck)[:, None] * b for ck, b in zip(c, frame))
+            ya /= np.linalg.norm(ya, axis=1, keepdims=True)
+        y[idx] = ya
+        return y, done
 
     def _dual_maximizer(self, x, start=None):
         """Unit maximizers of y -> x.y / F(y), one per row of x.
 
-        Newton starts in each row from the best grid-scan direction, or from
-        the normalized `start` row (shape of x, nonzero rows) where that
-        scores strictly higher.
+        Newton starts from the normalized `start` row (shape of x, nonzero
+        rows), or from x/|x| without one.  On the unit sphere phi = x.y/F(y)
+        has exactly two critical points when D^2(F^2/2) is positive definite
+        (the constructor checks it): grad phi = 0 means x = phi(y) DF(y),
+        and DF maps the sphere one-to-one onto {F0 = 1}.  The maximizer has
+        phi = F0(x) > 0 and the minimizer phi = -F0(-x) < 0, so a row that
+        converges with x.y > 0 is certified global.  Rows that fail the
+        certificate are re-seeded from the best grid-scan direction.
         """
-        scores = x @ self._scan_dirs.T
-        scores /= self._scan_f   # in place: no second (rows, scan) array
-        best = np.argmax(scores, axis=1)
-        y = self._scan_dirs[best].copy()
-        if start is not None:
-            ys = start / np.linalg.norm(start, axis=1, keepdims=True)
-            ys_score = np.einsum("ij,ij->i", x, ys) / self._value_batch(ys)
-            warm = ys_score > scores[np.arange(len(x)), best]
-            y[warm] = ys[warm]
-        xn = np.linalg.norm(x, axis=1)
-        for _ in range(_NEWTON_MAXIT):
-            fy = self._value_batch(y)
-            gy = self._grad_batch(y)
-            num = np.einsum("ij,ij->i", x, y)
-            dphi = x / fy[:, None] - num[:, None] * gy / fy[:, None] ** 2
-            basis = self._tangent_basis(y)
-            gt = np.einsum("idk,id->ik", basis, dphi)
-            if np.max(np.linalg.norm(gt, axis=1) / xn) < _NEWTON_TOL:
-                break
-            hy = self._hess_batch(y)
-            cross = x[:, :, None] * gy[:, None, :] + gy[:, :, None] * x[:, None, :]
-            d2phi = (-cross / fy[:, None, None] ** 2
-                     - num[:, None, None] * hy / fy[:, None, None] ** 2
-                     + 2.0 * num[:, None, None] * gy[:, :, None] * gy[:, None, :]
-                     / fy[:, None, None] ** 3)
-            ht = np.einsum("idk,ide,iel->ikl", basis, d2phi, basis)
-            try:
-                c = -np.linalg.solve(ht, gt[..., None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError("dual Newton hit a singular Hessian; "
-                                   "the norm may be too close to degenerate") from exc
-            cn = np.linalg.norm(c, axis=1, keepdims=True)
-            c = np.where(cn > 0.5, 0.5 * c / np.maximum(cn, 1e-300), c)  # step cap
-            y = y + np.einsum("idk,ik->id", basis, c)
-            y /= np.linalg.norm(y, axis=1, keepdims=True)
-        else:
-            raise RuntimeError(
-                "dual Newton refinement did not converge; the perturbation may "
-                "leave too small a smoothness margin (reduce eps)")
+        y0 = x if start is None else start
+        y, ok = self._newton(x, y0 / np.linalg.norm(y0, axis=1, keepdims=True),
+                             _WARM_MAXIT)
+        redo = ~ok | (np.einsum("ij,ij->i", x, y) <= 0.0)
+        if np.any(redo):
+            xr = x[redo]
+            scores = xr @ self._scan_dirs.T
+            scores /= self._scan_f   # in place: no second (rows, scan) array
+            yr, ok = self._newton(xr, self._scan_dirs[np.argmax(scores, axis=1)],
+                                  _NEWTON_MAXIT)
+            if not np.all(ok & (np.einsum("ij,ij->i", xr, yr) > 0.0)):
+                raise RuntimeError(
+                    "dual Newton refinement did not converge; the perturbation "
+                    "may leave too small a smoothness margin (reduce eps)")
+            y[redo] = yr
         return y
 
     def dual_value(self, x):

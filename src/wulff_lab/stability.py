@@ -203,20 +203,22 @@ def _symmetric_difference_mc(surface, norm, scale, center, n_samples=200_000,
 def _interp_radial(surface, dirs):
     """Evaluate the radial field in arbitrary directions.
 
-    dim=1 uses the trigonometric interpolant; dim=2 uses bivariate spline
-    interpolation in the latitude-longitude chart.
+    dim=1 uses the trigonometric interpolant Re sum_k c_k z^k in
+    z = exp(i*angle), evaluated by Horner's rule; dim=2 uses bivariate
+    spline interpolation in the latitude-longitude chart.
     """
     grid = surface.grid
     if grid.dim == 1:
         coeff = np.fft.rfft(surface.r) / grid.n_nodes
-        t = np.arctan2(dirs[:, 1], dirs[:, 0])
-        k = np.arange(len(coeff))
-        phase = np.exp(1j * np.outer(t, k))
-        scale = np.ones(len(coeff))
-        scale[1:] = 2.0
+        coeff[1:] *= 2.0
         if grid.n_nodes % 2 == 0:
-            scale[-1] = 1.0
-        return (phase @ (coeff * scale)).real
+            coeff[-1] *= 0.5   # the Nyquist mode is not doubled
+        z = np.exp(1j * np.arctan2(dirs[:, 1], dirs[:, 0]))
+        acc = np.full(len(z), coeff[-1])
+        for c in coeff[-2::-1]:
+            acc *= z
+            acc += c
+        return acc.real
     from scipy.interpolate import RectBivariateSpline
     r2 = surface.r.reshape(grid.nlat, grid.nlon)
     lon_pad = np.concatenate([grid.lon - 2 * np.pi, grid.lon,

@@ -156,3 +156,38 @@ def test_cli_main_entry(tmp_path, capsys):
     assert exc.value.code == 0
     captured = capsys.readouterr()
     assert "PASS" in captured.out
+
+
+@pytest.mark.parametrize("tolerances, key", [
+    ({"monotonicity": "1e-8"}, "tolerances.monotonicity"),
+    ({"monotonicity": True}, "tolerances.monotonicity"),
+    ({"perimeter_conservation": float("nan")}, "tolerances.perimeter_conservation"),
+    ({"wulff_identity": None}, "tolerances.wulff_identity"),
+    ({"monotonicty": 1e-8}, "tolerances.monotonicty"),
+])
+def test_bad_tolerance_is_input_error_before_compute(tmp_path, capsys,
+                                                     tolerances, key):
+    cfg = _write_config(tmp_path, "cfg.json", {
+        "norm": {"family": "euclidean", "dim": 1},
+        "grid": {"dim": 1, "resolution": 128},
+        "surface": {"kind": "sphere"},
+        "flow": {"t_end": 0.1, "cadence": 0.05},
+        "tolerances": tolerances,
+    })
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("flow", cfg, out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and key in err[0]
+    assert not any(out.iterdir())
+
+
+def test_non_finite_ellipsoid_matrix_is_input_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "cfg.json", {
+        "norm": {"family": "ellipsoid",
+                 "matrix": [[4.0, float("nan")], [0.0, 1.0]]},
+        "grid": {"dim": 1, "resolution": 64},
+    })
+    assert run("verify-identities", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: matrix must be finite"]

@@ -46,6 +46,10 @@ def test_ellipsoid_validation():
         EllipsoidNorm([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="positive definite"):
         EllipsoidNorm([[1.0, 0.0], [0.0, -2.0]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            norm_from_spec({"family": "ellipsoid",
+                            "matrix": [[1.0, bad], [bad, 1.0]]})
 
 
 def test_hessian_annihilates_argument(euclid2, ellipse2, perturbed2):
@@ -210,7 +214,8 @@ def test_sectoral_harmonic_is_harmonic():
 def test_perturbed_dual_grad_warm_start(name, request):
     # a start only seeds the Newton solve: exact, nearby and antipodal
     # starts all give the cold answer; the antipodal one lies near the
-    # minimizer of x.y/F(y) and must lose to the grid scan's seed
+    # minimizer of x.y/F(y), fails the x.y > 0 certificate and is solved
+    # again from the grid scan's seed
     norm = request.getfixturevalue(name)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((200, norm.ambient_dim))
@@ -231,3 +236,43 @@ def test_closed_form_dual_grad_ignores_start(name, request):
     cold = norm.dual_grad(x)
     for start in (cold, -cold, x):
         assert np.array_equal(norm.dual_grad(x, start=start), cold)
+
+
+@pytest.fixture(scope="module")
+def near_limit2():
+    # sectoral degree 3 stays convex for eps < 1/8
+    norm = PerturbedNorm(2, 0.124)
+    assert norm.convexity_margin < 0.01
+    return norm
+
+
+def _dense_directions(d):
+    # much finer than the norms' own scans (512 angles, res-24 sphere grid)
+    if d == 2:
+        t = np.linspace(0.0, 2 * np.pi, 1 << 17, endpoint=False)
+        return np.column_stack([np.cos(t), np.sin(t)])
+    return make_grid(2, 160).nodes
+
+
+@pytest.mark.parametrize("name", ["perturbed2", "perturbed3", "near_limit2"])
+def test_perturbed_dual_beats_dense_scan(name, request):
+    norm = request.getfixturevalue(name)
+    d = norm.ambient_dim
+    dirs = _dense_directions(d)
+    inv_f = 1.0 / norm.value(dirs)
+    x = np.random.default_rng(8).standard_normal((120, d))
+    solved = norm.dual_value(x)
+    for lo in range(0, len(x), 20):
+        rows = slice(lo, lo + 20)
+        brute = np.max((x[rows] @ dirs.T) * inv_f, axis=1)
+        assert np.all(solved[rows] >= brute * (1.0 - 1e-14))
+
+
+@pytest.mark.parametrize("name", ["perturbed2", "perturbed3", "near_limit2"])
+def test_perturbed_dual_rows_are_independent(name, request):
+    # each row iterates on its own, so batching does not change its answer
+    norm = request.getfixturevalue(name)
+    x = np.random.default_rng(12).standard_normal((500, norm.ambient_dim))
+    batch = norm.dual_value(x)
+    single = np.array([norm.dual_value(row) for row in x])
+    assert np.max(np.abs(batch - single) / batch) <= 1e-15

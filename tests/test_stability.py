@@ -29,7 +29,7 @@ from wulff_lab import (
     wulff_q_value,
     wulff_surface,
 )
-from wulff_lab.stability import _cloud_min_dists
+from wulff_lab.stability import _cloud_min_dists, _interp_radial
 
 
 def test_deficit_zero_on_translated_wulff(grid512, ellipse2):
@@ -343,3 +343,39 @@ def test_monte_carlo_symmetric_difference_path(grid256, euclid2):
     # sanity: the overlap is small, so the symmetric difference is close to
     # the sum of the two areas
     assert 0.0 < value < 2.0 * (volume(s) + np.pi)
+
+
+def _dense_interp(surface, dirs):
+    # the explicit phase-matrix form of the trigonometric interpolant
+    n_nodes = surface.grid.n_nodes
+    coeff = np.fft.rfft(surface.r) / n_nodes
+    t = np.arctan2(dirs[:, 1], dirs[:, 0])
+    phase = np.exp(1j * np.outer(t, np.arange(len(coeff))))
+    scale = np.ones(len(coeff))
+    scale[1:] = 2.0
+    if n_nodes % 2 == 0:
+        scale[-1] = 1.0
+    return (phase @ (coeff * scale)).real
+
+
+@pytest.mark.parametrize("n_nodes", [64, 65, 512, 511])
+def test_interp_radial_reproduces_band_limited_field(n_nodes):
+    rng = np.random.default_rng(n_nodes)
+    # every mode below Nyquist, plus the Nyquist cosine for even N
+    k = np.arange(1, (n_nodes - 1) // 2 + 1)
+    a, b = 0.1 * rng.standard_normal((2, len(k))) / k
+    nyquist = 0.01 if n_nodes % 2 == 0 else 0.0
+
+    def field(t):
+        kt = np.outer(t, k)
+        return (1.0 + np.cos(kt) @ a + np.sin(kt) @ b
+                + nyquist * np.cos(0.5 * n_nodes * t))
+
+    grid = make_grid(1, n_nodes)
+    surface = StarSurface(grid, field(grid.angles))
+    t = rng.uniform(-np.pi, np.pi, 4 * n_nodes)
+    dirs = rng.uniform(0.5, 2.0, len(t))[:, None] * np.column_stack(
+        [np.cos(t), np.sin(t)])
+    got = _interp_radial(surface, dirs)
+    assert np.max(np.abs(got - field(t))) <= 1e-13
+    assert np.max(np.abs(got - _dense_interp(surface, dirs))) <= 1e-14
