@@ -266,6 +266,13 @@ _TASK_FN = {
 }
 
 
+def _seed(seed):
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def run(task, config_path, out_dir=None, seed=None):
     """Execute one task; returns the process exit code."""
     try:
@@ -273,16 +280,18 @@ def run(task, config_path, out_dir=None, seed=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    cfg_task = cfg.get("task")
-    if cfg_task is not None and cfg_task != task:
-        print(f"error: config task {cfg_task!r} does not match {task!r}",
-              file=sys.stderr)
-        return 1
-    if seed is None:
-        seed = int(cfg.get("seed", 0))
-    out_dir = Path(out_dir if out_dir is not None
-                   else cfg.get("output_dir", "."))
     try:
+        if not isinstance(cfg, dict):
+            raise ValueError("config must be a JSON object")
+        cfg_task = cfg.get("task")
+        if cfg_task is not None and cfg_task != task:
+            raise ValueError(f"config task {cfg_task!r} does not match {task!r}")
+        seed = _seed(cfg.get("seed", 0) if seed is None else seed)
+        if out_dir is None:
+            out_dir = cfg.get("output_dir", ".")
+            if not isinstance(out_dir, str):
+                raise ValueError(f"output_dir must be a string, got {out_dir!r}")
+        out_dir = Path(out_dir)
         tol = _tolerances(cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
         results, checks = _TASK_FN[task](cfg, tol, out_dir, seed)

@@ -11,7 +11,7 @@ distance bounds.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -100,16 +100,47 @@ def pmomentum_chain(surface, norm, center=None, p=2.0, cache=None, wulff=None):
 # --------------------------------------------------------------------------
 
 
+def _exit_distance(norm, dirs, offset, scale):
+    """Largest root s of F0(offset + s*dir) = scale along each row of dirs.
+
+    F0 is convex along every line, so a Newton iteration started beyond the
+    root, at max F(dir) * scale + |offset| with slack (the Wulff radius
+    1/F0(dir) never exceeds F(dir)), decreases monotonically onto it.  Each
+    step makes one dual solve: F0 is 1-homogeneous, so F0(x) = x.DF0(x), and
+    DF0 is warm-started from the previous step's gradient.  A row whose slope
+    turns nonpositive has passed the minimum of F0 on its line without a
+    root: the line misses the body and the row returns -inf.
+    """
+    rho_bound = float(np.max(norm.value(dirs)))
+    out = np.full(len(dirs), -np.inf)
+    s = np.full(len(dirs), 1.1 * (scale * rho_bound + np.linalg.norm(offset)))
+    rows = np.arange(len(dirs))
+    g = None
+    for _ in range(60):
+        x = offset[None, :] + s[:, None] * dirs
+        g = norm.dual_grad(x, start=g)
+        slope = np.einsum("ij,ij->i", g, dirs)
+        hit = slope > 0.0
+        if not np.all(hit):
+            rows, s, dirs, x, g, slope = (a[hit] for a in
+                                          (rows, s, dirs, x, g, slope))
+        ds = (np.einsum("ij,ij->i", x, g) - scale) / slope
+        s = s - ds
+        if np.max(np.abs(ds), initial=0.0) < 1e-13 * scale:
+            break
+    else:
+        raise RuntimeError("radial re-graph of the Wulff shape did not converge")
+    out[rows] = s
+    return out
+
+
 def wulff_profile_about(norm, grid, scale, wulff_center, graph_center):
     """Radial profile of scale*W + wulff_center as a graph about graph_center.
 
     Solves dual_value(graph_center + s*theta - wulff_center) = scale for
-    s > 0 along every node direction by a monotone Newton iteration started
-    beyond the root, at max F(node) * scale + |offset| with slack (the Wulff
-    radius 1/F0(theta) never exceeds F(theta)).  Each step makes one dual
-    solve: F0 is 1-homogeneous, so F0(x) = x.DF0(x), and DF0 is warm-started
-    from the previous step's gradient.  Requires graph_center to lie inside
-    the shape.
+    s > 0 along every node direction (see `_exit_distance`).  Requires
+    graph_center to lie inside the shape, at F0 below 0.999*scale, and
+    raises ValueError otherwise.
     """
     wulff_center = np.asarray(wulff_center, dtype=float)
     graph_center = np.asarray(graph_center, dtype=float)
@@ -117,22 +148,7 @@ def wulff_profile_about(norm, grid, scale, wulff_center, graph_center):
     off_val = norm.dual_value(offset) if np.linalg.norm(offset) > 0.0 else 0.0
     if off_val >= 0.999 * scale:
         raise ValueError("graph center lies outside (or too close to) the shape")
-    rho_bound = float(np.max(norm.value(grid.nodes)))
-    s = np.full(grid.n_nodes, 1.1 * (scale * rho_bound + np.linalg.norm(offset)))
-    theta = grid.nodes
-    g = None
-    for _ in range(60):
-        x = offset[None, :] + s[:, None] * theta
-        g = norm.dual_grad(x, start=g)
-        val = np.einsum("ij,ij->i", x, g) - scale
-        slope = np.einsum("ij,ij->i", g, theta)
-        ds = val / slope
-        s = s - ds
-        if np.max(np.abs(ds)) < 1e-13 * scale:
-            break
-    else:
-        raise RuntimeError("radial re-graph of the Wulff shape did not converge")
-    return s
+    return _exit_distance(norm, grid.nodes, offset, scale)
 
 
 # --------------------------------------------------------------------------
@@ -146,12 +162,7 @@ class AsymmetryResult:
     center: np.ndarray
     scale: float
     converged: bool
-    method: str
-
-    def to_dict(self):
-        return {"alpha": self.alpha, "center": self.center.tolist(),
-                "scale": self.scale, "converged": self.converged,
-                "method": self.method}
+    method: str = "radial"
 
 
 def _barycenter(surface):
@@ -165,39 +176,34 @@ def _barycenter(surface):
 
 
 def _symmetric_difference(surface, norm, scale, center):
-    """|Omega symdiff L_scale(center)| via radial integration about the
-    surface's own star center; falls back to Monte Carlo sampling when that
-    center is not interior to the translated shape."""
+    """|Omega symdiff L| for L = center + scale*W, by exact ray integration.
+
+    The convex body L meets the ray C + s*theta from the surface's star
+    center C in one interval [s_in, s_out].  With R = r^(n+1),
+    S = max(s_out, 0)^(n+1) and A = max(s_in, 0)^(n+1) the ray contributes
+    (|R - S| + A - 2 max(A - min(R, S), 0)) / (n+1), which is exact in the
+    radial variable and continuous in the center.  While C lies inside L
+    (F0(C - center) < 0.999*scale) s_in < 0 and s_out is the re-graphed
+    profile; otherwise s_in = -s_out(-theta) is solved as well.
+    """
     n = surface.grid.dim
+    a = 0.0
     try:
-        s = wulff_profile_about(norm, surface.grid, scale, center,
-                                surface.center)
-    except (ValueError, RuntimeError):
-        return _symmetric_difference_mc(surface, norm, scale, center), "monte-carlo"
-    diff = np.abs(surface.r ** (n + 1) - s ** (n + 1)) / (n + 1)
-    return surface.grid.integrate(diff), "radial"
-
-
-def _symmetric_difference_mc(surface, norm, scale, center, n_samples=200_000,
-                             seed=20240801):
-    """Fixed-seed Monte Carlo estimate of the symmetric difference volume."""
-    rng = np.random.default_rng(seed)
-    d = surface.grid.dim + 1
-    pts = surface.points
-    rho = norm.wulff_radius(surface.grid.nodes)
-    lo = np.minimum(pts.min(axis=0), center + scale * -np.max(rho))
-    hi = np.maximum(pts.max(axis=0), center + scale * np.max(rho))
-    samples = rng.uniform(lo, hi, size=(n_samples, d))
-    box = float(np.prod(hi - lo))
-    # membership in Omega: compare |y - C| with the interpolated radial field
-    rel = samples - surface.center[None, :]
-    dist = np.linalg.norm(rel, axis=1)
-    dirs = rel / np.maximum(dist, 1e-300)[:, None]
-    r_at = _interp_radial(surface, dirs)
-    in_omega = dist <= r_at
-    in_wulff = norm.dual_value(samples - center[None, :]) <= scale
-    frac = np.mean(in_omega != in_wulff)
-    return box * float(frac)
+        s_out = wulff_profile_about(norm, surface.grid, scale, center,
+                                    surface.center)
+    except ValueError:   # the star center is not well inside the body
+        offset = surface.center - center
+        theta = surface.grid.nodes
+        s_out = _exit_distance(norm, theta, offset, scale)
+        s_in = -_exit_distance(norm, -theta, offset, scale)
+        # where one solve misses the line (s_out = -inf or s_in = +inf) the
+        # chord is empty: A = S, and the ray contributes R
+        a = np.maximum(np.minimum(s_in, s_out), 0.0) ** (n + 1)
+    big_r = surface.r ** (n + 1)
+    big_s = np.maximum(s_out, 0.0) ** (n + 1)
+    ray = (np.abs(big_r - big_s) + a
+           - 2.0 * np.maximum(a - np.minimum(big_r, big_s), 0.0)) / (n + 1)
+    return surface.grid.integrate(ray)
 
 
 def _interp_radial(surface, dirs):
@@ -232,28 +238,24 @@ def _interp_radial(surface, dirs):
 
 def asymmetry_index(surface, norm, wulff=None, xatol=1e-8, max_iter=400):
     """Volume-normalized minimal symmetric difference to a volume-matched
-    translated rescaled Wulff shape; the translation is found by Nelder-Mead
-    started at the barycenter."""
+    translated rescaled Wulff shape.  The translation is found by Nelder-Mead
+    started at the barycenter; every evaluation is the deterministic ray
+    integral of `_symmetric_difference`, so `method` is always "radial"."""
     w = _wulff(norm, surface.grid, wulff)
     vol = volume(surface)
     n = surface.grid.dim
     scale = (vol / w.volume) ** (1.0 / (n + 1.0))
-    methods = set()
 
     def objective(p):
-        value, method = _symmetric_difference(surface, norm, scale, p)
-        methods.add(method)
-        return value / vol
+        return _symmetric_difference(surface, norm, scale, p) / vol
 
     start = _barycenter(surface)
     res = minimize(objective, start, method="Nelder-Mead",
                    options={"xatol": xatol, "fatol": 1e-12,
                             "maxiter": max_iter})
-    alpha = float(res.fun)
-    method = "monte-carlo" if "monte-carlo" in methods else "radial"
-    return AsymmetryResult(alpha=alpha, center=np.asarray(res.x, dtype=float),
-                           scale=float(scale), converged=bool(res.success),
-                           method=method)
+    return AsymmetryResult(alpha=float(res.fun),
+                           center=np.asarray(res.x, dtype=float),
+                           scale=float(scale), converged=bool(res.success))
 
 
 # --------------------------------------------------------------------------
@@ -269,11 +271,6 @@ class HausdorffResult:
     hausdorff: float      # two-sided Hausdorff distance to a*W (+ center)
     bound: float          # sup_norm * (1 + max|grad rho| / min rho)
     bound_ok: bool
-
-    def to_dict(self):
-        return {"a": self.a, "a_volume": self.a_volume,
-                "sup_norm": self.sup_norm, "hausdorff": self.hausdorff,
-                "bound": self.bound, "bound_ok": self.bound_ok}
 
 
 def _cloud_min_dists(pts_a, pts_b):
@@ -359,13 +356,6 @@ class GapResult:
     identity_residual: float  # |gap_normalized - divergence_form|
     gradient_surrogate: float  # integral of |grad (r/rho)|^2 over the sphere
     ratio: float              # gap / gradient_surrogate (0 when both vanish)
-
-    def to_dict(self):
-        return {"gap": self.gap, "gap_normalized": self.gap_normalized,
-                "divergence_form": self.divergence_form,
-                "identity_residual": self.identity_residual,
-                "gradient_surrogate": self.gradient_surrogate,
-                "ratio": self.ratio}
 
 
 def _regraph_radial(surface, point):
@@ -487,10 +477,6 @@ class QuantWulffResult:
     ratio: float
     ratio_defined: bool
 
-    def to_dict(self):
-        return {"alpha_sq": self.alpha_sq, "deficit": self.deficit,
-                "ratio": self.ratio, "ratio_defined": self.ratio_defined}
-
 
 def quantitative_wulff(surface, norm, wulff=None, asymmetry=None):
     """Squared asymmetry index against the isoperimetric deficit
@@ -552,24 +538,9 @@ class DeficitReport:
     asymmetry_converged: bool
 
     def to_dict(self):
-        return {
-            "eps1": self.eps1,
-            "eps_p": {str(k): v for k, v in self.eps_p.items()},
-            "alpha": self.alpha,
-            "alpha_center": self.alpha_center,
-            "a": self.a,
-            "a_volume": self.a_volume,
-            "hausdorff": self.hausdorff,
-            "sup_norm": self.sup_norm,
-            "gap": self.gap,
-            "gap_divergence_residual": self.gap_divergence_residual,
-            "qw_alpha_sq": self.qw_alpha_sq,
-            "qw_deficit": self.qw_deficit,
-            "f1_eps1": self.f1_eps1,
-            "f2_eps1": self.f2_eps1,
-            "asymmetry_method": self.asymmetry_method,
-            "asymmetry_converged": self.asymmetry_converged,
-        }
+        d = asdict(self)
+        d["eps_p"] = {str(k): v for k, v in self.eps_p.items()}
+        return d
 
 
 def full_deficit_report(surface, norm, center=None, p_exponents=(2.0,),

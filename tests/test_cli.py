@@ -191,3 +191,28 @@ def test_non_finite_ellipsoid_matrix_is_input_error(tmp_path, capsys):
     assert run("verify-identities", cfg, tmp_path / "out") == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: matrix must be finite"]
+
+
+_BASE = {"norm": {"family": "euclidean", "dim": 1},
+         "grid": {"dim": 1, "resolution": 64}}
+
+
+@pytest.mark.parametrize("cfg, use_out, key", [
+    ({**_BASE, "seed": "abc"}, True, "seed"),
+    ({**_BASE, "seed": True}, True, "seed"),
+    ({**_BASE, "seed": 2.5}, True, "seed"),
+    ({**_BASE, "seed": -1}, True, "seed"),
+    ([_BASE], True, "JSON object"),
+    ({**_BASE, "output_dir": 5}, False, "output_dir"),
+], ids=["seed-string", "seed-bool", "seed-float", "seed-negative",
+        "top-level-array", "output-dir-int"])
+def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
+                                                       monkeypatch, cfg,
+                                                       use_out, key):
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert run("verify-identities", path, out if use_out else None) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

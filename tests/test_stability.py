@@ -29,7 +29,12 @@ from wulff_lab import (
     wulff_q_value,
     wulff_surface,
 )
-from wulff_lab.stability import _cloud_min_dists, _interp_radial
+from wulff_lab import stability
+from wulff_lab.stability import (
+    _cloud_min_dists,
+    _interp_radial,
+    _symmetric_difference,
+)
 
 
 def test_deficit_zero_on_translated_wulff(grid512, ellipse2):
@@ -333,16 +338,96 @@ def test_full_deficit_report(grid256, ellipse2):
     assert rep.asymmetry_method == "radial"
 
 
-def test_monte_carlo_symmetric_difference_path(grid256, euclid2):
-    # force the fallback by querying a center outside the surface's kernel
-    from wulff_lab.stability import _symmetric_difference
-    s = fourier_surface(grid256, 1.0, [{"k": 1, "delta": 0.3}])
-    value, method = _symmetric_difference(s, euclid2, 1.0,
-                                          np.array([1.05, 0.0]))
-    assert method == "monte-carlo"
-    # sanity: the overlap is small, so the symmetric difference is close to
-    # the sum of the two areas
-    assert 0.0 < value < 2.0 * (volume(s) + np.pi)
+def _disk_lens(d):
+    # area of the intersection of two unit disks at distance d
+    if d >= 2.0:
+        return 0.0
+    return 2.0 * np.arccos(d / 2.0) - (d / 2.0) * np.sqrt(4.0 - d * d)
+
+
+@pytest.mark.parametrize("d", [0.5, 1.05, 1.5, 2.5])
+def test_symmetric_difference_two_disks(grid512, euclid2, d):
+    # centers at 1.05 and beyond leave the unit disk: the ray integral then
+    # needs the entry point s_in as well as the exit s_out
+    value = _symmetric_difference(sphere_surface(grid512), euclid2, 1.0,
+                                  np.array([d, 0.0]))
+    exact = 2.0 * np.pi - 2.0 * _disk_lens(d)
+    assert value == pytest.approx(exact, rel=1e-3)
+
+
+def test_symmetric_difference_two_balls(grid2_32, euclid3):
+    d = 1.05
+    value = _symmetric_difference(sphere_surface(grid2_32), euclid3, 1.0,
+                                  np.array([d, 0.0, 0.0]))
+    lens = np.pi * (4.0 + d) * (2.0 - d) ** 2 / 12.0
+    assert value == pytest.approx(8.0 * np.pi / 3.0 - 2.0 * lens, rel=1e-3)
+
+
+def test_symmetric_difference_off_center_against_monte_carlo(grid512,
+                                                             perturbed2):
+    # independent reference: seeded sampling of a box holding both bodies,
+    # with membership in Omega from the closed-form radial function
+    s = StarSurface(grid512, 1.0 + 0.2 * np.cos(2.0 * grid512.angles))
+    p, scale = np.array([1.1, 0.4]), 0.9
+    assert perturbed2.dual_value(-p) > scale
+    value = _symmetric_difference(s, perturbed2, scale, p)
+
+    lo, hi = np.array([-1.3, -1.3]), np.array([2.3, 1.6])
+    reach = scale * np.max(perturbed2.wulff_radius(grid512.nodes))
+    assert np.all(lo < np.minimum(p - reach, -1.2))
+    assert np.all(np.maximum(p + reach, 1.2) < hi)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(lo, hi, size=(400_000, 2))
+    t = np.arctan2(x[:, 1], x[:, 0])
+    in_omega = np.linalg.norm(x, axis=1) <= 1.0 + 0.2 * np.cos(2.0 * t)
+    in_wulff = perturbed2.dual_value(x - p) <= scale
+    frac = np.mean(in_omega != in_wulff)
+    box = float(np.prod(hi - lo))
+    sigma = box * np.sqrt(frac * (1.0 - frac) / len(x))
+    assert abs(value - box * frac) <= 4.0 * sigma
+
+
+@pytest.mark.parametrize("threshold", [0.999, 1.0])
+def test_symmetric_difference_continuous_across_switch(grid256, euclid2,
+                                                       threshold):
+    # r = 1 + 0.3 cos(theta) against the unit disk centered at (x, 0): the
+    # s_in solve switches on at F0(C - p) = 0.999*scale, and s_in crosses 0
+    # where C leaves the disk; neither may make the value jump
+    s = StarSurface(grid256, 1.0 + 0.3 * np.cos(grid256.angles))
+    h = 1e-5
+
+    def value(x):
+        return _symmetric_difference(s, euclid2, 1.0, np.array([x, 0.0]))
+
+    left, right = value(threshold - h), value(threshold + h)
+    slope = max(abs(value(threshold - h) - value(threshold - 3 * h)),
+                abs(value(threshold + 3 * h) - value(threshold + h))) / (2 * h)
+    assert slope > 0.0
+    assert abs(right - left) <= 1.5 * slope * 2 * h
+
+
+def test_asymmetry_index_off_center_search_is_deterministic(grid512, euclid2,
+                                                            monkeypatch):
+    # a disk graphed about a point near its rim: Nelder-Mead probes centers
+    # that leave the star center outside the translated disk
+    p0 = np.array([0.96, 0.0])
+    r = wulff_profile_about(euclid2, grid512, 1.0, p0, np.zeros(2))
+    surface = StarSurface(grid512, r)
+    probes = []
+
+    def recording(surface, norm, scale, center):
+        probes.append(euclid2.dual_value(-center) / scale)
+        return _symmetric_difference(surface, norm, scale, center)
+
+    monkeypatch.setattr(stability, "_symmetric_difference", recording)
+    first = asymmetry_index(surface, euclid2)
+    assert max(probes) >= 1.0
+    second = asymmetry_index(surface, euclid2)
+    assert first.alpha == second.alpha
+    assert np.array_equal(first.center, second.center)
+    assert first.alpha < 1e-8
+    np.testing.assert_allclose(first.center, p0, atol=1e-5)
+    assert first.method == "radial"
 
 
 def _dense_interp(surface, dirs):
