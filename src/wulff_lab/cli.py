@@ -52,6 +52,9 @@ _DEFAULT_TOLERANCES = {
     "convergence_residual": 1e-8,
 }
 
+_FLOW_DEFAULTS = {"t_end": 1.0, "cfl": 0.8, "max_steps": 500_000,
+                  "cadence": 0.05}
+
 
 def _load_config(path):
     with open(path) as fh:
@@ -64,19 +67,61 @@ def _build_grid(cfg):
                      int(grid_cfg.get("resolution", 256)))
 
 
+def _finite_real(value):
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
+def _object(section, key, path=""):
+    """`section[key]` ({} when absent), which must be a JSON object; `path`
+    prefixes the key in the error message."""
+    value = section.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}{key} must be an object, got {value!r}")
+    return value
+
+
 def _tolerances(cfg):
     """Defaults overridden by the config's `tolerances`, each a finite real."""
-    given = cfg.get("tolerances", {})
-    if not isinstance(given, dict):
-        raise ValueError("tolerances must be an object")
+    given = _object(cfg, "tolerances")
     for key, value in given.items():
         if key not in _DEFAULT_TOLERANCES:
             raise ValueError(f"unknown key tolerances.{key}")
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)):
+        if not _finite_real(value):
             raise ValueError(f"tolerances.{key} must be a finite number, "
                              f"got {value!r}")
     return {**_DEFAULT_TOLERANCES, **given}
+
+
+def _flow_settings(cfg):
+    """Defaults overridden by the config's `flow`, each a finite real
+    (`max_steps` an integer)."""
+    given = _object(cfg, "flow")
+    for key, value in given.items():
+        if key not in _FLOW_DEFAULTS:
+            raise ValueError(f"unknown key flow.{key}")
+        integral = isinstance(_FLOW_DEFAULTS[key], int)
+        if not _finite_real(value) or (
+                integral and not isinstance(value, numbers.Integral)):
+            kind = "an integer" if integral else "a finite number"
+            raise ValueError(f"flow.{key} must be {kind}, got {value!r}")
+    return {**_FLOW_DEFAULTS, **given}
+
+
+def _check_sections(cfg):
+    """Type-check the grid, norm, surface and flow sections."""
+    for key, value in _object(cfg, "grid").items():
+        if key in ("dim", "resolution") and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"grid.{key} must be an integer, got {value!r}")
+    _object(_object(cfg, "norm"), "harmonic", "norm.")
+    harmonics = _object(cfg, "surface").get("harmonics", [])
+    if not (isinstance(harmonics, list)
+            and all(isinstance(h, dict) for h in harmonics)):
+        raise ValueError("surface.harmonics must be a list of objects, "
+                         f"got {harmonics!r}")
+    _flow_settings(cfg)
 
 
 def _center(cfg, grid):
@@ -142,14 +187,14 @@ def _task_flow(cfg, tol, out_dir, seed):
     norm = norm_from_spec(cfg["norm"])
     grid = _build_grid(cfg)
     surface = surface_from_spec(cfg["surface"], grid, norm)
-    flow_cfg = cfg.get("flow", {})
+    flow_cfg = _flow_settings(cfg)
     config = FlowConfig(
         norm=norm, surface=surface,
-        t_end=float(flow_cfg.get("t_end", 1.0)),
-        cfl=float(flow_cfg.get("cfl", 0.8)),
-        max_steps=int(flow_cfg.get("max_steps", 500_000)),
+        t_end=float(flow_cfg["t_end"]),
+        cfl=float(flow_cfg["cfl"]),
+        max_steps=int(flow_cfg["max_steps"]),
         center=_center(cfg, grid),
-        cadence=float(flow_cfg.get("cadence", 0.05)))
+        cadence=float(flow_cfg["cadence"]))
     trace, final = run_flow(config)
     trace.write_csv(Path(out_dir) / "trace.csv")
     mono = monotonicity_report(trace)
@@ -293,6 +338,7 @@ def run(task, config_path, out_dir=None, seed=None):
                 raise ValueError(f"output_dir must be a string, got {out_dir!r}")
         out_dir = Path(out_dir)
         tol = _tolerances(cfg)
+        _check_sections(cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
         results, checks = _TASK_FN[task](cfg, tol, out_dir, seed)
     except (KeyError, ValueError, MeanConvexityError, RuntimeError,

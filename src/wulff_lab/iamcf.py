@@ -5,8 +5,11 @@ for a radial graph r(theta, t) about a fixed center reduces to
 
     dr/dt = F(normal) * sqrt(r^2 + |grad r|^2) / (H_F * r).
 
-Time stepping is explicit two-stage Runge-Kutta (Heun) under a parabolic
-CFL bound derived from the linearized radial operator.  The companion
+Time stepping is a two-stage IMEX trapezoid on the rescaled field
+u = exp(-t/n) r (see `step`): the stiff part c*Delta u, with c the largest
+linearized diffusion coefficient, is solved implicitly, so the step size
+is set by an embedded error estimate rather than a parabolic bound.  A
+rescaled Wulff shape is an exact fixed point of the step.  The companion
 "modified" trajectory -- the surface rescaled by exp(-t/n) and recentered
 toward a chosen point P -- is obtained by bookkeeping on the stored radial
 field, and is what the recorded diagnostics (the monotone quotient Q, the
@@ -29,11 +32,21 @@ from .hypersurface import (
     weighted_momentum,
 )
 
-# Margin applied to the exact linear stability bound of the Heun scheme.
+# Margin applied to the exact linear stability bound of an explicit
+# two-stage scheme (see stable_dt).
 _CFL_MARGIN = 0.85
+
+# Relative tolerance of the embedded error estimate of `step`, against the
+# step's own increment.
+_RTOL = 0.05
 
 TRACE_COLUMNS = ("t", "dt", "Q", "perimeter_F", "volume", "minHF",
                  "supDistToWulff")
+
+# Floor of the dQ/dt relative error's denominator, relative to the size of
+# the formula's terms: a round-off multiple, far below any moving shape's
+# dQ/dt.
+_ROUNDOFF_FLOOR = 1e6 * np.finfo(float).eps
 
 # Per-record arrays of a FlowTrace, appended to while running.
 _RECORD_FIELDS = ("times", "dts", "q", "perimeter", "volume", "min_hf",
@@ -61,7 +74,11 @@ def _diffusion_bound(surface, cache):
 
 
 def stable_dt(surface, norm, cache=None):
-    """Largest time step the explicit scheme tolerates on this surface."""
+    """Largest time step an explicit two-stage scheme tolerates here.
+
+    The IMEX step has no such bound; `run_flow` takes cfl times this value as
+    its first step and as the floor under the error-controlled step.
+    """
     if cache is None:
         cache = geometry(surface, norm)
     if cache.min_mean_curv <= 0.0:
@@ -71,32 +88,59 @@ def stable_dt(surface, norm, cache=None):
 
 
 def step(surface, norm, dt, cache=None):
-    """One Heun step of the radial flow; dt=0 returns the surface unchanged.
+    """One IMEX trapezoid step of the radial flow.
 
-    Stage values and the final update pass through the grid's spectral
-    filter, which keeps the explicit scheme stable near the poles of
-    latitude-longitude grids (it is the identity on circle grids).
+    Returns (new surface, error ratio); dt=0 returns (surface, 0.0).
+
+    The step acts on the rescaled field u = exp(-t/n) r, whose velocity
+    g(u) = V(u) - u/n vanishes on rescaled Wulff shapes.  V is 1-homogeneous,
+    so the step is applied to r itself and the result multiplied by
+    exp(dt/n).  The stabilizing term c*Delta, with c the largest
+    `_diffusion_bound`, is implicit and everything else explicit:
+
+        u1    = u + S_dt (dt g(u)),
+        u_new = u1 + S_dt/2 (u - u1 + dt/2 (g(u) + g(u1))),
+
+    with S_a = (I - a c Delta)^-1 the grid's shifted Laplace solve.  The
+    second line is (I - dt/2 c Delta)^-1 [u + dt/2 (g(u) + g(u1))
+    - dt/2 c Delta u1].  The error ratio max|u_new - u1| over
+    (1e-9 max u + _RTOL max|u_new - u|) compares the first-order stage with
+    the second-order result; it is scaled by the step's own increment, so it
+    stays meaningful as the shape converges.  Stage values pass through the
+    grid's spectral filter (the identity on circle grids).
     """
     if dt == 0.0:
-        return surface
+        return surface, 0.0
     grid = surface.grid
-    k1 = radial_speed(surface, norm, cache)
-    r1 = grid.spectral_filter(surface.r + dt * k1)
-    k2 = radial_speed(StarSurface(grid, r1, surface.center), norm)
-    r_new = grid.spectral_filter(surface.r + 0.5 * dt * (k1 + k2))
-    if not np.all(np.isfinite(r_new)) or np.any(r_new <= 0.0):
+    n = grid.dim
+    if cache is None:
+        cache = geometry(surface, norm)
+    c = float(np.max(_diffusion_bound(surface, cache)))
+    u = surface.r
+    g0 = radial_speed(surface, norm, cache) - u / n
+    u1 = grid.spectral_filter(
+        u + grid.shifted_laplace_solve(dt * g0, dt * c))
+    g1 = radial_speed(StarSurface(grid, u1, surface.center), norm) - u1 / n
+    u_new = grid.spectral_filter(u1 + grid.shifted_laplace_solve(
+        u - u1 + 0.5 * dt * (g0 + g1), 0.5 * dt * c))
+    if not np.all(np.isfinite(u_new)) or np.any(u_new <= 0.0):
         raise RuntimeError("non-finite or non-positive radial update; "
                            "reduce the CFL factor or refine the grid")
-    return StarSurface(grid, r_new, surface.center)
+    err = float(np.max(np.abs(u_new - u1)) / (
+        1e-9 * np.max(u) + _RTOL * np.max(np.abs(u_new - u))))
+    return StarSurface(grid, np.exp(dt / n) * u_new, surface.center), err
 
 
 @dataclass
 class FlowConfig:
     """Inputs of one flow run.
 
-    cadence is the diagnostic recording interval in flow time; records are
-    taken at every step crossing a cadence mark, plus t=0 and t=t_end.
-    A nonpositive cadence records every step.
+    cadence is the diagnostic recording interval in flow time: steps are
+    cut to land exactly on every multiple of it and on t_end, and records
+    are taken there and at t=0.  A nonpositive cadence records every step.
+    cfl in (0, 1] scales `stable_dt`, the explicit scheme's bound; that
+    scaled bound is the first time step and the floor under the
+    error-controlled steps after it.
     """
 
     norm: object
@@ -263,24 +307,31 @@ def run_flow(config):
     t = 0.0
     _record_state(trace, surface, norm, t, 0.0, cache)
     cadence = config.cadence
-    next_mark = cadence if cadence > 0.0 else 0.0
-
+    mark = 1
+    dt_ctrl = 0.0
     steps = 0
-    while t < config.t_end - 1e-13:
-        dt = min(config.cfl * stable_dt(surface, norm, cache),
-                 config.t_end - t)
-        surface = step(surface, norm, dt, cache)
-        t += dt
+    while t < config.t_end:
+        next_t = mark * cadence
+        if cadence <= 0.0 or next_t > config.t_end - 1e-12:
+            next_t = config.t_end
+        dt_want = max(dt_ctrl, config.cfl * stable_dt(surface, norm, cache))
+        clipped = t + dt_want >= next_t
+        dt = next_t - t if clipped else dt_want
+        surface, err = step(surface, norm, dt, cache)
+        t = next_t if clipped else t + dt
         steps += 1
         if steps > config.max_steps:
             raise RuntimeError(
                 f"max step count {config.max_steps} exceeded at t = {t:.4g}")
+        grow = min(2.0, 0.9 / np.sqrt(err)) if err > 0.0 else 2.0
+        # a step cut short at a mark does not show that dt_want could grow,
+        # only (when even the short step erred) that it must shrink
+        dt_ctrl = dt_want * min(grow, 1.0) if clipped else dt * grow
         cache = geometry(surface, norm)
-        if (cadence <= 0.0 or t >= next_mark - 1e-12
-                or t >= config.t_end - 1e-13):
+        if clipped or cadence <= 0.0:
             _record_state(trace, surface, norm, t, dt, cache)
-            if cadence > 0.0:
-                next_mark = cadence * (np.floor(t / cadence + 1e-9) + 1.0)
+            if clipped:
+                mark += 1
     trace.steps_taken = steps
     trace.finalize()
     return trace, trace.rescaled_surface(len(trace.times) - 1)
@@ -291,12 +342,8 @@ def run_flow(config):
 # --------------------------------------------------------------------------
 
 
-def q_derivative_formula(surface, norm, center, cache=None):
-    """Exact dQ/dt of the flow evaluated on one surface.
-
-    Combines the scale variation of the perimeter with the first variation
-    of the weighted momentum and the enclosed volume.
-    """
+def _q_derivative_terms(surface, norm, center, cache=None):
+    """dQ/dt of the flow on one surface, split as (prefactor, terms)."""
     if cache is None:
         cache = geometry(surface, norm)
     n = surface.grid.dim
@@ -309,8 +356,18 @@ def q_derivative_formula(surface, norm, center, cache=None):
     align = np.einsum("ij,ij->i", dual_grad, cache.aniso_normal)
     correction = float(np.sum((align - 1.0) / cache.aniso_mean_curv
                               * cache.aniso_area_w))
-    return per ** (-1.0 - 1.0 / n) * (
-        -mom / n + (1.0 + 1.0 / n) * vol + correction)
+    return per ** (-1.0 - 1.0 / n), (-mom / n, (1.0 + 1.0 / n) * vol,
+                                      correction)
+
+
+def q_derivative_formula(surface, norm, center, cache=None):
+    """Exact dQ/dt of the flow evaluated on one surface.
+
+    Combines the scale variation of the perimeter with the first variation
+    of the weighted momentum and the enclosed volume.
+    """
+    prefactor, terms = _q_derivative_terms(surface, norm, center, cache)
+    return prefactor * sum(terms)
 
 
 @dataclass
@@ -345,8 +402,12 @@ def monotonicity_report(trace):
         idx = 0
         fd = (trace.q[1] - trace.q[0]) / (trace.times[1] - trace.times[0])
     surf = trace.raw_surface(idx)
-    formula = q_derivative_formula(surf, trace.norm, trace.center)
-    denom = max(abs(formula), 1e-30)
+    prefactor, terms = _q_derivative_terms(surf, trace.norm, trace.center)
+    formula = prefactor * sum(terms)
+    # on a stationary shape (a round sphere) dQ/dt is zero and both values
+    # are round-off; the floor keeps the ratio from reading their quotient
+    denom = max(abs(formula),
+                _ROUNDOFF_FLOOR * prefactor * sum(abs(x) for x in terms))
     return MonotonicityReport(
         max_increment=float(np.max(increments)),
         increments=increments,

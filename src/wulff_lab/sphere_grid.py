@@ -6,11 +6,16 @@ Gauss-Legendre in latitude and uniform periodic in longitude, so no node sits
 on a pole.  Latitude derivatives use centered finite-difference stencils on a
 grid extended smoothly across the poles (a half-turn in longitude); longitude
 derivatives are spectral.
+
+Both grids also solve the shifted Laplace equation (I - a*Delta) x = f
+exactly for their own discrete Laplacian: a Fourier divide on the circle,
+and on the sphere one banded latitude system per longitude mode.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv
 
 # Latitude stencil width for dim=2 derivatives; must be odd.
 _STENCIL = 9
@@ -58,7 +63,9 @@ class SphereGrid:
     """Nodes, quadrature weights and tangential derivatives on S^1 or S^2.
 
     Immutable after construction; all operations are pure.  Reductions are
-    performed in a fixed node order so repeated runs are bit-identical.
+    performed in a fixed node order so repeated runs are bit-identical.  The
+    banded latitude operators of `shifted_laplace_solve` are built on its
+    first dim=2 call and kept on the grid.
 
     Attributes
     ----------
@@ -152,6 +159,7 @@ class SphereGrid:
             w2[j] = w[:, 2]
         self._lat_w1 = w1
         self._lat_w2 = w2
+        self._lat_bands = None
 
         m = np.fft.rfftfreq(nlon, d=1.0 / nlon)
         self._ik_lon = 1j * m
@@ -253,6 +261,63 @@ class SphereGrid:
         st = np.repeat(self.sin_colat, self.nlon)
         ct = np.repeat(self.cos_colat, self.nlon)
         return f_tt + (ct / st) * f_t + f_pp / st ** 2
+
+    def _build_lat_bands(self):
+        """Latitude part of the Laplacian of each longitude mode, banded.
+
+        The ghost rows of the latitude stencils are mirrored rows rolled by
+        half a turn, which multiplies mode m by (-1)^m; folding them back
+        leaves bandwidth _STENCIL // 2.  Returns the (2, _STENCIL, nlat)
+        bands (LAPACK layout) of the latitude part for even and odd m; the
+        longitude part -m^2 / sin^2 is diagonal.
+        """
+        g = self._ghost
+        nlat = self.nlat
+        cot = self.cos_colat / self.sin_colat
+        bands = np.zeros((2, _STENCIL, nlat))
+        for j in range(nlat):
+            w = self._lat_w2[j] + cot[j] * self._lat_w1[j]
+            for s in range(_STENCIL):
+                e = j + s - g          # row of the stencil point, unfolded
+                if e < 0:
+                    k, fold = -1 - e, True
+                elif e >= nlat:
+                    k, fold = 2 * nlat - 1 - e, True
+                else:
+                    k, fold = e, False
+                band = g + j - k
+                bands[0, band, k] += w[s]
+                bands[1, band, k] += -w[s] if fold else w[s]
+        return bands
+
+    def shifted_laplace_solve(self, field, a):
+        """Solve (I - a * laplacian) x = field for x, a >= 0.
+
+        Exact for this grid's discrete Laplacian: diagonal in Fourier space
+        on the circle; on the sphere one banded solve per longitude mode.
+        """
+        field = self._check_field(field)
+        if self.dim == 1:
+            fk = np.fft.rfft(field)
+            return np.fft.irfft(fk / (1.0 - a * self._mk2), n=self.n_nodes)
+        if self._lat_bands is None:
+            self._lat_bands = self._build_lat_bands()
+        g = self._ghost
+        fk = np.fft.rfft(field.reshape(self.nlat, self.nlon), axis=1)
+        rhs = np.ascontiguousarray(fk.T)            # (modes, nlat) complex
+        diag = -self._mk2_lon[:, None] / self.sin_colat[None, :] ** 2
+        # dgbsv reads the band from row g on; rows 0..g-1 hold LU fill-in
+        ab = np.empty((3 * g + 1, self.nlat), order="F")
+        for m in range(rhs.shape[0]):
+            np.multiply(self._lat_bands[m % 2], -a, out=ab[g:])
+            ab[2 * g] += 1.0 + a * diag[m]
+            pair = rhs[m].view(np.float64).reshape(self.nlat, 2)  # re, im
+            _, _, x, info = dgbsv(g, g, ab, pair, overwrite_ab=True)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"singular latitude system for longitude mode {m}")
+            pair[:] = x
+        return np.fft.irfft(rhs.T, n=self.nlon, axis=1).reshape(-1)
 
     def spectral_filter(self, field):
         """Damp longitude modes that are unresolvable near the poles (dim=2).

@@ -195,24 +195,39 @@ def test_non_finite_ellipsoid_matrix_is_input_error(tmp_path, capsys):
 
 _BASE = {"norm": {"family": "euclidean", "dim": 1},
          "grid": {"dim": 1, "resolution": 64}}
+_FLOW = {**_BASE, "surface": {"kind": "sphere"},
+         "flow": {"t_end": 0.1, "cadence": 0.05}}
+_FOURIER = {"kind": "radial-fourier", "r0": 1.0, "harmonics": 3}
 
 
-@pytest.mark.parametrize("cfg, use_out, key", [
-    ({**_BASE, "seed": "abc"}, True, "seed"),
-    ({**_BASE, "seed": True}, True, "seed"),
-    ({**_BASE, "seed": 2.5}, True, "seed"),
-    ({**_BASE, "seed": -1}, True, "seed"),
-    ([_BASE], True, "JSON object"),
-    ({**_BASE, "output_dir": 5}, False, "output_dir"),
+@pytest.mark.parametrize("task, cfg, use_out, key", [
+    ("verify-identities", {**_BASE, "seed": "abc"}, True, "seed"),
+    ("verify-identities", {**_BASE, "seed": True}, True, "seed"),
+    ("verify-identities", {**_BASE, "seed": 2.5}, True, "seed"),
+    ("verify-identities", {**_BASE, "seed": -1}, True, "seed"),
+    ("verify-identities", [_BASE], True, "JSON object"),
+    ("verify-identities", {**_BASE, "output_dir": 5}, False, "output_dir"),
+    ("deficits", {**_FLOW, "grid": 5}, True, "grid"),
+    ("deficits", {**_FLOW, "grid": {"dim": [1]}}, True, "grid.dim"),
+    ("deficits", {**_FLOW, "norm": "euclid"}, True, "norm"),
+    ("flow", {**_FLOW, "norm": {"family": "perturbed", "harmonic": 3}},
+     True, "norm.harmonic"),
+    ("deficits", {**_FLOW, "surface": _FOURIER}, True, "surface.harmonics"),
+    ("flow", {**_FLOW, "flow": [1]}, True, "flow"),
+    ("flow", {**_FLOW, "flow": {"t_ends": 0.1}}, True, "flow.t_ends"),
+    ("flow", {**_FLOW, "flow": {"t_end": "0.1"}}, True, "flow.t_end"),
+    ("flow", {**_FLOW, "flow": {"max_steps": 10.5}}, True, "flow.max_steps"),
 ], ids=["seed-string", "seed-bool", "seed-float", "seed-negative",
-        "top-level-array", "output-dir-int"])
+        "top-level-array", "output-dir-int", "grid-int", "grid-dim-list",
+        "norm-string", "norm-harmonic-int", "harmonics-int", "flow-list",
+        "flow-unknown-key", "flow-string-value", "flow-max-steps-float"])
 def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
-                                                       monkeypatch, cfg,
-                                                       use_out, key):
+                                                       monkeypatch, task,
+                                                       cfg, use_out, key):
     monkeypatch.chdir(tmp_path)
     path = _write_config(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out"
-    assert run("verify-identities", path, out if use_out else None) == 1
+    assert run(task, path, out if use_out else None) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

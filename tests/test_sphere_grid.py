@@ -150,3 +150,59 @@ def test_spectral_filter_identity_on_smooth(grid2_32):
 def test_immutability(grid256):
     with pytest.raises(ValueError):
         grid256.nodes[0, 0] = 5.0
+
+
+def _mode_operator(grid, m):
+    """Dense Laplacian of longitude mode m, unpacked from the grid's bands."""
+    g = grid._ghost
+    bands = grid._lat_bands[m % 2]
+    a = np.zeros((grid.nlat, grid.nlat))
+    for j in range(grid.nlat):
+        for i in range(max(0, j - g), min(grid.nlat, j + g + 1)):
+            a[i, j] = bands[g + i - j, j]
+    return a + np.diag(grid._mk2_lon[m] / grid.sin_colat ** 2)
+
+
+@pytest.mark.parametrize("res", [16, 32, 48])
+def test_mode_operators_reproduce_laplacian(res):
+    # folding the ghost rows by (-1)^m gives, per longitude mode, exactly
+    # the latitude operator grid.laplacian applies
+    grid = make_grid(2, res)
+    grid.shifted_laplace_solve(np.zeros(grid.n_nodes), 1.0)
+    f = np.random.default_rng(res).standard_normal(grid.n_nodes)
+    fk = np.fft.rfft(f.reshape(grid.nlat, grid.nlon), axis=1)
+    lk = np.stack([_mode_operator(grid, m) @ fk[:, m]
+                   for m in range(fk.shape[1])], axis=1)
+    lap = np.fft.irfft(lk, n=grid.nlon, axis=1).reshape(-1)
+    ref = grid.laplacian(f)
+    assert np.max(np.abs(lap - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim, res", [(1, 64), (1, 65), (2, 16), (2, 48)])
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+def test_shifted_laplace_solve_inverts(dim, res, a):
+    # (I - a Delta) applied to the solution returns the input; measured as
+    # a normwise backward error, since evaluating a*Delta(x) in floating
+    # point already carries a * |Delta| * |x| * eps
+    grid = make_grid(dim, res)
+    f = np.random.default_rng(res).standard_normal(grid.n_nodes)
+    x = grid.shifted_laplace_solve(f, a)
+    if dim == 1:
+        lap_norm = (res // 2) ** 2
+    else:
+        lap_norm = max(np.max(np.sum(np.abs(_mode_operator(grid, m)), axis=1))
+                       for m in range(grid.nlon // 2 + 1))
+    resid = np.max(np.abs(x - a * grid.laplacian(x) - f))
+    assert resid <= 1e-12 * (np.max(np.abs(f))
+                             + a * lap_norm * np.max(np.abs(x)))
+
+
+def test_shifted_laplace_solve_builds_bands_once():
+    # built on the first solve, not with the grid, then reused
+    grid = make_grid(2, 16)
+    assert grid._lat_bands is None
+    grid.shifted_laplace_solve(np.ones(grid.n_nodes), 0.5)
+    bands = grid._lat_bands
+    np.testing.assert_allclose(grid.shifted_laplace_solve(
+        np.ones(grid.n_nodes), 0.5), 1.0, rtol=0, atol=1e-14)
+    assert grid._lat_bands is bands
