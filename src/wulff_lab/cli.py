@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,18 @@ def _finite_real(value):
             and math.isfinite(value))
 
 
+def _integer(value):
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+_INTEGER, _REAL = "an integer", "a finite number"
+_TYPE_TESTS = {_INTEGER: _integer, _REAL: _finite_real,
+               "a string": lambda v: isinstance(v, str)}
+# the keys a surface or family harmonic may hold, and their types
+_HARMONIC_KEYS = {"k": _INTEGER, "degree": _INTEGER, "delta": _REAL,
+                  "phase": _REAL, "kind": "a string"}
+
+
 def _object(section, key, path=""):
     """`section[key]` ({} when absent), which must be a JSON object; `path`
     prefixes the key in the error message."""
@@ -81,47 +94,55 @@ def _object(section, key, path=""):
     return value
 
 
-def _tolerances(cfg):
-    """Defaults overridden by the config's `tolerances`, each a finite real."""
-    given = _object(cfg, "tolerances")
-    for key, value in given.items():
-        if key not in _DEFAULT_TOLERANCES:
-            raise ValueError(f"unknown key tolerances.{key}")
-        if not _finite_real(value):
-            raise ValueError(f"tolerances.{key} must be a finite number, "
+def _check_keys(section, types, path):
+    """Every key of the object `section` must be one of `types`, its value
+    of that type; `path` names the object in the error message."""
+    for key, value in section.items():
+        if key not in types:
+            raise ValueError(f"unknown key {path}.{key}")
+        if not _TYPE_TESTS[types[key]](value):
+            raise ValueError(f"{path}.{key} must be {types[key]}, "
                              f"got {value!r}")
-    return {**_DEFAULT_TOLERANCES, **given}
 
 
-def _flow_settings(cfg):
-    """Defaults overridden by the config's `flow`, each a finite real
-    (`max_steps` an integer)."""
-    given = _object(cfg, "flow")
-    for key, value in given.items():
-        if key not in _FLOW_DEFAULTS:
-            raise ValueError(f"unknown key flow.{key}")
-        integral = isinstance(_FLOW_DEFAULTS[key], int)
-        if not _finite_real(value) or (
-                integral and not isinstance(value, numbers.Integral)):
-            kind = "an integer" if integral else "a finite number"
-            raise ValueError(f"flow.{key} must be {kind}, got {value!r}")
-    return {**_FLOW_DEFAULTS, **given}
+def _settings(cfg, key, defaults):
+    """The defaults overridden by the config's `key` section, whose keys
+    must be those of the defaults, each of the default's type."""
+    given = _object(cfg, key)
+    _check_keys(given, {k: _INTEGER if isinstance(v, int) else _REAL
+                        for k, v in defaults.items()}, key)
+    return {**defaults, **given}
+
+
+def _check_harmonics(harmonics, path):
+    if not (isinstance(harmonics, list)
+            and all(isinstance(h, dict) for h in harmonics)):
+        raise ValueError(f"{path} must be a list of objects, "
+                         f"got {harmonics!r}")
+    for i, h in enumerate(harmonics):
+        _check_keys(h, _HARMONIC_KEYS, f"{path}[{i}]")
 
 
 def _check_sections(cfg):
-    """Type-check the grid, norm, surface and flow sections."""
+    """Type-check the grid, norm, surface, flow and family sections."""
     for key, value in _object(cfg, "grid").items():
-        if key in ("dim", "resolution") and (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral)):
+        if key in ("dim", "resolution") and not _integer(value):
             raise ValueError(f"grid.{key} must be an integer, got {value!r}")
     _object(_object(cfg, "norm"), "harmonic", "norm.")
-    harmonics = _object(cfg, "surface").get("harmonics", [])
-    if not (isinstance(harmonics, list)
-            and all(isinstance(h, dict) for h in harmonics)):
-        raise ValueError("surface.harmonics must be a list of objects, "
-                         f"got {harmonics!r}")
-    _flow_settings(cfg)
+    _check_harmonics(_object(cfg, "surface").get("harmonics", []),
+                     "surface.harmonics")
+    _settings(cfg, "flow", _FLOW_DEFAULTS)
+    if "family" in cfg:
+        family = _object(cfg, "family")
+        deltas = family.get("deltas")
+        if not (isinstance(deltas, list) and deltas
+                and all(map(_finite_real, deltas))):
+            raise ValueError("family.deltas must be a non-empty list of "
+                             f"finite numbers, got {deltas!r}")
+        if not _finite_real(family.get("r0", 1.0)):
+            raise ValueError(f"family.r0 must be a finite number, "
+                             f"got {family['r0']!r}")
+        _check_harmonics(family.get("harmonics", []), "family.harmonics")
 
 
 def _center(cfg, grid):
@@ -187,7 +208,7 @@ def _task_flow(cfg, tol, out_dir, seed):
     norm = norm_from_spec(cfg["norm"])
     grid = _build_grid(cfg)
     surface = surface_from_spec(cfg["surface"], grid, norm)
-    flow_cfg = _flow_settings(cfg)
+    flow_cfg = _settings(cfg, "flow", _FLOW_DEFAULTS)
     config = FlowConfig(
         norm=norm, surface=surface,
         t_end=float(flow_cfg["t_end"]),
@@ -207,7 +228,7 @@ def _task_flow(cfg, tol, out_dir, seed):
                               "tolerance": True,
                               "passed": bool(summary["barrier_preserved"])},
     }
-    results = {"trace_summary": summary, "monotonicity": mono.to_dict(),
+    results = {"trace_summary": summary, "monotonicity": asdict(mono),
                "final_radial_range": [float(np.min(final.r)),
                                       float(np.max(final.r))]}
     return results, checks
@@ -234,16 +255,13 @@ def _task_deficits(cfg, tol, out_dir, seed):
 def _task_stability_sweep(cfg, tol, out_dir, seed):
     norm = norm_from_spec(cfg["norm"])
     grid = _build_grid(cfg)
-    family = cfg.get("family", {"deltas": [0.05, 0.1, 0.2, 0.4],
-                                "harmonics": [{"k": 1, "delta": 1.0}]})
+    family = cfg.get("family", {"deltas": [0.05, 0.1, 0.2, 0.4]})
     p = float(cfg.get("p_exponents", [2.0])[0])
     rows = stability_sweep(family, norm, grid, p, _center(cfg, grid))
     write_sweep_csv(rows, Path(out_dir) / "sweep.csv")
-    ratios = [r["ratio_alpha_f1"] for r in rows if not r["zero_over_zero"]]
-    ratios += [r["ratio_dist_f2"] for r in rows if not r["zero_over_zero"]]
-    finite = all(np.isfinite(ratios)) if ratios else True
-    worst_eps = min(min(r["eps1"] for r in rows),
-                    min(r["eps_p"] for r in rows))
+    finite = np.all(np.isfinite([(r["ratio_alpha_f1"], r["ratio_dist_f2"])
+                                 for r in rows if not r["zero_over_zero"]]))
+    worst_eps = min(min(r["eps1"], r["eps_p"]) for r in rows)
     checks = {
         "ratios_finite": {"value": bool(finite), "tolerance": True,
                           "passed": bool(finite)},
@@ -274,16 +292,13 @@ def _task_convergence(cfg, tol, out_dir, seed):
                      "wulff_identity": wulff.identity_residual,
                      "mean_curvature_error": hf_err,
                      "gradient_error": grad_err})
-    path = Path(out_dir) / "convergence.csv"
-    with open(path, "w", newline="") as fh:
+    errors = ("wulff_identity", "mean_curvature_error", "gradient_error")
+    with open(Path(out_dir) / "convergence.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["resolution", "wulff_identity",
-                         "mean_curvature_error", "gradient_error"])
+        writer.writerow(("resolution",) + errors)
         for row in rows:
-            writer.writerow([row["resolution"],
-                             repr(float(row["wulff_identity"])),
-                             repr(float(row["mean_curvature_error"])),
-                             repr(float(row["gradient_error"]))])
+            writer.writerow([row["resolution"]]
+                            + [repr(float(row[k])) for k in errors])
 
     def order(key):
         errs = np.array([max(r[key], 1e-16) for r in rows], dtype=float)
@@ -293,8 +308,7 @@ def _task_convergence(cfg, tol, out_dir, seed):
         fit = np.polyfit(np.log(hs), np.log(errs), 1)
         return float(fit[0])
 
-    orders = {key: order(key) for key in
-              ("wulff_identity", "mean_curvature_error", "gradient_error")}
+    orders = {key: order(key) for key in errors}
     ok = all(o >= 2.0 for o in orders.values())
     reported = {k: (None if np.isinf(v) else v) for k, v in orders.items()}
     checks = {"orders_at_least_two": {"value": reported, "tolerance": 2.0,
@@ -337,7 +351,7 @@ def run(task, config_path, out_dir=None, seed=None):
             if not isinstance(out_dir, str):
                 raise ValueError(f"output_dir must be a string, got {out_dir!r}")
         out_dir = Path(out_dir)
-        tol = _tolerances(cfg)
+        tol = _settings(cfg, "tolerances", _DEFAULT_TOLERANCES)
         _check_sections(cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
         results, checks = _TASK_FN[task](cfg, tol, out_dir, seed)

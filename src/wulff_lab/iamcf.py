@@ -343,7 +343,9 @@ def run_flow(config):
 
 
 def _q_derivative_terms(surface, norm, center, cache=None):
-    """dQ/dt of the flow on one surface, split as (prefactor, terms)."""
+    """Exact dQ/dt of the flow on one surface, split as (prefactor, terms):
+    the scale variation of the perimeter and the first variations of the
+    weighted momentum and the enclosed volume."""
     if cache is None:
         cache = geometry(surface, norm)
     n = surface.grid.dim
@@ -360,41 +362,20 @@ def _q_derivative_terms(surface, norm, center, cache=None):
                                       correction)
 
 
-def q_derivative_formula(surface, norm, center, cache=None):
-    """Exact dQ/dt of the flow evaluated on one surface.
-
-    Combines the scale variation of the perimeter with the first variation
-    of the weighted momentum and the enclosed volume.
-    """
-    prefactor, terms = _q_derivative_terms(surface, norm, center, cache)
-    return prefactor * sum(terms)
-
-
 @dataclass
 class MonotonicityReport:
     max_increment: float
-    increments: np.ndarray = field(repr=False)
     derivative_fd: float
     derivative_formula: float
     derivative_rel_error: float
     derivative_time: float
 
-    def to_dict(self):
-        return {
-            "max_increment": self.max_increment,
-            "derivative_fd": self.derivative_fd,
-            "derivative_formula": self.derivative_formula,
-            "derivative_rel_error": self.derivative_rel_error,
-            "derivative_time": self.derivative_time,
-        }
-
 
 def monotonicity_report(trace):
-    """Step-to-step increments of Q plus a consistency check of dQ/dt
-    against the variational formula at an early recorded time."""
+    """The largest step-to-step increment of Q plus a consistency check of
+    dQ/dt against the variational formula at an early recorded time."""
     if len(trace.times) < 2:
         raise ValueError("monotonicity report needs at least two samples")
-    increments = np.diff(trace.q)
     if len(trace.times) >= 3:
         idx = 1
         fd = (trace.q[2] - trace.q[0]) / (trace.times[2] - trace.times[0])
@@ -409,8 +390,7 @@ def monotonicity_report(trace):
     denom = max(abs(formula),
                 _ROUNDOFF_FLOOR * prefactor * sum(abs(x) for x in terms))
     return MonotonicityReport(
-        max_increment=float(np.max(increments)),
-        increments=increments,
+        max_increment=float(np.max(np.diff(trace.q))),
         derivative_fd=float(fd),
         derivative_formula=float(formula),
         derivative_rel_error=float(abs(fd - formula) / denom),

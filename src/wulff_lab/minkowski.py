@@ -14,7 +14,7 @@ All evaluation methods are vectorized: `x` may be a single vector of shape
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -365,6 +365,19 @@ class PerturbedNorm(MinkowskiNorm):
         )
         return h
 
+    def _tangent_hess(self, y, fy, frame):
+        """B^T D^2F(y) B, shape (m, d-1, d-1), at unit rows y with F(y) = fy
+        and tangent frame B.  The terms of `_hess_batch` that carry y vanish
+        on tangent vectors; at |y| = 1 the rest is (k - (k-1) F(y)) I +
+        eps D^2p."""
+        k = self.harmonic.degree
+        b = np.stack(frame, axis=-1)
+        block = self.eps * np.matmul(np.swapaxes(b, 1, 2),
+                                     np.matmul(self.harmonic.hess(y), b))
+        diag = np.arange(len(frame))
+        block[:, diag, diag] += (k - (k - 1) * fy)[:, None]
+        return block
+
     def value(self, x):
         x, single, lead = _as_batch(x, self.ambient_dim)
         return _restore(self._value_batch(x), single, lead)
@@ -417,13 +430,12 @@ class PerturbedNorm(MinkowskiNorm):
                 fy, num = fy[keep], num[keep]
                 frame = [b[keep] for b in frame]
                 xb, gb, gt = ([v[keep] for v in vs] for vs in (xb, gb, gt))
-            hb = np.matmul(self._hess_batch(ya), np.stack(frame, axis=-1))
+            bhb = self._tangent_hess(ya, fy, frame)
             f2, f3 = fy * fy, 2.0 * num / (fy * fy * fy)
 
             def h(k, m):   # entry (k, m) of B^T D^2phi B
-                bhb = np.einsum("ij,ij->i", frame[k], hb[:, :, m])
-                return ((-(xb[k] * gb[m] + gb[k] * xb[m]) - num * bhb) / f2
-                        + f3 * gb[k] * gb[m])
+                return ((-(xb[k] * gb[m] + gb[k] * xb[m]) - num * bhb[:, k, m])
+                        / f2 + f3 * gb[k] * gb[m])
 
             with np.errstate(divide="ignore", invalid="ignore"):
                 if len(frame) == 1:
@@ -541,15 +553,7 @@ class DualityReport:
                    self.equality_case)
 
     def to_dict(self):
-        return {
-            "primal_of_dual_grad": self.primal_of_dual_grad,
-            "dual_of_primal_grad": self.dual_of_primal_grad,
-            "grad_roundtrip": self.grad_roundtrip,
-            "cauchy_schwarz_gap": self.cauchy_schwarz_gap,
-            "equality_case": self.equality_case,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-        }
+        return {**asdict(self), "max_residual": self.max_residual}
 
 
 def verify_duality(norm, n_samples=1000, rng=None):

@@ -19,12 +19,12 @@ from scipy.spatial import cKDTree
 
 from .hypersurface import (
     aniso_perimeter,
+    fourier_surface,
     geometry,
     q_functional,
     volume,
     weighted_momentum,
     wulff_q_value,
-    fourier_surface,
 )
 from .minkowski import make_wulff
 
@@ -362,99 +362,50 @@ def _regraph_radial(surface, point):
     """Radial field of the surface re-graphed about an interior point.
 
     Solves |point + s*theta - C| = r(direction) along every node direction
-    by vectorized bisection on the interpolated radial field.  Returns None
-    when the surface is not star-shaped about the point (detected by a
-    volume mismatch between the two graphs).
+    by vectorized bisection on the interpolated radial field.  The surface
+    must be star-shaped about the point (`gap_integral` checks it), so each
+    ray crosses it once and the root is unique.
     """
     grid = surface.grid
-    point = np.asarray(point, dtype=float)
-    offset = point - surface.center
+    offset = np.asarray(point, dtype=float) - surface.center
     if np.linalg.norm(offset) == 0.0:
         return surface.r
-    if np.linalg.norm(offset) >= 0.999 * np.min(surface.r):
-        return None
-
-    def residual(s):
-        y = offset[None, :] + s[:, None] * grid.nodes
-        dist = np.linalg.norm(y, axis=1)
-        dirs = y / dist[:, None]
-        return dist - _interp_radial(surface, dirs)
-
     lo = np.zeros(grid.n_nodes)
     hi = np.full(grid.n_nodes, np.max(surface.r) + np.linalg.norm(offset) + 1e-9)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        pos = residual(mid) > 0.0
+        y = offset[None, :] + mid[:, None] * grid.nodes
+        dist = np.linalg.norm(y, axis=1)
+        pos = dist > _interp_radial(surface, y / dist[:, None])   # beyond r
         hi = np.where(pos, mid, hi)
         lo = np.where(pos, lo, mid)
-    s = 0.5 * (lo + hi)
-    n = grid.dim
-    vol_about_point = grid.integrate(s ** (n + 1)) / (n + 1)
-    vol = grid.integrate(surface.r ** (n + 1)) / (n + 1)
-    if abs(vol_about_point - vol) > 1e-7 * vol:
-        return None
-    return s
-
-
-def _bulk_inverse_dual(surface, norm, center, rho, n_quad=32):
-    """Volume integral of 1/dual_value(x - center) over the enclosed domain.
-
-    `rho` is the Wulff radius 1/dual_value at the grid nodes.
-
-    Preferred path: re-graph the domain about the weight center, where the
-    radial integral is exact and the angular integrand smooth.  When the
-    center is not a star center of the domain, falls back to per-direction
-    Gauss-Legendre panels about the surface's own center (the integrand then
-    peaks near the ray closest to the weight center, limiting accuracy).
-    """
-    grid = surface.grid
-    n = grid.dim
-    r_about = _regraph_radial(surface, center)
-    if r_about is not None:
-        return grid.integrate(r_about ** n * rho) / n
-
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_quad)
-    offset = surface.center - np.asarray(center, dtype=float)
-    proj = -grid.nodes @ offset  # parameter of the closest ray point to P
-    d_ray = np.sqrt(np.maximum(
-        np.einsum("j,j->", offset, offset) - proj ** 2, 0.0))
-    width = np.clip(4.0 * d_ray, 1e-6, None)
-    r = surface.r
-    breaks = [np.zeros_like(r),
-              np.clip(proj - width, 0.0, r),
-              np.clip(proj, 0.0, r),
-              np.clip(proj + width, 0.0, r),
-              r]
-    total = np.zeros(grid.n_nodes)
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        half = 0.5 * (hi - lo)
-        good = half > 1e-14
-        if not np.any(good):
-            continue
-        mid = 0.5 * (lo + hi)[good]
-        s = mid[:, None] + half[good, None] * gl_x[None, :]    # (m, q)
-        x = offset[None, None, :] + s[..., None] * grid.nodes[good, None, :]
-        vals = s ** n / norm.dual_value(x)
-        total[good] += half[good] * (vals @ gl_w)
-    return float(np.sum(total * grid.weights))
+    return 0.5 * (lo + hi)
 
 
 def gap_integral(surface, norm, center=None, cache=None, wulff=None):
     """Integrated pointwise Cauchy-Schwarz gap of a surface, its
-    divergence-form equivalent, and the gradient lower-bound surrogate."""
+    divergence-form equivalent, and the gradient lower-bound surrogate.
+
+    The divergence form per - n * (integral over Omega of 1/F0(x - P)) is
+    exact along the rays from the weight center P: with r_P the surface
+    re-graphed about P it is per - (integral of r_P^n * rho).  The surface
+    must be star-shaped about P: ValueError unless the support function
+    (x - P).nu is positive at every node."""
     if cache is None:
         cache = geometry(surface, norm)
     grid = surface.grid
     n = grid.dim
     c = np.zeros(n + 1) if center is None else np.asarray(center, dtype=float)
     rel = cache.points - c[None, :]
-    dual = norm.dual_value(rel)
     flux = np.einsum("ij,ij->i", rel, cache.normal)
+    if np.min(flux) <= 0.0:
+        raise ValueError("surface is not star-shaped about the weight center")
+    dual = norm.dual_value(rel)
     gap = float(np.sum((dual * cache.f_normal - flux) * cache.area_w))
     gap_norm = float(np.sum((cache.f_normal - flux / dual) * cache.area_w))
     per = float(np.sum(cache.aniso_area_w))
     w = _wulff(norm, grid, wulff)
-    divergence = per - n * _bulk_inverse_dual(surface, norm, c, w.rho)
+    divergence = per - grid.integrate(_regraph_radial(surface, c) ** n * w.rho)
     ratio_field = surface.r / w.rho
     grad_ratio = grid.gradient(ratio_field)
     surrogate = grid.integrate(np.einsum("ij,ij->i", grad_ratio, grad_ratio))
@@ -551,12 +502,12 @@ def full_deficit_report(surface, norm, center=None, p_exponents=(2.0,),
     c = np.zeros(n + 1) if center is None else np.asarray(center, dtype=float)
     w = _wulff(norm, grid, wulff)
     cache = geometry(surface, norm)
+    gap = gap_integral(surface, norm, c, cache, w)   # checks the center first
     eps1 = deficit_thm11(surface, norm, c, cache, w)
     eps_p = {float(p): deficit_pmomentum(surface, norm, c, p, cache, w)
              for p in p_exponents}
     asym = asymmetry_index(surface, norm, w)
     haus = hausdorff_to_wulff(surface, norm, w)
-    gap = gap_integral(surface, norm, c, cache, w)
     qw = quantitative_wulff(surface, norm, w, asym)
     f1, f2 = moduli(max(eps1, 0.0), n)
     return DeficitReport(
@@ -579,38 +530,33 @@ def stability_sweep(family, norm, grid, p=2.0, center=None):
     """Deficits, distances and modulus ratios along a shrinking family.
 
     `family` is {"deltas": [...], "r0": float, "harmonics": [...]}; for each
-    delta the surface r = r0 * (1 + delta * sum of harmonics) is evaluated.
-    Ratios with a vanishing denominator are reported as 0 and flagged.
+    delta the surface r = r0 * (1 + delta * sum of harmonics) is evaluated
+    by `full_deficit_report`, so every surface must be star-shaped about
+    `center` (ValueError otherwise).  Ratios with a vanishing denominator
+    are reported as 0 and flagged.
     """
-    deltas = list(family["deltas"])
     r0 = float(family.get("r0", 1.0))
     base = family.get("harmonics", [{"k": 1, "delta": 1.0}])
     w = make_wulff(norm, grid)
     rows = []
-    for delta in deltas:
+    for delta in family["deltas"]:
         harmonics = [dict(h, delta=delta * float(h.get("delta", 1.0)))
                      for h in base]
         surface = fourier_surface(grid, r0, harmonics)
-        cache = geometry(surface, norm)
-        eps1 = deficit_thm11(surface, norm, center, cache, w)
-        eps_p = deficit_pmomentum(surface, norm, center, p, cache, w)
-        asym = asymmetry_index(surface, norm, w)
-        haus = hausdorff_to_wulff(surface, norm, w)
-        qw = quantitative_wulff(surface, norm, w, asym)
-        f1, f2 = moduli(max(eps1, 0.0), grid.dim)
-        zero = eps1 <= 1e-14  # deficit at roundoff: ratios are 0/0
+        rep = full_deficit_report(surface, norm, center, (p,), w)
+        zero = rep.eps1 <= 1e-14  # deficit at roundoff: ratios are 0/0
         rows.append({
             "delta": float(delta),
-            "eps1": float(eps1),
-            "eps_p": float(eps_p),
-            "alpha": asym.alpha,
-            "hausdorff": haus.hausdorff,
-            "f1_eps1": float(f1),
-            "f2_eps1": float(f2),
-            "ratio_alpha_f1": asym.alpha / f1 if not zero else 0.0,
-            "ratio_dist_f2": haus.hausdorff / f2 if not zero else 0.0,
-            "qw_alpha_sq": qw.alpha_sq,
-            "qw_deficit": qw.deficit,
+            "eps1": rep.eps1,
+            "eps_p": float(rep.eps_p[float(p)]),
+            "alpha": rep.alpha,
+            "hausdorff": rep.hausdorff,
+            "f1_eps1": rep.f1_eps1,
+            "f2_eps1": rep.f2_eps1,
+            "ratio_alpha_f1": rep.alpha / rep.f1_eps1 if not zero else 0.0,
+            "ratio_dist_f2": rep.hausdorff / rep.f2_eps1 if not zero else 0.0,
+            "qw_alpha_sq": rep.qw_alpha_sq,
+            "qw_deficit": rep.qw_deficit,
             "zero_over_zero": bool(zero),
         })
     return rows
@@ -630,7 +576,9 @@ def select_t_epsilon(trace, center=None):
     gap integral of the modified trajectory; returns (t, index, gap).
 
     eps1 is the initial deficit read off the trace.  Falls back to the
-    earliest positive record when the deficit window contains none.
+    earliest positive record when the deficit window contains none.  Every
+    candidate record must be star-shaped about `center` (the trace's weight
+    center by default), or `gap_integral` raises ValueError.
     """
     w_rho = trace.wulff_rho
     n = trace.n

@@ -200,6 +200,15 @@ _FLOW = {**_BASE, "surface": {"kind": "sphere"},
 _FOURIER = {"kind": "radial-fourier", "r0": 1.0, "harmonics": 3}
 
 
+def _fourier(*harmonics):
+    return {**_FLOW, "surface": {"kind": "radial-fourier",
+                                 "harmonics": list(harmonics)}}
+
+
+def _family(**family):
+    return {**_BASE, "family": family}
+
+
 @pytest.mark.parametrize("task, cfg, use_out, key", [
     ("verify-identities", {**_BASE, "seed": "abc"}, True, "seed"),
     ("verify-identities", {**_BASE, "seed": True}, True, "seed"),
@@ -217,10 +226,36 @@ _FOURIER = {"kind": "radial-fourier", "r0": 1.0, "harmonics": 3}
     ("flow", {**_FLOW, "flow": {"t_ends": 0.1}}, True, "flow.t_ends"),
     ("flow", {**_FLOW, "flow": {"t_end": "0.1"}}, True, "flow.t_end"),
     ("flow", {**_FLOW, "flow": {"max_steps": 10.5}}, True, "flow.max_steps"),
+    ("deficits", _fourier({"k": [1]}), True, "surface.harmonics[0].k"),
+    ("deficits", _fourier({"k": True}), True, "surface.harmonics[0].k"),
+    ("flow", _fourier({"k": 2}, {"degree": 2.0}), True,
+     "surface.harmonics[1].degree"),
+    ("flow", _fourier({"k": 2, "delta": "0.1"}), True,
+     "surface.harmonics[0].delta"),
+    ("flow", _fourier({"k": 2, "phase": float("inf")}), True,
+     "surface.harmonics[0].phase"),
+    ("deficits", _fourier({"kind": 3}), True, "surface.harmonics[0].kind"),
+    ("flow", _fourier({"k": 2, "dleta": 0.1}), True,
+     "surface.harmonics[0].dleta"),
+    ("stability-sweep", {**_BASE, "family": 5}, True, "family"),
+    ("stability-sweep", _family(deltas=0.1), True, "family.deltas"),
+    ("stability-sweep", _family(deltas=[]), True, "family.deltas"),
+    ("stability-sweep", _family(harmonics=[]), True, "family.deltas"),
+    ("stability-sweep", _family(deltas=[0.1, None]), True, "family.deltas"),
+    ("stability-sweep", _family(deltas=[0.1], r0="1"), True, "family.r0"),
+    ("stability-sweep", _family(deltas=[0.1], harmonics=[3]), True,
+     "family.harmonics"),
+    ("stability-sweep", _family(deltas=[0.1], harmonics=[{"k": 1.5}]), True,
+     "family.harmonics[0].k"),
 ], ids=["seed-string", "seed-bool", "seed-float", "seed-negative",
         "top-level-array", "output-dir-int", "grid-int", "grid-dim-list",
         "norm-string", "norm-harmonic-int", "harmonics-int", "flow-list",
-        "flow-unknown-key", "flow-string-value", "flow-max-steps-float"])
+        "flow-unknown-key", "flow-string-value", "flow-max-steps-float",
+        "harmonic-k-list", "harmonic-k-bool", "harmonic-degree-float",
+        "harmonic-delta-string", "harmonic-phase-inf", "harmonic-kind-int",
+        "harmonic-unknown-key", "family-int", "family-deltas-float",
+        "family-deltas-empty", "family-deltas-missing", "family-deltas-null",
+        "family-r0-string", "family-harmonics-int", "family-harmonic-k-float"])
 def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
                                                        monkeypatch, task,
                                                        cfg, use_out, key):
@@ -231,3 +266,28 @@ def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+_NOT_STAR = {**_BASE, "grid": {"dim": 1, "resolution": 128}}
+
+
+@pytest.mark.parametrize("task, cfg", [
+    ("deficits", {**_NOT_STAR, "surface": {
+        "kind": "radial-fourier", "harmonics": [{"k": 3, "delta": 0.3}]},
+        "center": [0.9, 0.0]}),
+    ("deficits", {**_NOT_STAR, "surface": {"kind": "sphere"},
+                  "center": [2.0, 0.0]}),
+    ("stability-sweep", {**_NOT_STAR, "family": {
+        "deltas": [0.3], "harmonics": [{"k": 3, "delta": 1.0}]},
+        "center": [0.9, 0.0]}),
+    ("stability-sweep", {**_NOT_STAR, "center": [2.0, 0.0]}),
+], ids=["deficits-outside-kernel", "deficits-outside", "sweep-outside-kernel",
+        "sweep-outside"])
+def test_center_not_star_is_input_error(tmp_path, capsys, task, cfg):
+    # the gap integral needs the surface star-shaped about the weight
+    # center; (0.9, 0) lies inside r = 1 + 0.3 cos 3t but outside its kernel
+    out = tmp_path / "out"
+    assert run(task, _write_config(tmp_path, "cfg.json", cfg), out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: surface is not star-shaped about the weight center"]
+    assert not (out / "summary.json").exists()

@@ -7,12 +7,14 @@ from wulff_lab import (
     EllipsoidNorm,
     EuclideanNorm,
     PerturbedNorm,
+    ProductHarmonic,
     SectoralHarmonic,
     make_grid,
     make_wulff,
     norm_from_spec,
     verify_duality,
 )
+from wulff_lab.minkowski import _tangent_frame
 
 
 def _fd_grad(fn, x, h=1e-6):
@@ -276,3 +278,22 @@ def test_perturbed_dual_rows_are_independent(name, request):
     batch = norm.dual_value(x)
     single = np.array([norm.dual_value(row) for row in x])
     assert np.max(np.abs(batch - single) / batch) <= 1e-15
+
+
+@pytest.mark.parametrize("d, harmonic", [
+    (2, SectoralHarmonic(2)), (2, SectoralHarmonic(3)),
+    (3, SectoralHarmonic(2)), (3, SectoralHarmonic(3)),
+    (3, ProductHarmonic()),
+], ids=["sectoral2-2d", "sectoral3-2d", "sectoral2-3d", "sectoral3-3d",
+        "product-3d"])
+def test_tangent_hess_matches_full_hessian(d, harmonic):
+    # the dual Newton's tangent block B^T D^2F B, formed without the terms
+    # that carry y, equals the projection of the full Hessian at unit y
+    norm = PerturbedNorm(d, 0.05, harmonic)
+    y = np.random.default_rng(13).standard_normal((200, d))
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    frame = _tangent_frame(y)
+    b = np.stack(frame, axis=-1)
+    full = np.swapaxes(b, 1, 2) @ norm._hess_batch(y) @ b
+    block = norm._tangent_hess(y, norm._value_batch(y), frame)
+    assert np.max(np.abs(block - full)) <= 1e-13

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ellipe
 
 from wulff_lab import (
     FlowConfig,
@@ -176,6 +177,47 @@ def test_gap_identity_off_center(grid512, ellipse2):
     gap = gap_integral(s, ellipse2, np.array([0.2, -0.1]))
     assert gap.gap > 0.0
     assert gap.identity_residual < 1e-8
+
+
+@pytest.mark.parametrize("q", [0.2, 0.7, 0.92])
+def test_gap_divergence_form_closed_form_disk_and_ball(grid512, grid2_32,
+                                                       euclid2, euclid3, q):
+    # the volume side integrates 1/|x - P| exactly along the rays from P:
+    # over the disk of radius R it is 4R E(d^2/R^2) (E the complete elliptic
+    # integral of the second kind, parameter m = k^2), over the ball
+    # 2 pi (R^2 - d^2/3), with d = |P|
+    radius = 1.3
+    d = q * radius
+    p2 = d * np.array([np.cos(0.4), np.sin(0.4)])
+    disk = gap_integral(sphere_surface(grid512, radius), euclid2, p2)
+    exact = 2 * np.pi * radius - 4 * radius * ellipe(d * d / radius ** 2)
+    assert disk.divergence_form == pytest.approx(exact, rel=1e-12)
+    p3 = d * np.array([1.0, -2.0, 0.5]) / np.sqrt(5.25)
+    ball = gap_integral(sphere_surface(grid2_32, radius), euclid3, p3)
+    exact = 4 * np.pi * radius ** 2 - 4 * np.pi * (radius ** 2 - d * d / 3)
+    assert ball.divergence_form == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["ellipse3", "perturbed3"])
+def test_gap_identity_off_center_sphere(grid2_32, name, request):
+    # the deficits workload's zonal surface, weighted about a point off its
+    # star center: surface and divergence forms still agree
+    norm = request.getfixturevalue(name)
+    s = fourier_surface(grid2_32, 1.0, [{"kind": "zonal", "k": 2, "delta": 0.08},
+                                        {"kind": "zonal", "k": 3, "delta": 0.045}])
+    gap = gap_integral(s, norm, np.array([0.0, 0.0, 0.3]))
+    assert gap.gap > 0.0
+    assert gap.identity_residual < 1e-4
+
+
+@pytest.mark.parametrize("center", [[2.0, 0.0], [0.9, 0.0]],
+                         ids=["outside", "outside-kernel"])
+def test_gap_integral_rejects_center_not_star(grid256, euclid2, center):
+    # r = 1 + 0.3 cos 3t is star-shaped about the origin but not about
+    # (0.9, 0), which lies inside it
+    s = fourier_surface(grid256, 1.0, [{"k": 3, "delta": 0.3}])
+    with pytest.raises(ValueError, match="not star-shaped"):
+        gap_integral(s, euclid2, np.array(center))
 
 
 def test_quantitative_wulff_examples(grid512, euclid2):
