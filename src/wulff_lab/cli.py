@@ -123,8 +123,18 @@ def _check_harmonics(harmonics, path):
         _check_keys(h, _HARMONIC_KEYS, f"{path}[{i}]")
 
 
+def _check_reals(values, path, low=-math.inf):
+    """`values` must be a non-empty list of finite numbers, each >= low."""
+    if not (isinstance(values, list) and values
+            and all(_finite_real(v) and v >= low for v in values)):
+        bound = "" if low == -math.inf else f" >= {low:g}"
+        raise ValueError(f"{path} must be a non-empty list of finite "
+                         f"numbers{bound}, got {values!r}")
+
+
 def _check_sections(cfg):
-    """Type-check the grid, norm, surface, flow and family sections."""
+    """Type-check the grid, norm, surface, flow and family sections and
+    the momentum exponents."""
     for key, value in _object(cfg, "grid").items():
         if key in ("dim", "resolution") and not _integer(value):
             raise ValueError(f"grid.{key} must be an integer, got {value!r}")
@@ -132,13 +142,11 @@ def _check_sections(cfg):
     _check_harmonics(_object(cfg, "surface").get("harmonics", []),
                      "surface.harmonics")
     _settings(cfg, "flow", _FLOW_DEFAULTS)
+    if "p_exponents" in cfg:
+        _check_reals(cfg["p_exponents"], "p_exponents", low=1.0)
     if "family" in cfg:
         family = _object(cfg, "family")
-        deltas = family.get("deltas")
-        if not (isinstance(deltas, list) and deltas
-                and all(map(_finite_real, deltas))):
-            raise ValueError("family.deltas must be a non-empty list of "
-                             f"finite numbers, got {deltas!r}")
+        _check_reals(family.get("deltas"), "family.deltas")
         if not _finite_real(family.get("r0", 1.0)):
             raise ValueError(f"family.r0 must be a finite number, "
                              f"got {family['r0']!r}")

@@ -284,6 +284,8 @@ def _harmonic_profile(grid, h):
     if kind == "zonal":
         # Legendre polynomial of the vertical coordinate
         k = int(h.get("k", h.get("degree", 2)))
+        if k < 0:
+            raise ValueError(f"zonal harmonic degree must be >= 0, got {k}")
         coef = np.zeros(k + 1)
         coef[k] = 1.0
         return np.polynomial.legendre.legval(grid.nodes[:, 2], coef)

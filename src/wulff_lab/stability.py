@@ -100,8 +100,9 @@ def pmomentum_chain(surface, norm, center=None, p=2.0, cache=None, wulff=None):
 # --------------------------------------------------------------------------
 
 
-def _exit_distance(norm, dirs, offset, scale):
-    """Largest root s of F0(offset + s*dir) = scale along each row of dirs.
+def _exit_distance(norm, dirs, offset, scale, start=None):
+    """Largest root s of F0(offset + s*dir) = scale along each row of dirs,
+    with DF0 at each row's last Newton point: returns (s, g).
 
     F0 is convex along every line, so a Newton iteration started beyond the
     root, at max F(dir) * scale + |offset| with slack (the Wulff radius
@@ -109,17 +110,41 @@ def _exit_distance(norm, dirs, offset, scale):
     step makes one dual solve: F0 is 1-homogeneous, so F0(x) = x.DF0(x), and
     DF0 is warm-started from the previous step's gradient.  A row whose slope
     turns nonpositive has passed the minimum of F0 on its line without a
-    root: the line misses the body and the row returns -inf.
+    root: the line misses the body and the row returns s = -inf (g = NaN).
+
+    `start = (s0, g0)` is an earlier result along the same dirs, typically
+    for a nearby offset.  Rows with finite s0 start Newton at s0, their first
+    dual solve seeded by g0.  By convexity, Newton from any point of positive
+    slope lands at or beyond the largest root after one step and from there
+    decreases monotonically onto it, as from the far point; where the line
+    has no root it descends until its slope turns, as from the far point.  A
+    row whose slope at s0 is not positive may lie before the minimum of F0
+    on its line, so it restarts from the far point.  The start therefore
+    changes the result by roundoff only.
     """
-    rho_bound = float(np.max(norm.value(dirs)))
-    out = np.full(len(dirs), -np.inf)
-    s = np.full(len(dirs), 1.1 * (scale * rho_bound + np.linalg.norm(offset)))
+    far = 1.1 * (scale * float(np.max(norm.value(dirs)))
+                 + np.linalg.norm(offset))
+    s_out = np.full(len(dirs), -np.inf)
+    g_out = np.full(dirs.shape, np.nan)
+    s = np.full(len(dirs), far)
+    g = warm = None
+    if start is not None:
+        warm = np.isfinite(start[0])
+        s[warm] = start[0][warm]
+        g = np.where(warm[:, None], start[1], offset[None, :] + far * dirs)
     rows = np.arange(len(dirs))
-    g = None
     for _ in range(60):
         x = offset[None, :] + s[:, None] * dirs
         g = norm.dual_grad(x, start=g)
         slope = np.einsum("ij,ij->i", g, dirs)
+        if warm is not None:   # first step: restart warm rows of bad slope
+            back = warm & ~(slope > 0.0)
+            warm = None
+            if np.any(back):
+                s[back] = far
+                x[back] = offset[None, :] + far * dirs[back]
+                g[back] = norm.dual_grad(x[back])
+                slope[back] = np.einsum("ij,ij->i", g[back], dirs[back])
         hit = slope > 0.0
         if not np.all(hit):
             rows, s, dirs, x, g, slope = (a[hit] for a in
@@ -130,17 +155,23 @@ def _exit_distance(norm, dirs, offset, scale):
             break
     else:
         raise RuntimeError("radial re-graph of the Wulff shape did not converge")
-    out[rows] = s
-    return out
+    s_out[rows] = s
+    g_out[rows] = g
+    return s_out, g_out
 
 
-def wulff_profile_about(norm, grid, scale, wulff_center, graph_center):
+def wulff_profile_about(norm, grid, scale, wulff_center, graph_center, *,
+                        warm=None):
     """Radial profile of scale*W + wulff_center as a graph about graph_center.
 
     Solves dual_value(graph_center + s*theta - wulff_center) = scale for
     s > 0 along every node direction (see `_exit_distance`).  Requires
     graph_center to lie inside the shape, at F0 below 0.999*scale, and
     raises ValueError otherwise.
+
+    `warm` is an optional dict that carries the ray solution from one call
+    to the next on the same norm, grid and scale: its "rays" entry, when
+    present, seeds the solve, and is replaced by this call's solution.
     """
     wulff_center = np.asarray(wulff_center, dtype=float)
     graph_center = np.asarray(graph_center, dtype=float)
@@ -148,7 +179,11 @@ def wulff_profile_about(norm, grid, scale, wulff_center, graph_center):
     off_val = norm.dual_value(offset) if np.linalg.norm(offset) > 0.0 else 0.0
     if off_val >= 0.999 * scale:
         raise ValueError("graph center lies outside (or too close to) the shape")
-    return _exit_distance(norm, grid.nodes, offset, scale)
+    rays = _exit_distance(norm, grid.nodes, offset, scale,
+                          None if warm is None else warm.get("rays"))
+    if warm is not None:
+        warm["rays"] = rays
+    return rays[0]
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +210,7 @@ def _barycenter(surface):
     return surface.center + first / vol
 
 
-def _symmetric_difference(surface, norm, scale, center):
+def _symmetric_difference(surface, norm, scale, center, *, warm=None):
     """|Omega symdiff L| for L = center + scale*W, by exact ray integration.
 
     The convex body L meets the ray C + s*theta from the surface's star
@@ -184,18 +219,19 @@ def _symmetric_difference(surface, norm, scale, center):
     (|R - S| + A - 2 max(A - min(R, S), 0)) / (n+1), which is exact in the
     radial variable and continuous in the center.  While C lies inside L
     (F0(C - center) < 0.999*scale) s_in < 0 and s_out is the re-graphed
-    profile; otherwise s_in = -s_out(-theta) is solved as well.
+    profile, solved warm from `warm` (see `wulff_profile_about`); otherwise
+    s_in = -s_out(-theta) is solved as well, from the far point.
     """
     n = surface.grid.dim
     a = 0.0
     try:
         s_out = wulff_profile_about(norm, surface.grid, scale, center,
-                                    surface.center)
+                                    surface.center, warm=warm)
     except ValueError:   # the star center is not well inside the body
         offset = surface.center - center
         theta = surface.grid.nodes
-        s_out = _exit_distance(norm, theta, offset, scale)
-        s_in = -_exit_distance(norm, -theta, offset, scale)
+        s_out = _exit_distance(norm, theta, offset, scale)[0]
+        s_in = -_exit_distance(norm, -theta, offset, scale)[0]
         # where one solve misses the line (s_out = -inf or s_in = +inf) the
         # chord is empty: A = S, and the ray contributes R
         a = np.maximum(np.minimum(s_in, s_out), 0.0) ** (n + 1)
@@ -240,14 +276,19 @@ def asymmetry_index(surface, norm, wulff=None, xatol=1e-8, max_iter=400):
     """Volume-normalized minimal symmetric difference to a volume-matched
     translated rescaled Wulff shape.  The translation is found by Nelder-Mead
     started at the barycenter; every evaluation is the deterministic ray
-    integral of `_symmetric_difference`, so `method` is always "radial"."""
+    integral of `_symmetric_difference`, so `method` is always "radial".
+    Each evaluation's ray solve starts from the previous one's roots, which
+    moves the value by roundoff only and keeps repeated calls bit-identical.
+    """
     w = _wulff(norm, surface.grid, wulff)
     vol = volume(surface)
     n = surface.grid.dim
     scale = (vol / w.volume) ** (1.0 / (n + 1.0))
 
+    warm = {}   # the last evaluation's ray solution
+
     def objective(p):
-        return _symmetric_difference(surface, norm, scale, p) / vol
+        return _symmetric_difference(surface, norm, scale, p, warm=warm) / vol
 
     start = _barycenter(surface)
     res = minimize(objective, start, method="Nelder-Mead",

@@ -247,6 +247,10 @@ def _family(**family):
      "family.harmonics"),
     ("stability-sweep", _family(deltas=[0.1], harmonics=[{"k": 1.5}]), True,
      "family.harmonics[0].k"),
+    ("deficits", {**_FLOW, "p_exponents": 2}, True, "p_exponents"),
+    ("stability-sweep", {**_BASE, "p_exponents": []}, True, "p_exponents"),
+    ("deficits", {**_FLOW, "p_exponents": [0.5]}, True, "p_exponents"),
+    ("deficits", {**_FLOW, "p_exponents": ["a"]}, True, "p_exponents"),
 ], ids=["seed-string", "seed-bool", "seed-float", "seed-negative",
         "top-level-array", "output-dir-int", "grid-int", "grid-dim-list",
         "norm-string", "norm-harmonic-int", "harmonics-int", "flow-list",
@@ -255,7 +259,9 @@ def _family(**family):
         "harmonic-delta-string", "harmonic-phase-inf", "harmonic-kind-int",
         "harmonic-unknown-key", "family-int", "family-deltas-float",
         "family-deltas-empty", "family-deltas-missing", "family-deltas-null",
-        "family-r0-string", "family-harmonics-int", "family-harmonic-k-float"])
+        "family-r0-string", "family-harmonics-int", "family-harmonic-k-float",
+        "p-exponents-int", "p-exponents-empty", "p-exponents-below-one",
+        "p-exponents-string"])
 def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
                                                        monkeypatch, task,
                                                        cfg, use_out, key):
@@ -266,6 +272,20 @@ def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_negative_zonal_degree_is_input_error(tmp_path, capsys):
+    # an integer k passes the type check; the harmonic itself rejects it
+    cfg = _write_config(tmp_path, "cfg.json", {
+        "norm": {"family": "euclidean", "dim": 2},
+        "grid": {"dim": 2, "resolution": 8},
+        "surface": {"kind": "radial-fourier", "harmonics": [
+            {"kind": "zonal", "k": -1, "delta": 0.1}]}})
+    out = tmp_path / "out"
+    assert run("deficits", cfg, out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: zonal harmonic degree must be >= 0, got -1"]
+    assert not (out / "summary.json").exists()
 
 
 _NOT_STAR = {**_BASE, "grid": {"dim": 1, "resolution": 128}}

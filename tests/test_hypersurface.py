@@ -278,3 +278,9 @@ def test_surface_from_spec(grid256, euclid2):
 def test_geometry_dimension_mismatch(grid256, euclid3):
     with pytest.raises(ValueError, match="do not match"):
         geometry(sphere_surface(grid256), euclid3)
+
+
+def test_zonal_harmonic_rejects_negative_degree():
+    grid = make_grid(2, 8)
+    with pytest.raises(ValueError, match="zonal harmonic degree"):
+        fourier_surface(grid, 1.0, [{"kind": "zonal", "k": -1, "delta": 0.1}])

@@ -18,6 +18,7 @@ from wulff_lab import (
     make_grid,
     make_wulff,
     moduli,
+    norm_from_spec,
     pmomentum_chain,
     quantitative_wulff,
     run_flow,
@@ -33,6 +34,7 @@ from wulff_lab import (
 from wulff_lab import stability
 from wulff_lab.stability import (
     _cloud_min_dists,
+    _exit_distance,
     _interp_radial,
     _symmetric_difference,
 )
@@ -457,9 +459,9 @@ def test_asymmetry_index_off_center_search_is_deterministic(grid512, euclid2,
     surface = StarSurface(grid512, r)
     probes = []
 
-    def recording(surface, norm, scale, center):
+    def recording(surface, norm, scale, center, *rest, **kw):
         probes.append(euclid2.dual_value(-center) / scale)
-        return _symmetric_difference(surface, norm, scale, center)
+        return _symmetric_difference(surface, norm, scale, center, *rest, **kw)
 
     monkeypatch.setattr(stability, "_symmetric_difference", recording)
     first = asymmetry_index(surface, euclid2)
@@ -470,6 +472,95 @@ def test_asymmetry_index_off_center_search_is_deterministic(grid512, euclid2,
     assert first.alpha < 1e-8
     np.testing.assert_allclose(first.center, p0, atol=1e-5)
     assert first.method == "radial"
+
+
+def _inside_offset(norm, rng, scale, frac):
+    # a random offset at F0 = frac * scale
+    u = rng.standard_normal(norm.ambient_dim)
+    return frac * scale * u / norm.dual_value(u)
+
+
+@pytest.mark.parametrize("name, dim", [
+    ("euclid2", 1), ("ellipse2", 1), ("perturbed2", 1),
+    ("euclid3", 2), ("ellipse3", 2), ("perturbed3", 2),
+])
+def test_exit_distance_warm_start_matches_cold(name, dim, request):
+    # a start may speed the ray solve but never changes its roots
+    norm = request.getfixturevalue(name)
+    dirs = make_grid(dim, 64 if dim == 1 else 12).nodes
+    rng = np.random.default_rng(dim)
+    scale = 1.3
+    tol = 1e-13 * scale
+    for _ in range(3):
+        prev = _inside_offset(norm, rng, scale, rng.uniform(0.0, 0.9))
+        near = prev + 1e-3 * rng.standard_normal(dim + 1)
+        jump = _inside_offset(norm, rng, scale, rng.uniform(0.0, 0.9))
+        s0, g0 = _exit_distance(norm, dirs, prev, scale)
+        assert np.all(np.isfinite(s0))
+        # rows with a miss (-inf) and rows whose warm point lies far
+        # behind the offset, where the slope is negative, restart cold
+        s0, g0 = s0.copy(), g0.copy()
+        s0[::5], g0[::5] = -np.inf, np.nan
+        s0[2::5] = -10.0 * scale * np.max(norm.value(dirs))
+        for offset in (near, jump):
+            cold, g_cold = _exit_distance(norm, dirs, offset, scale)
+            warm, g_warm = _exit_distance(norm, dirs, offset, scale,
+                                          start=(s0, g0))
+            assert np.all(np.isfinite(warm))
+            assert np.max(np.abs(warm - cold)) <= tol
+            exact = norm.dual_grad(offset[None, :] + warm[:, None] * dirs)
+            assert np.max(np.abs(g_warm - exact)) <= 1e-10
+            assert np.max(np.abs(g_cold - exact)) <= 1e-10
+
+
+def test_exit_distance_warm_start_keeps_misses(euclid2, perturbed2):
+    # offsets outside the body: lines that miss it stay misses, and the
+    # roots of the lines that hit do not move
+    dirs = make_grid(1, 64).nodes
+    scale = 1.0
+    for norm in (euclid2, perturbed2):
+        prev = np.array([1.6, 0.3])
+        start = _exit_distance(norm, dirs, prev, scale)
+        for offset in (prev + np.array([0.01, -0.02]), np.array([-1.4, 0.9])):
+            cold, _ = _exit_distance(norm, dirs, offset, scale)
+            warm, _ = _exit_distance(norm, dirs, offset, scale, start=start)
+            assert 0 < np.sum(np.isinf(cold)) < len(dirs)
+            assert np.array_equal(np.isinf(warm), np.isinf(cold))
+            hit = np.isfinite(cold)
+            assert np.max(np.abs(warm[hit] - cold[hit])) <= 1e-13 * scale
+
+
+def test_asymmetry_warm_rays_save_dual_solves(monkeypatch):
+    # the deficits benchmark's perturbed zonal surface at res 16: seeding
+    # each evaluation's ray solve with the last one's roots and gradients
+    # saves dual solves without moving the result beyond roundoff
+    norm = norm_from_spec({"family": "perturbed", "dim": 2, "epsilon": 0.1,
+                           "harmonic": {"kind": "product"}})
+    grid = make_grid(2, 16)
+    surface = fourier_surface(grid, 1.0, [
+        {"kind": "zonal", "k": 2, "delta": 0.0802},
+        {"kind": "zonal", "k": 3, "delta": 0.0451}])
+    calls = []
+    dual_grad = norm.dual_grad
+
+    def counting(x, start=None):
+        calls.append(len(x))
+        return dual_grad(x, start)
+
+    monkeypatch.setattr(norm, "dual_grad", counting)
+    warm = asymmetry_index(surface, norm)
+    n_warm = len(calls)
+
+    def cold_exit(norm, dirs, offset, scale, start=None):
+        return _exit_distance(norm, dirs, offset, scale)
+
+    monkeypatch.setattr(stability, "_exit_distance", cold_exit)
+    calls.clear()
+    cold = asymmetry_index(surface, norm)
+    assert n_warm <= 0.8 * len(calls)
+    assert abs(warm.alpha - cold.alpha) <= 1e-11
+    np.testing.assert_allclose(warm.center, cold.center, rtol=0.0, atol=1e-7)
+    assert warm.converged and cold.converged
 
 
 def _dense_interp(surface, dirs):
