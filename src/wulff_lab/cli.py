@@ -133,11 +133,30 @@ def _check_reals(values, path, low=-math.inf):
 
 
 def _check_sections(cfg):
-    """Type-check the grid, norm, surface, flow and family sections and
-    the momentum exponents."""
-    for key, value in _object(cfg, "grid").items():
+    """Type-check the grid, norm, surface, flow and family sections, the
+    momentum exponents, the center and the task-specific sizes."""
+    grid = _object(cfg, "grid")
+    for key, value in grid.items():
         if key in ("dim", "resolution") and not _integer(value):
             raise ValueError(f"grid.{key} must be an integer, got {value!r}")
+    center = cfg.get("center")
+    size = grid.get("dim", 1) + 1
+    if center is not None and not (
+            isinstance(center, list) and len(center) == size
+            and all(_finite_real(v) for v in center)):
+        raise ValueError(f"center must be a list of {size} finite numbers, "
+                         f"got {center!r}")
+    if "resolutions" in cfg:
+        res = cfg["resolutions"]
+        # an order fit needs two points
+        if not (isinstance(res, list) and all(_integer(r) for r in res)
+                and len(set(res)) >= 2):
+            raise ValueError(f"resolutions must be a list of at least two "
+                             f"distinct integers, got {res!r}")
+    if "samples" in cfg and not (_integer(cfg["samples"])
+                                 and cfg["samples"] > 0):
+        raise ValueError(f"samples must be a positive integer, "
+                         f"got {cfg['samples']!r}")
     _object(_object(cfg, "norm"), "harmonic", "norm.")
     _check_harmonics(_object(cfg, "surface").get("harmonics", []),
                      "surface.harmonics")
@@ -155,12 +174,7 @@ def _check_sections(cfg):
 
 def _center(cfg, grid):
     c = cfg.get("center")
-    if c is None:
-        return np.zeros(grid.dim + 1)
-    c = np.asarray(c, dtype=float)
-    if c.shape != (grid.dim + 1,):
-        raise ValueError("center has the wrong dimension for the grid")
-    return c
+    return np.zeros(grid.dim + 1) if c is None else np.asarray(c, dtype=float)
 
 
 def _write_summary(out_dir, task, cfg, seed, results, checks):
@@ -194,7 +208,7 @@ def _task_verify_identities(cfg, tol, out_dir, seed):
     norm = norm_from_spec(cfg["norm"])
     grid = _build_grid(cfg)
     rng = np.random.default_rng(seed)
-    n_samples = int(cfg.get("samples", 1000))
+    n_samples = cfg.get("samples", 1000)
     report = verify_duality(norm, n_samples, rng)
     wulff = make_wulff(norm, grid)
     dual_tol = (tol["duality_perturbed"] if norm.family == "perturbed"
@@ -281,8 +295,8 @@ def _task_stability_sweep(cfg, tol, out_dir, seed):
 def _task_convergence(cfg, tol, out_dir, seed):
     norm = norm_from_spec(cfg["norm"])
     dim = int(cfg.get("grid", {}).get("dim", 1))
-    resolutions = [int(r) for r in cfg.get(
-        "resolutions", [32, 64, 128, 256] if dim == 1 else [12, 16, 24, 32])]
+    resolutions = cfg.get(
+        "resolutions", [32, 64, 128, 256] if dim == 1 else [12, 16, 24, 32])
     rows = []
     for res in resolutions:
         grid = make_grid(dim, res)

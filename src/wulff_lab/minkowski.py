@@ -496,6 +496,8 @@ class PerturbedNorm(MinkowskiNorm):
         _check_nonzero(x)
         if start is not None:
             start = np.reshape(np.asarray(start, dtype=float), x.shape)
+            if not np.all(np.isfinite(start)):
+                raise ValueError("dual_grad start rows must be finite")
             _check_nonzero(start)
         y = self._dual_maximizer(x, start)
         g = y / self._value_batch(y)[:, None]

@@ -15,7 +15,6 @@ and on the sphere one banded latitude system per longitude mode.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 # Latitude stencil width for dim=2 derivatives; must be odd.
 _STENCIL = 9
@@ -300,6 +299,7 @@ class SphereGrid:
         if self.dim == 1:
             fk = np.fft.rfft(field)
             return np.fft.irfft(fk / (1.0 - a * self._mk2), n=self.n_nodes)
+        from scipy.linalg.lapack import dgbsv
         if self._lat_bands is None:
             self._lat_bands = self._build_lat_bands()
         g = self._ghost

@@ -14,8 +14,6 @@ import csv
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import cKDTree
 
 from .hypersurface import (
     aniso_perimeter,
@@ -290,6 +288,7 @@ def asymmetry_index(surface, norm, wulff=None, xatol=1e-8, max_iter=400):
     def objective(p):
         return _symmetric_difference(surface, norm, scale, p, warm=warm) / vol
 
+    from scipy.optimize import minimize
     start = _barycenter(surface)
     res = minimize(objective, start, method="Nelder-Mead",
                    options={"xatol": xatol, "fatol": 1e-12,
@@ -320,6 +319,7 @@ def _cloud_min_dists(pts_a, pts_b):
     The neighbour comes from a KD-tree; the distance is recomputed from the
     matched pair so it does not depend on the tree's arithmetic.
     """
+    from scipy.spatial import cKDTree
     _, idx = cKDTree(pts_b).query(pts_a)
     dist = np.linalg.norm(pts_a - pts_b[idx], axis=1)
     return dist, idx

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +255,21 @@ def _family(**family):
     ("stability-sweep", {**_BASE, "p_exponents": []}, True, "p_exponents"),
     ("deficits", {**_FLOW, "p_exponents": [0.5]}, True, "p_exponents"),
     ("deficits", {**_FLOW, "p_exponents": ["a"]}, True, "p_exponents"),
+    ("convergence", {**_BASE, "resolutions": 5}, True, "resolutions"),
+    ("convergence", {**_BASE, "resolutions": [32.5, 64]}, True,
+     "resolutions"),
+    ("convergence", {**_BASE, "resolutions": [32]}, True, "resolutions"),
+    ("convergence", {**_BASE, "resolutions": [32, 32]}, True, "resolutions"),
+    ("convergence", {**_BASE, "resolutions": [True, 64]}, True,
+     "resolutions"),
+    ("verify-identities", {**_BASE, "samples": [3]}, True, "samples"),
+    ("verify-identities", {**_BASE, "samples": 0}, True, "samples"),
+    ("verify-identities", {**_BASE, "samples": -5}, True, "samples"),
+    ("verify-identities", {**_BASE, "samples": 10.0}, True, "samples"),
+    ("flow", {**_FLOW, "center": [float("nan"), 0.0]}, True, "center"),
+    ("deficits", {**_FLOW, "center": "abc"}, True, "center"),
+    ("deficits", {**_FLOW, "center": [0.0, "a"]}, True, "center"),
+    ("flow", {**_FLOW, "center": [0.0, 0.0, 0.0]}, True, "center"),
 ], ids=["seed-string", "seed-bool", "seed-float", "seed-negative",
         "top-level-array", "output-dir-int", "grid-int", "grid-dim-list",
         "norm-string", "norm-harmonic-int", "harmonics-int", "flow-list",
@@ -261,7 +280,11 @@ def _family(**family):
         "family-deltas-empty", "family-deltas-missing", "family-deltas-null",
         "family-r0-string", "family-harmonics-int", "family-harmonic-k-float",
         "p-exponents-int", "p-exponents-empty", "p-exponents-below-one",
-        "p-exponents-string"])
+        "p-exponents-string", "resolutions-int", "resolutions-float",
+        "resolutions-one", "resolutions-repeated", "resolutions-bool",
+        "samples-list", "samples-zero", "samples-negative", "samples-float",
+        "center-nan", "center-string", "center-entry-string",
+        "center-wrong-length"])
 def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
                                                        monkeypatch, task,
                                                        cfg, use_out, key):
@@ -311,3 +334,39 @@ def test_center_not_star_is_input_error(tmp_path, capsys, task, cfg):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: surface is not star-shaped about the weight center"]
     assert not (out / "summary.json").exists()
+
+
+_IMPORT_PROBE = """
+import json, sys
+from wulff_lab import cli
+tasks = json.loads(sys.argv[1])
+heavy = ("scipy.linalg", "scipy.optimize", "scipy.spatial")
+loaded = [[m for m in heavy if m in sys.modules]]
+for task, config, out in tasks:
+    assert cli.run(task, config, out) == 0, task
+    loaded.append([m for m in heavy if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_each_task_imports_only_the_scipy_modules_it_calls(tmp_path):
+    # a fresh interpreter: this one has loaded scipy already. The tasks run
+    # in order in one process, so each row lists what is loaded so far.
+    sphere = {"norm": {"family": "euclidean", "dim": 2},
+              "grid": {"dim": 2, "resolution": 8},
+              "surface": {"kind": "sphere"},
+              "flow": {"t_end": 0.1, "cadence": 0.05}}
+    tasks = [("flow", _FLOW), ("verify-identities", {**_BASE, "samples": 20}),
+             ("convergence", {**_BASE, "resolutions": [16, 32]}),
+             ("flow", sphere), ("deficits", _FLOW)]
+    args = [(task, _write_config(tmp_path, f"cfg{i}.json", cfg),
+             str(tmp_path / f"out{i}")) for i, (task, cfg) in enumerate(tasks)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                            json.dumps(args)], env=env, capture_output=True,
+                           text=True, timeout=120, check=True)
+    loaded = json.loads(probe.stdout.splitlines()[-1])
+    assert loaded[:4] == [[], [], [], []]       # import, dim-1 tasks
+    assert loaded[4] == ["scipy.linalg"]        # the banded latitude solve
+    assert "scipy.optimize" in loaded[5]        # the asymmetry search

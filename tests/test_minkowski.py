@@ -231,6 +231,21 @@ def test_perturbed_dual_grad_warm_start(name, request):
     assert np.linalg.norm(single - cold[0]) <= 1e-13 * np.linalg.norm(cold[0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["perturbed2", "perturbed3"])
+def test_perturbed_dual_grad_rejects_non_finite_start(name, bad, request):
+    # a bad seed is the caller's error, not a degenerate norm: it is
+    # rejected before any Newton step, batched or single
+    norm = request.getfixturevalue(name)
+    x = np.random.default_rng(7).standard_normal((4, norm.ambient_dim))
+    start = norm.dual_grad(x)
+    start[2, 0] = bad
+    with pytest.raises(ValueError, match="start"):
+        norm.dual_grad(x, start=start)
+    with pytest.raises(ValueError, match="start"):
+        norm.dual_grad(x[2], start=start[2])
+
+
 @pytest.mark.parametrize("name", ["euclid2", "euclid3", "ellipse2", "ellipse3"])
 def test_closed_form_dual_grad_ignores_start(name, request):
     norm = request.getfixturevalue(name)
