@@ -3,9 +3,10 @@
 Usage: wulff-lab <task> --config <path> [--out <dir>] [--seed <int>]
 
 Tasks: verify-identities, flow, deficits, stability-sweep, convergence.
-Each run reads a JSON configuration, writes a summary JSON (plus a trace or
-sweep CSV where applicable) into the output directory, and exits 0 when all
-enabled checks pass, 2 on a check failure, 1 on input or runtime errors.
+Each run reads a JSON configuration, checks every key of it against one
+schema, writes a summary JSON (plus a trace or sweep CSV where applicable)
+into the output directory, and exits 0 when all enabled checks pass, 2 on a
+check failure, 1 on input or runtime errors.
 Identical configuration and seed produce byte-identical outputs.
 """
 
@@ -55,6 +56,7 @@ _DEFAULT_TOLERANCES = {
 
 _FLOW_DEFAULTS = {"t_end": 1.0, "cfl": 0.8, "max_steps": 500_000,
                   "cadence": 0.05}
+_GRID_DEFAULTS = {"dim": 1, "resolution": 256}
 
 
 def _load_config(path):
@@ -62,119 +64,91 @@ def _load_config(path):
         return json.load(fh)
 
 
-def _build_grid(cfg):
-    grid_cfg = cfg.get("grid", {})
-    return make_grid(int(grid_cfg.get("dim", 1)),
-                     int(grid_cfg.get("resolution", 256)))
+def _settings(cfg, key, defaults):
+    """The defaults overridden by the config's `key` section."""
+    return {**defaults, **cfg.get(key, {})}
+
+
+def _real(value):
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
 def _finite_real(value):
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
+    return _real(value) and math.isfinite(value)
 
 
 def _integer(value):
     return not isinstance(value, bool) and isinstance(value, numbers.Integral)
 
 
-_INTEGER, _REAL = "an integer", "a finite number"
-_TYPE_TESTS = {_INTEGER: _integer, _REAL: _finite_real,
-               "a string": lambda v: isinstance(v, str)}
-# the keys a surface or family harmonic may hold, and their types
-_HARMONIC_KEYS = {"k": _INTEGER, "degree": _INTEGER, "delta": _REAL,
-                  "phase": _REAL, "kind": "a string"}
+def _reals(low=-math.inf):
+    """Test for a non-empty list of finite numbers, each >= low."""
+    return lambda v: (isinstance(v, list) and v != []
+                      and all(_finite_real(x) and x >= low for x in v))
 
 
-def _object(section, key, path=""):
-    """`section[key]` ({} when absent), which must be a JSON object; `path`
-    prefixes the key in the error message."""
-    value = section.get(key, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"{path}{key} must be an object, got {value!r}")
-    return value
+# The config schema.  A key maps to a (description, test) leaf, to the schema
+# of a nested object, or to a one-element list: the schema of every entry of
+# a list of objects.
+_INTEGER = ("an integer", _integer)
+_REAL = ("a finite number", _finite_real)
+_REALS = ("a non-empty list of finite numbers", _reals())
+_STRING = ("a string", lambda v: isinstance(v, str))
+_DIM = ("1 or 2", lambda v: _integer(v) and v in (1, 2))
+_SEED = ("a non-negative integer", lambda v: _integer(v) and v >= 0)
+_HARMONIC = {"k": _INTEGER, "degree": _INTEGER, "delta": _REAL,
+             "phase": _REAL, "kind": _STRING}
+_SCHEMA = {
+    "task": _STRING,
+    "seed": _SEED,
+    "output_dir": _STRING,
+    "tolerances": dict.fromkeys(_DEFAULT_TOLERANCES, _REAL),
+    "grid": {"dim": _DIM, "resolution": (
+        "an integer >= 8", lambda v: _integer(v) and v >= 8)},
+    # a non-finite matrix passes here; EllipsoidNorm names it
+    "norm": {"family": _STRING, "dim": _DIM, "epsilon": _REAL,
+             "matrix": ("a list of lists of numbers",
+                        lambda m: isinstance(m, list) and all(
+                            isinstance(row, list) and all(map(_real, row))
+                            for row in m)),
+             "harmonic": {"kind": _STRING, "degree": _INTEGER}},
+    "surface": {"kind": _STRING, "radius": _REAL, "scale": _REAL,
+                "r0": _REAL, "harmonics": [_HARMONIC], "center": _REALS},
+    "flow": {k: _INTEGER if isinstance(v, int) else _REAL
+             for k, v in _FLOW_DEFAULTS.items()},
+    "family": {"deltas": _REALS, "r0": _REAL, "harmonics": [_HARMONIC]},
+    "center": _REALS,
+    "p_exponents": ("a non-empty list of finite numbers >= 1", _reals(1.0)),
+    # an order fit needs two points
+    "resolutions": ("a list of at least two distinct integers >= 8",
+                    lambda v: (isinstance(v, list)
+                               and all(_integer(r) and r >= 8 for r in v)
+                               and len(set(v)) >= 2)),
+    "samples": ("a positive integer", lambda v: _integer(v) and v > 0),
+}
 
 
-def _check_keys(section, types, path):
-    """Every key of the object `section` must be one of `types`, its value
-    of that type; `path` names the object in the error message."""
-    for key, value in section.items():
-        if key not in types:
-            raise ValueError(f"unknown key {path}.{key}")
-        if not _TYPE_TESTS[types[key]](value):
-            raise ValueError(f"{path}.{key} must be {types[key]}, "
-                             f"got {value!r}")
-
-
-def _settings(cfg, key, defaults):
-    """The defaults overridden by the config's `key` section, whose keys
-    must be those of the defaults, each of the default's type."""
-    given = _object(cfg, key)
-    _check_keys(given, {k: _INTEGER if isinstance(v, int) else _REAL
-                        for k, v in defaults.items()}, key)
-    return {**defaults, **given}
-
-
-def _check_harmonics(harmonics, path):
-    if not (isinstance(harmonics, list)
-            and all(isinstance(h, dict) for h in harmonics)):
-        raise ValueError(f"{path} must be a list of objects, "
-                         f"got {harmonics!r}")
-    for i, h in enumerate(harmonics):
-        _check_keys(h, _HARMONIC_KEYS, f"{path}[{i}]")
-
-
-def _check_reals(values, path, low=-math.inf):
-    """`values` must be a non-empty list of finite numbers, each >= low."""
-    if not (isinstance(values, list) and values
-            and all(_finite_real(v) and v >= low for v in values)):
-        bound = "" if low == -math.inf else f" >= {low:g}"
-        raise ValueError(f"{path} must be a non-empty list of finite "
-                         f"numbers{bound}, got {values!r}")
-
-
-def _check_sections(cfg):
-    """Type-check the grid, norm, surface, flow and family sections, the
-    momentum exponents, the center and the task-specific sizes."""
-    grid = _object(cfg, "grid")
-    for key, value in grid.items():
-        if key in ("dim", "resolution") and not _integer(value):
-            raise ValueError(f"grid.{key} must be an integer, got {value!r}")
-    center = cfg.get("center")
-    size = grid.get("dim", 1) + 1
-    if center is not None and not (
-            isinstance(center, list) and len(center) == size
-            and all(_finite_real(v) for v in center)):
-        raise ValueError(f"center must be a list of {size} finite numbers, "
-                         f"got {center!r}")
-    if "resolutions" in cfg:
-        res = cfg["resolutions"]
-        # an order fit needs two points
-        if not (isinstance(res, list) and all(_integer(r) for r in res)
-                and len(set(res)) >= 2):
-            raise ValueError(f"resolutions must be a list of at least two "
-                             f"distinct integers, got {res!r}")
-    if "samples" in cfg and not (_integer(cfg["samples"])
-                                 and cfg["samples"] > 0):
-        raise ValueError(f"samples must be a positive integer, "
-                         f"got {cfg['samples']!r}")
-    _object(_object(cfg, "norm"), "harmonic", "norm.")
-    _check_harmonics(_object(cfg, "surface").get("harmonics", []),
-                     "surface.harmonics")
-    _settings(cfg, "flow", _FLOW_DEFAULTS)
-    if "p_exponents" in cfg:
-        _check_reals(cfg["p_exponents"], "p_exponents", low=1.0)
-    if "family" in cfg:
-        family = _object(cfg, "family")
-        _check_reals(family.get("deltas"), "family.deltas")
-        if not _finite_real(family.get("r0", 1.0)):
-            raise ValueError(f"family.r0 must be a finite number, "
-                             f"got {family['r0']!r}")
-        _check_harmonics(family.get("harmonics", []), "family.harmonics")
-
-
-def _center(cfg, grid):
-    c = cfg.get("center")
-    return np.zeros(grid.dim + 1) if c is None else np.asarray(c, dtype=float)
+def _validate(value, schema, path):
+    """Check `value` against `schema` at every depth; an error names the
+    key path of the offending value, for example `surface.harmonics[0].k`."""
+    if isinstance(schema, tuple):
+        description, test = schema
+        if not test(value):
+            raise ValueError(f"{path} must be {description}, got {value!r}")
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a list, got {value!r}")
+        for i, entry in enumerate(value):
+            _validate(entry, schema[0], f"{path}[{i}]")
+    elif not isinstance(value, dict):
+        raise ValueError(f"{path or 'config'} must be a JSON object, "
+                         f"got {value!r}")
+    else:
+        for key, entry in value.items():
+            name = f"{path}.{key}" if path else key
+            if key not in schema:
+                raise ValueError(f"unknown key {name}")
+            _validate(entry, schema[key], name)
 
 
 def _write_summary(out_dir, task, cfg, seed, results, checks):
@@ -196,17 +170,16 @@ def _write_summary(out_dir, task, cfg, seed, results, checks):
     return status
 
 
-def _check(value, tol, mode="abs"):
-    passed = bool(value <= tol) if mode == "abs" else bool(value >= tol)
-    return {"value": float(value), "tolerance": float(tol), "passed": passed}
+def _check(value, tol):
+    return {"value": float(value), "tolerance": float(tol),
+            "passed": bool(value <= tol)}
 
 
 # -------------------------------------------------------------------- tasks
 
 
-def _task_verify_identities(cfg, tol, out_dir, seed):
-    norm = norm_from_spec(cfg["norm"])
-    grid = _build_grid(cfg)
+def _task_verify_identities(cfg, norm, tol, out_dir, seed):
+    grid = make_grid(**_settings(cfg, "grid", _GRID_DEFAULTS))
     rng = np.random.default_rng(seed)
     n_samples = cfg.get("samples", 1000)
     report = verify_duality(norm, n_samples, rng)
@@ -226,9 +199,8 @@ def _task_verify_identities(cfg, tol, out_dir, seed):
     return results, checks
 
 
-def _task_flow(cfg, tol, out_dir, seed):
-    norm = norm_from_spec(cfg["norm"])
-    grid = _build_grid(cfg)
+def _task_flow(cfg, norm, tol, out_dir, seed):
+    grid = make_grid(**_settings(cfg, "grid", _GRID_DEFAULTS))
     surface = surface_from_spec(cfg["surface"], grid, norm)
     flow_cfg = _settings(cfg, "flow", _FLOW_DEFAULTS)
     config = FlowConfig(
@@ -236,7 +208,7 @@ def _task_flow(cfg, tol, out_dir, seed):
         t_end=float(flow_cfg["t_end"]),
         cfl=float(flow_cfg["cfl"]),
         max_steps=int(flow_cfg["max_steps"]),
-        center=_center(cfg, grid),
+        center=cfg.get("center"),
         cadence=float(flow_cfg["cadence"]))
     trace, final = run_flow(config)
     trace.write_csv(Path(out_dir) / "trace.csv")
@@ -256,13 +228,11 @@ def _task_flow(cfg, tol, out_dir, seed):
     return results, checks
 
 
-def _task_deficits(cfg, tol, out_dir, seed):
-    norm = norm_from_spec(cfg["norm"])
-    grid = _build_grid(cfg)
+def _task_deficits(cfg, norm, tol, out_dir, seed):
+    grid = make_grid(**_settings(cfg, "grid", _GRID_DEFAULTS))
     surface = surface_from_spec(cfg["surface"], grid, norm)
-    center = _center(cfg, grid)
     p_list = [float(p) for p in cfg.get("p_exponents", [2.0])]
-    report = full_deficit_report(surface, norm, center, p_list)
+    report = full_deficit_report(surface, norm, cfg.get("center"), p_list)
     worst_p = min(report.eps_p.values()) if report.eps_p else 0.0
     checks = {
         "eps1_nonnegative": _check(-report.eps1, tol["deficit_negativity"]),
@@ -274,12 +244,11 @@ def _task_deficits(cfg, tol, out_dir, seed):
     return {"deficits": report.to_dict()}, checks
 
 
-def _task_stability_sweep(cfg, tol, out_dir, seed):
-    norm = norm_from_spec(cfg["norm"])
-    grid = _build_grid(cfg)
+def _task_stability_sweep(cfg, norm, tol, out_dir, seed):
+    grid = make_grid(**_settings(cfg, "grid", _GRID_DEFAULTS))
     family = cfg.get("family", {"deltas": [0.05, 0.1, 0.2, 0.4]})
     p = float(cfg.get("p_exponents", [2.0])[0])
-    rows = stability_sweep(family, norm, grid, p, _center(cfg, grid))
+    rows = stability_sweep(family, norm, grid, p, cfg.get("center"))
     write_sweep_csv(rows, Path(out_dir) / "sweep.csv")
     finite = np.all(np.isfinite([(r["ratio_alpha_f1"], r["ratio_dist_f2"])
                                  for r in rows if not r["zero_over_zero"]]))
@@ -292,9 +261,8 @@ def _task_stability_sweep(cfg, tol, out_dir, seed):
     return {"rows": rows}, checks
 
 
-def _task_convergence(cfg, tol, out_dir, seed):
-    norm = norm_from_spec(cfg["norm"])
-    dim = int(cfg.get("grid", {}).get("dim", 1))
+def _task_convergence(cfg, norm, tol, out_dir, seed):
+    dim = _settings(cfg, "grid", _GRID_DEFAULTS)["dim"]
     resolutions = cfg.get(
         "resolutions", [32, 64, 128, 256] if dim == 1 else [12, 16, 24, 32])
     rows = []
@@ -347,13 +315,6 @@ _TASK_FN = {
 }
 
 
-def _seed(seed):
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-            or seed < 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
-
-
 def run(task, config_path, out_dir=None, seed=None):
     """Execute one task; returns the process exit code."""
     try:
@@ -362,21 +323,29 @@ def run(task, config_path, out_dir=None, seed=None):
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        if not isinstance(cfg, dict):
-            raise ValueError("config must be a JSON object")
-        cfg_task = cfg.get("task")
-        if cfg_task is not None and cfg_task != task:
-            raise ValueError(f"config task {cfg_task!r} does not match {task!r}")
-        seed = _seed(cfg.get("seed", 0) if seed is None else seed)
-        if out_dir is None:
-            out_dir = cfg.get("output_dir", ".")
-            if not isinstance(out_dir, str):
-                raise ValueError(f"output_dir must be a string, got {out_dir!r}")
-        out_dir = Path(out_dir)
-        tol = _settings(cfg, "tolerances", _DEFAULT_TOLERANCES)
-        _check_sections(cfg)
+        # the whole config and the norm are checked before anything is
+        # written; center's length and family.deltas span fields
+        _validate(cfg, _SCHEMA, "")
+        if cfg.get("task", task) != task:
+            raise ValueError(f"config task {cfg['task']!r} does not match "
+                             f"{task!r}")
+        center = cfg.get("center")
+        size = _settings(cfg, "grid", _GRID_DEFAULTS)["dim"] + 1
+        if center is not None and len(center) != size:
+            raise ValueError(f"center must be a list of {size} finite "
+                             f"numbers, got {center!r}")
+        if "deltas" not in cfg.get("family", {"deltas": None}):
+            raise ValueError("family.deltas is required")
+        seed = cfg.get("seed", 0) if seed is None else seed
+        _validate(seed, _SEED, "seed")
+        seed = int(seed)
+        out_dir = Path(cfg.get("output_dir", ".") if out_dir is None
+                       else out_dir)
+        norm = norm_from_spec(cfg["norm"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        results, checks = _TASK_FN[task](cfg, tol, out_dir, seed)
+        results, checks = _TASK_FN[task](
+            cfg, norm, _settings(cfg, "tolerances", _DEFAULT_TOLERANCES),
+            out_dir, seed)
     except (KeyError, ValueError, MeanConvexityError, RuntimeError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

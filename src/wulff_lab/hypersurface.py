@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .minkowski import MinkowskiNorm, SectoralHarmonic, ProductHarmonic
+from .minkowski import SectoralHarmonic, ProductHarmonic
 from .sphere_grid import SphereGrid
 
 
@@ -237,23 +237,10 @@ def q_functional(surface, norm, center=None, cache=None):
     return per ** (-1.0 - 1.0 / n) * (mom - volume(surface))
 
 
-def wulff_q_value(norm_or_volume, grid=None, n=None):
-    """Value of Q on any rescaled translate of the Wulff shape.
-
-    Accepts either (norm, grid) or a precomputed enclosed volume with the
-    surface dimension n.
-    """
-    if isinstance(norm_or_volume, MinkowskiNorm):
-        if grid is None:
-            raise ValueError("grid required when passing a norm")
-        n = grid.dim
-        rho = norm_or_volume.wulff_radius(grid.nodes)
-        vol = grid.integrate(rho ** (n + 1)) / (n + 1)
-    else:
-        vol = float(norm_or_volume)
-        if n is None:
-            raise ValueError("surface dimension n required with a volume")
-    return n * (n + 1) ** (-1.0 - 1.0 / n) * vol ** (-1.0 / n)
+def wulff_q_value(volume, n):
+    """Value of Q on any rescaled translate of the Wulff shape, from the
+    Wulff shape's enclosed volume and the surface dimension n."""
+    return n * (n + 1) ** (-1.0 - 1.0 / n) * float(volume) ** (-1.0 / n)
 
 
 # --------------------------------------------------------------------------

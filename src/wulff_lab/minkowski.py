@@ -24,6 +24,7 @@ _NEWTON_TOL = 1e-13        # chart gradient, relative to |x|
 _NEWTON_STEP_TOL = 1e-8    # the step before a passing gradient test
 _NEWTON_MAXIT = 40         # scan-seeded fallback
 _WARM_MAXIT = 8            # first pass, from the start or x/|x|
+_SCAN_RESOLUTION = {2: 512, 3: 24}   # scan grid per ambient dimension
 
 
 def _as_batch(x, d):
@@ -295,7 +296,7 @@ class PerturbedNorm(MinkowskiNorm):
 
     family = "perturbed"
 
-    def __init__(self, ambient_dim, eps, harmonic=None, scan_resolution=None):
+    def __init__(self, ambient_dim, eps, harmonic=None):
         if ambient_dim not in (2, 3):
             raise ValueError("ambient dimension must be 2 or 3")
         self.ambient_dim = int(ambient_dim)
@@ -303,9 +304,7 @@ class PerturbedNorm(MinkowskiNorm):
         if harmonic is None:
             harmonic = SectoralHarmonic(3) if ambient_dim == 2 else ProductHarmonic()
         self.harmonic = harmonic
-        if scan_resolution is None:
-            scan_resolution = 512 if ambient_dim == 2 else 24
-        scan = make_grid(ambient_dim - 1, scan_resolution)
+        scan = make_grid(ambient_dim - 1, _SCAN_RESOLUTION[ambient_dim])
         self._scan_dirs = scan.nodes
         self._scan_f = self._value_batch(scan.nodes)
         self._validate(scan)
@@ -618,11 +617,6 @@ class WulffShape:
     volume: float
     perimeter: float
     identity_residual: float
-
-    def surface(self, scale=1.0, center=None):
-        from .hypersurface import StarSurface
-        c = np.zeros(self.grid.dim + 1) if center is None else center
-        return StarSurface(self.grid, scale * self.rho, c)
 
 
 def make_wulff(norm, grid):

@@ -270,7 +270,10 @@ def _interp_radial(surface, dirs):
     return spl(colat, lon, grid=False)
 
 
-def asymmetry_index(surface, norm, wulff=None, xatol=1e-8, max_iter=400):
+_ASYMMETRY_XATOL, _ASYMMETRY_MAX_ITER = 1e-8, 400   # Nelder-Mead stop rule
+
+
+def asymmetry_index(surface, norm, wulff=None):
     """Volume-normalized minimal symmetric difference to a volume-matched
     translated rescaled Wulff shape.  The translation is found by Nelder-Mead
     started at the barycenter; every evaluation is the deterministic ray
@@ -291,8 +294,8 @@ def asymmetry_index(surface, norm, wulff=None, xatol=1e-8, max_iter=400):
     from scipy.optimize import minimize
     start = _barycenter(surface)
     res = minimize(objective, start, method="Nelder-Mead",
-                   options={"xatol": xatol, "fatol": 1e-12,
-                            "maxiter": max_iter})
+                   options={"xatol": _ASYMMETRY_XATOL, "fatol": 1e-12,
+                            "maxiter": _ASYMMETRY_MAX_ITER})
     return AsymmetryResult(alpha=float(res.fun),
                            center=np.asarray(res.x, dtype=float),
                            scale=float(scale), converged=bool(res.success))
@@ -341,7 +344,10 @@ def _directed_hausdorff(pts_a, curve_fn, params, dist, idx):
     return float(np.sqrt(np.max(np.minimum(d0, refined))))
 
 
-def hausdorff_to_wulff(surface, norm, wulff=None, oversample=4):
+_HAUSDORFF_OVERSAMPLE = 4   # dim=1 cloud points per grid node
+
+
+def hausdorff_to_wulff(surface, norm, wulff=None):
     """Fit a rescaled Wulff shape about the surface's star center and measure
     the sup-norm radial gap and the two-sided Hausdorff distance to it."""
     grid = surface.grid
@@ -352,7 +358,7 @@ def hausdorff_to_wulff(surface, norm, wulff=None, oversample=4):
     sup_norm = float(np.max(np.abs(surface.r - a * w.rho)))
 
     if grid.dim == 1:
-        m = oversample * grid.n_nodes
+        m = _HAUSDORFF_OVERSAMPLE * grid.n_nodes
         t_fine = 2.0 * np.pi * np.arange(m) / m
 
         def on_circle(t):

@@ -270,6 +270,26 @@ def _family(**family):
     ("deficits", {**_FLOW, "center": "abc"}, True, "center"),
     ("deficits", {**_FLOW, "center": [0.0, "a"]}, True, "center"),
     ("flow", {**_FLOW, "center": [0.0, 0.0, 0.0]}, True, "center"),
+    ("verify-identities", {**_BASE, "grid": {"dim": 1, "resolutoin": 64}},
+     True, "grid.resolutoin"),
+    ("verify-identities", {**_BASE, "grid": {"dim": 1, "resolution": 4}},
+     True, "grid.resolution"),
+    ("verify-identities", {**_BASE, "grid": {"dim": 3, "resolution": 16}},
+     True, "grid.dim"),
+    ("flow", {**_FLOW, "surface": {"kind": "sphere", "radis": 2.0}}, True,
+     "surface.radis"),
+    ("verify-identities", {**_BASE, "norm": {
+        "family": "euclidean", "dim": 1, "degre": 3}}, True, "norm.degre"),
+    ("verify-identities", {**_BASE, "norm": {
+        "family": "perturbed", "dim": 1,
+        "harmonic": {"kind": "sectoral", "degre": 2}}}, True,
+     "norm.harmonic.degre"),
+    ("stability-sweep", _family(deltas=[0.1], r00=1.0), True, "family.r00"),
+    ("deficits", {**_FLOW, "p_exponent": [2.0]}, True, "p_exponent"),
+    ("convergence", {**_BASE, "resolutions": [4, 64]}, True, "resolutions"),
+    ("verify-identities", {**_BASE, "norm": {
+        "family": "ellipsoid", "matrix": [[1.0, 2.0], [2.0, 1.0]]}}, True,
+     "matrix"),
 ], ids=["seed-string", "seed-bool", "seed-float", "seed-negative",
         "top-level-array", "output-dir-int", "grid-int", "grid-dim-list",
         "norm-string", "norm-harmonic-int", "harmonics-int", "flow-list",
@@ -284,7 +304,11 @@ def _family(**family):
         "resolutions-one", "resolutions-repeated", "resolutions-bool",
         "samples-list", "samples-zero", "samples-negative", "samples-float",
         "center-nan", "center-string", "center-entry-string",
-        "center-wrong-length"])
+        "center-wrong-length", "grid-unknown-key", "grid-resolution-4",
+        "grid-dim-3", "surface-unknown-key", "norm-unknown-key",
+        "norm-harmonic-unknown-key", "family-unknown-key",
+        "top-level-unknown-key", "resolutions-below-8",
+        "matrix-not-positive-definite"])
 def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
                                                        monkeypatch, task,
                                                        cfg, use_out, key):
