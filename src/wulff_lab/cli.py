@@ -69,6 +69,13 @@ def _settings(cfg, key, defaults):
     return {**defaults, **cfg.get(key, {})}
 
 
+def _section(cfg, key):
+    """A section the task cannot run without."""
+    if key not in cfg:
+        raise ValueError(f"missing section {key!r}")
+    return cfg[key]
+
+
 def _real(value):
     return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
@@ -178,8 +185,7 @@ def _check(value, tol):
 # -------------------------------------------------------------------- tasks
 
 
-def _task_verify_identities(cfg, norm, tol, out_dir, seed):
-    grid = make_grid(**_settings(cfg, "grid", _GRID_DEFAULTS))
+def _task_verify_identities(cfg, norm, grid, tol, out_dir, seed):
     rng = np.random.default_rng(seed)
     n_samples = cfg.get("samples", 1000)
     report = verify_duality(norm, n_samples, rng)
@@ -199,9 +205,7 @@ def _task_verify_identities(cfg, norm, tol, out_dir, seed):
     return results, checks
 
 
-def _task_flow(cfg, norm, tol, out_dir, seed):
-    grid = make_grid(**_settings(cfg, "grid", _GRID_DEFAULTS))
-    surface = surface_from_spec(cfg["surface"], grid, norm)
+def _task_flow(cfg, norm, surface, tol, out_dir, seed):
     flow_cfg = _settings(cfg, "flow", _FLOW_DEFAULTS)
     config = FlowConfig(
         norm=norm, surface=surface,
@@ -228,9 +232,7 @@ def _task_flow(cfg, norm, tol, out_dir, seed):
     return results, checks
 
 
-def _task_deficits(cfg, norm, tol, out_dir, seed):
-    grid = make_grid(**_settings(cfg, "grid", _GRID_DEFAULTS))
-    surface = surface_from_spec(cfg["surface"], grid, norm)
+def _task_deficits(cfg, norm, surface, tol, out_dir, seed):
     p_list = [float(p) for p in cfg.get("p_exponents", [2.0])]
     report = full_deficit_report(surface, norm, cfg.get("center"), p_list)
     worst_p = min(report.eps_p.values()) if report.eps_p else 0.0
@@ -244,8 +246,7 @@ def _task_deficits(cfg, norm, tol, out_dir, seed):
     return {"deficits": report.to_dict()}, checks
 
 
-def _task_stability_sweep(cfg, norm, tol, out_dir, seed):
-    grid = make_grid(**_settings(cfg, "grid", _GRID_DEFAULTS))
+def _task_stability_sweep(cfg, norm, grid, tol, out_dir, seed):
     family = cfg.get("family", {"deltas": [0.05, 0.1, 0.2, 0.4]})
     p = float(cfg.get("p_exponents", [2.0])[0])
     rows = stability_sweep(family, norm, grid, p, cfg.get("center"))
@@ -261,8 +262,7 @@ def _task_stability_sweep(cfg, norm, tol, out_dir, seed):
     return {"rows": rows}, checks
 
 
-def _task_convergence(cfg, norm, tol, out_dir, seed):
-    dim = _settings(cfg, "grid", _GRID_DEFAULTS)["dim"]
+def _task_convergence(cfg, norm, dim, tol, out_dir, seed):
     resolutions = cfg.get(
         "resolutions", [32, 64, 128, 256] if dim == 1 else [12, 16, 24, 32])
     rows = []
@@ -306,12 +306,15 @@ def _task_convergence(cfg, norm, tol, out_dir, seed):
     return {"rows": rows, "orders": reported}, checks
 
 
+# each task and what it acts on, built by `run` before anything is written:
+# the config's grid, its surface on that grid, or only the grid dimension
+# (convergence builds one grid per resolution)
 _TASK_FN = {
-    "verify-identities": _task_verify_identities,
-    "flow": _task_flow,
-    "deficits": _task_deficits,
-    "stability-sweep": _task_stability_sweep,
-    "convergence": _task_convergence,
+    "verify-identities": (_task_verify_identities, "grid"),
+    "flow": (_task_flow, "surface"),
+    "deficits": (_task_deficits, "surface"),
+    "stability-sweep": (_task_stability_sweep, "grid"),
+    "convergence": (_task_convergence, "dim"),
 }
 
 
@@ -323,14 +326,16 @@ def run(task, config_path, out_dir=None, seed=None):
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        # the whole config and the norm are checked before anything is
-        # written; center's length and family.deltas span fields
+        # the whole config is checked, and the norm, grid and surface
+        # built, before anything is written; center's length, the norm's
+        # dimension and family.deltas span fields
         _validate(cfg, _SCHEMA, "")
         if cfg.get("task", task) != task:
             raise ValueError(f"config task {cfg['task']!r} does not match "
                              f"{task!r}")
         center = cfg.get("center")
-        size = _settings(cfg, "grid", _GRID_DEFAULTS)["dim"] + 1
+        grid_cfg = _settings(cfg, "grid", _GRID_DEFAULTS)
+        size = grid_cfg["dim"] + 1
         if center is not None and len(center) != size:
             raise ValueError(f"center must be a list of {size} finite "
                              f"numbers, got {center!r}")
@@ -341,11 +346,20 @@ def run(task, config_path, out_dir=None, seed=None):
         seed = int(seed)
         out_dir = Path(cfg.get("output_dir", ".") if out_dir is None
                        else out_dir)
-        norm = norm_from_spec(cfg["norm"])
+        norm = norm_from_spec(_section(cfg, "norm"))
+        if norm.ambient_dim != size:
+            raise ValueError(f"norm acts on dimension {norm.ambient_dim}, "
+                             f"the grid needs {size}")
+        task_fn, acts_on = _TASK_FN[task]
+        target = grid_cfg["dim"]
+        if acts_on != "dim":
+            target = make_grid(**grid_cfg)
+        if acts_on == "surface":
+            target = surface_from_spec(_section(cfg, "surface"), target, norm)
         out_dir.mkdir(parents=True, exist_ok=True)
-        results, checks = _TASK_FN[task](
-            cfg, norm, _settings(cfg, "tolerances", _DEFAULT_TOLERANCES),
-            out_dir, seed)
+        results, checks = task_fn(
+            cfg, norm, target,
+            _settings(cfg, "tolerances", _DEFAULT_TOLERANCES), out_dir, seed)
     except (KeyError, ValueError, MeanConvexityError, RuntimeError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

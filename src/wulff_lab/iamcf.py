@@ -6,14 +6,16 @@ for a radial graph r(theta, t) about a fixed center reduces to
     dr/dt = F(normal) * sqrt(r^2 + |grad r|^2) / (H_F * r).
 
 Time stepping is a two-stage IMEX trapezoid on the rescaled field
-u = exp(-t/n) r (see `step`): the stiff part c*Delta u, with c the largest
-linearized diffusion coefficient, is solved implicitly, so the step size
-is set by an embedded error estimate rather than a parabolic bound.  A
-rescaled Wulff shape is an exact fixed point of the step.  The companion
-"modified" trajectory -- the surface rescaled by exp(-t/n) and recentered
-toward a chosen point P -- is obtained by bookkeeping on the stored radial
-field, and is what the recorded diagnostics (the monotone quotient Q, the
-distance to a fitted rescaled Wulff shape, the barrier range) refer to.
+u = exp(-t/n) r (see `step`): the stiff part c*Delta u is solved implicitly,
+with c each node's linearized diffusion coefficient on circles (on the
+lowest modes of a fine circle, see `step`) and their maximum on spheres, so
+the step size is set by an embedded error estimate rather than a parabolic
+bound.  A rescaled Wulff shape is an exact fixed point of the step.  The
+companion "modified" trajectory -- the surface rescaled by exp(-t/n) and
+recentered toward a chosen point P -- is obtained by bookkeeping on the
+stored radial field, and is what the recorded diagnostics (the monotone
+quotient Q, the distance to a fitted rescaled Wulff shape, the barrier
+range) refer to.
 """
 
 from __future__ import annotations
@@ -68,7 +70,11 @@ def radial_speed(surface, norm, cache=None):
 
 def _diffusion_bound(surface, cache):
     """Per-node bound on the second-derivative coefficient of the linearized
-    radial operator, measured against unit chart wavenumbers."""
+    radial operator, measured against unit chart wavenumbers.
+
+    `step` uses it node by node on circles and its maximum on spheres as
+    the implicit stabilizer; `stable_dt` uses its maximum.  It must
+    dominate the true coefficient at every node: see `step`."""
     return cache.f_normal * cache.norm_hess_max / (
         cache.aniso_mean_curv ** 2 * surface.r ** 2)
 
@@ -95,19 +101,34 @@ def step(surface, norm, dt, cache=None):
     The step acts on the rescaled field u = exp(-t/n) r, whose velocity
     g(u) = V(u) - u/n vanishes on rescaled Wulff shapes.  V is 1-homogeneous,
     so the step is applied to r itself and the result multiplied by
-    exp(dt/n).  The stabilizing term c*Delta, with c the largest
-    `_diffusion_bound`, is implicit and everything else explicit:
+    exp(dt/n).  The stabilizing term c*Delta is implicit and everything
+    else explicit:
 
         u1    = u + S_dt (dt g(u)),
         u_new = u1 + S_dt/2 (u - u1 + dt/2 (g(u) + g(u1))),
 
     with S_a = (I - a c Delta)^-1 the grid's shifted Laplace solve.  The
     second line is (I - dt/2 c Delta)^-1 [u + dt/2 (g(u) + g(u1))
-    - dt/2 c Delta u1].  The error ratio max|u_new - u1| over
-    (1e-9 max u + _RTOL max|u_new - u|) compares the first-order stage with
-    the second-order result; it is scaled by the step's own increment, so it
-    stays meaningful as the shape converges.  Stage values pass through the
-    grid's spectral filter (the identity on circle grids).
+    - dt/2 c Delta u1].
+
+    On circles c = diag(D_i), each node's own `_diffusion_bound` D_i; the
+    grid solves that exactly up to 64 nodes, and on a finer circle for the
+    modes below 32 only, with max_i D_i above them (see
+    `SphereGrid.shifted_laplace_solve`).  On spheres the banded solve takes
+    one constant, so c = max_i D_i.  Where D varies from node to node, a
+    constant c adds a splitting error of order c k^2 dt that the error
+    estimate below reads as the flow's, and the step shrinks.  c must
+    dominate D at every node: in the stiff limit a mode's amplification is
+    1 - 3 rho + rho^2 with rho = D / c, which leaves [-1, 1] for rho in
+    (1, 2), so c = max/2 or c = mean is unstable.  rho = 1 gives -1: a
+    stiff mode is carried undamped, not grown.  On curves the true
+    coefficient is D_i r^2 / (r^2 + r'^2), so rho = 1 only where r' = 0.
+
+    The error ratio max|u_new - u1| over (1e-9 max u + _RTOL max|u_new - u|)
+    compares the first-order stage with the second-order result; it is
+    scaled by the step's own increment, so it stays meaningful as the shape
+    converges.  Stage values pass through the grid's spectral filter (the
+    identity on circle grids).
     """
     if dt == 0.0:
         return surface, 0.0
@@ -115,7 +136,9 @@ def step(surface, norm, dt, cache=None):
     n = grid.dim
     if cache is None:
         cache = geometry(surface, norm)
-    c = float(np.max(_diffusion_bound(surface, cache)))
+    c = _diffusion_bound(surface, cache)
+    if n > 1:
+        c = float(np.max(c))
     u = surface.r
     g0 = radial_speed(surface, norm, cache) - u / n
     u1 = grid.spectral_filter(

@@ -290,6 +290,22 @@ def _family(**family):
     ("verify-identities", {**_BASE, "norm": {
         "family": "ellipsoid", "matrix": [[1.0, 2.0], [2.0, 1.0]]}}, True,
      "matrix"),
+    ("flow", {**_FLOW, "surface": {"kind": "cube"}}, True, "cube"),
+    ("flow", {**_FLOW, "surface": {"kind": "sphere",
+                                   "center": [0.0, 0.0, 0.0]}}, True,
+     "center"),
+    ("flow", {**_BASE, "flow": _FLOW["flow"]}, True,
+     "missing section 'surface'"),
+    ("deficits", _BASE, True, "missing section 'surface'"),
+    ("verify-identities", {"grid": _BASE["grid"]}, True,
+     "missing section 'norm'"),
+    ("flow", {k: v for k, v in _FLOW.items() if k != "norm"}, True,
+     "missing section 'norm'"),
+    ("flow", {**_FLOW, "norm": {"family": "euclidean", "dim": 2}}, True,
+     "norm acts on dimension 3"),
+    ("verify-identities", {**_BASE, "norm": {
+        "family": "ellipsoid", "matrix": np.diag([4.0, 2.0, 1.0]).tolist()}},
+     True, "norm acts on dimension 3"),
 ], ids=["seed-string", "seed-bool", "seed-float", "seed-negative",
         "top-level-array", "output-dir-int", "grid-int", "grid-dim-list",
         "norm-string", "norm-harmonic-int", "harmonics-int", "flow-list",
@@ -308,7 +324,10 @@ def _family(**family):
         "grid-dim-3", "surface-unknown-key", "norm-unknown-key",
         "norm-harmonic-unknown-key", "family-unknown-key",
         "top-level-unknown-key", "resolutions-below-8",
-        "matrix-not-positive-definite"])
+        "matrix-not-positive-definite", "surface-kind-unknown",
+        "surface-center-wrong-length", "flow-surface-missing",
+        "deficits-surface-missing", "norm-missing", "flow-norm-missing",
+        "norm-dim-mismatch", "matrix-dim-mismatch"])
 def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
                                                        monkeypatch, task,
                                                        cfg, use_out, key):

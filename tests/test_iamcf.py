@@ -296,6 +296,26 @@ def test_imex_flow_agrees_with_heun_reference():
     assert worst_q <= 1e-4
 
 
+def test_per_node_stabilizer_step_count_and_accuracy(monkeypatch, ellipse2):
+    # on the tilt curve under diag(4,1) the diffusion coefficient varies
+    # strongly from node to node; a constant stabilizer at its maximum took
+    # 169 steps here at 64 nodes and 173 at 256, the per-node one (on the
+    # modes below 32 at 256 nodes) about a third of that, and both results
+    # stay within 1e-3 of a 64-node run at a 100 times tighter tolerance
+    def flow(res):
+        grid = make_grid(1, res)
+        return run_flow(FlowConfig(
+            norm=ellipse2, surface=fourier_surface(
+                grid, 1.0, _SUITE_CURVES["tilt"]),
+            t_end=0.5, cfl=1.0, cadence=0.25))
+    runs = {res: flow(res) for res in (64, 256)}
+    assert max(trace.steps_taken for trace, _ in runs.values()) <= 85
+    monkeypatch.setattr("wulff_lab.iamcf._RTOL", 5e-4)
+    _, ref = flow(64)
+    assert np.max(np.abs(runs[64][1].r - ref.r)) <= 1e-3
+    assert np.max(np.abs(runs[256][1].r[::4] - ref.r)) <= 1e-3
+
+
 def test_records_fall_on_cadence_marks(euclid2):
     g = make_grid(1, 64)
     s = fourier_surface(g, 1.0, [{"k": 2, "delta": 0.08}])

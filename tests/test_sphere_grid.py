@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wulff_lab import make_grid
+from wulff_lab import EllipsoidNorm, fourier_surface, make_grid
+from wulff_lab.stability import full_deficit_report
 
 
 def test_unsupported_dimension():
@@ -206,3 +207,105 @@ def test_shifted_laplace_solve_builds_bands_once():
     np.testing.assert_allclose(grid.shifted_laplace_solve(
         np.ones(grid.n_nodes), 0.5), 1.0, rtol=0, atol=1e-14)
     assert grid._lat_bands is bands
+
+
+def _smooth_coefficient(grid, scale):
+    t = grid.angles
+    return scale * (1.0 + 0.8 * np.cos(t) + 0.1 * np.sin(3.0 * t))
+
+
+@pytest.mark.parametrize("res", [16, 63, 64])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_circle_solve_inverts_per_node_coefficient(res, scale):
+    # up to 64 nodes (I - diag(a) Delta) x = f holds for a smooth, positive,
+    # non-constant a, with Delta applied through the spectral angle
+    # derivatives; the same normwise backward error as
+    # test_shifted_laplace_solve_inverts
+    grid = make_grid(1, res)
+    a = _smooth_coefficient(grid, scale)
+    f = np.random.default_rng(res).standard_normal(res)
+    x = grid.shifted_laplace_solve(f, a)
+    _, d2 = grid.angle_derivatives(x)
+    resid = np.max(np.abs(x - a * d2 - f))
+    assert resid <= 1e-12 * (np.max(np.abs(f))
+                             + np.max(a) * (res // 2) ** 2 * np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("res", [65, 256, 512])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_circle_solve_splits_modes_above_64_nodes(res, scale):
+    # on a finer circle the modes below 32 are the 64-node grid's per-node
+    # solve of the field's low modes, each of its nodes carrying the largest
+    # coefficient of the grid nodes nearest it; the modes above divide by
+    # 1 + max(a) k^2
+    grid = make_grid(1, res)
+    a = _smooth_coefficient(grid, scale)
+    f = np.random.default_rng(res).standard_normal(res)
+    xk = np.fft.rfft(grid.shifted_laplace_solve(f, a))
+    fk = np.fft.rfft(f)
+    k = np.arange(fk.size)
+    np.testing.assert_allclose(
+        xk[32:], fk[32:] / (1.0 + np.max(a) * k[32:] ** 2),
+        rtol=1e-13, atol=1e-13 * np.max(np.abs(fk)))
+    coarse = make_grid(1, 64)
+    nearest = np.rint(np.arange(res) * 64 / res).astype(int) % 64
+    a_64 = np.zeros(64)
+    np.maximum.at(a_64, nearest, a)
+    assert np.all(a_64[nearest] >= a)
+    low = np.zeros(33, dtype=complex)
+    low[:32] = fk[:32]
+    ref = np.fft.rfft(coarse.shifted_laplace_solve(
+        np.fft.irfft(low, n=64) * (64 / res), a_64))[:32] * (res / 64)
+    np.testing.assert_allclose(xk[:32], ref, rtol=0,
+                               atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("res", [16, 64, 65, 256])
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+def test_circle_solve_constant_array_is_fourier_divide(res, a):
+    # a per-node array that is constant agrees with the scalar solve, the
+    # division by the symbol 1 + a k^2, up to the LU's normwise error
+    grid = make_grid(1, res)
+    f = np.random.default_rng(res).standard_normal(res)
+    x = grid.shifted_laplace_solve(f, np.full(res, a))
+    k = np.fft.rfftfreq(res, d=1.0 / res)
+    ref = np.fft.irfft(np.fft.rfft(f) / (1.0 + a * k ** 2), n=res)
+    np.testing.assert_array_equal(grid.shifted_laplace_solve(f, a), ref)
+    assert np.max(np.abs(x - ref)) <= 1e-13 * (
+        np.max(np.abs(f)) + a * (res // 2) ** 2 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("res", [32, 512])
+def test_circle_solve_builds_dense_operator_once(res):
+    # built on the first per-node solve, not with the grid nor for a scalar
+    # coefficient, then reused; never larger than 64 x 64
+    grid = make_grid(1, res)
+    grid.shifted_laplace_solve(np.ones(res), 0.5)
+    assert grid._dense is None
+    a = _smooth_coefficient(grid, 1.0)
+    grid.shifted_laplace_solve(np.ones(res), a)
+    d2, nearest = grid._dense
+    m = min(res, 64)
+    assert d2.shape == (m, m) and nearest.shape == (res,)
+    t = 2.0 * np.pi * np.arange(m) / m
+    np.testing.assert_allclose(d2 @ np.cos(3.0 * t), -9.0 * np.cos(3.0 * t),
+                               atol=1e-12)
+    np.testing.assert_allclose(grid.shifted_laplace_solve(np.ones(res), a),
+                               1.0, rtol=0, atol=1e-13)
+    assert grid._dense[0] is d2
+
+
+def test_deficit_report_builds_no_dense_operator():
+    # the dense matrix is for flows only; a deficit report at N = 512
+    # never solves, so it must not pay for it
+    grid = make_grid(1, 512)
+    surface = fourier_surface(grid, 1.0, [{"k": 2, "delta": 0.05}])
+    full_deficit_report(surface, EllipsoidNorm(np.diag([4.0, 1.0])))
+    assert grid._dense is None
+
+
+def test_sphere_solve_rejects_per_node_coefficient():
+    grid = make_grid(2, 8)
+    with pytest.raises(ValueError, match="constant coefficient"):
+        grid.shifted_laplace_solve(np.ones(grid.n_nodes),
+                                   np.ones(grid.n_nodes))
