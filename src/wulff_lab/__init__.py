@@ -57,7 +57,6 @@ from .stability import (
     quantitative_wulff,
     moduli,
     stability_sweep,
-    select_t_epsilon,
     wulff_profile_about,
     full_deficit_report,
 )

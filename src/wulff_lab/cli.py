@@ -114,10 +114,10 @@ _SCHEMA = {
         "an integer >= 8", lambda v: _integer(v) and v >= 8)},
     # a non-finite matrix passes here; EllipsoidNorm names it
     "norm": {"family": _STRING, "dim": _DIM, "epsilon": _REAL,
-             "matrix": ("a list of lists of numbers",
-                        lambda m: isinstance(m, list) and all(
-                            isinstance(row, list) and all(map(_real, row))
-                            for row in m)),
+             "matrix": ("a square list of lists of numbers",
+                        lambda m: isinstance(m, list) and m != [] and all(
+                            isinstance(row, list) and len(row) == len(m)
+                            and all(map(_real, row)) for row in m)),
              "harmonic": {"kind": _STRING, "degree": _INTEGER}},
     "surface": {"kind": _STRING, "radius": _REAL, "scale": _REAL,
                 "r0": _REAL, "harmonics": [_HARMONIC], "center": _REALS},

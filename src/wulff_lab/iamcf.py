@@ -114,7 +114,7 @@ def step(surface, norm, dt, cache=None):
     On circles c = diag(D_i), each node's own `_diffusion_bound` D_i; the
     grid solves that exactly up to 64 nodes, and on a finer circle for the
     modes below 32 only, with max_i D_i above them (see
-    `SphereGrid.shifted_laplace_solve`).  On spheres the banded solve takes
+    `SphereGrid.shifted_laplace_solve`).  On spheres the spectral solve takes
     one constant, so c = max_i D_i.  Where D varies from node to node, a
     constant c adds a splitting error of order c k^2 dt that the error
     estimate below reads as the flow's, and the step shrinks.  c must

@@ -516,6 +516,8 @@ def norm_from_spec(spec):
     if family == "euclidean":
         return EuclideanNorm(int(spec.get("dim", 1)) + 1)
     if family == "ellipsoid":
+        if "matrix" not in spec:
+            raise ValueError("norm.matrix is required for the ellipsoid family")
         return EllipsoidNorm(np.asarray(spec["matrix"], dtype=float))
     if family == "perturbed":
         d = int(spec.get("dim", 1)) + 1

@@ -3,68 +3,79 @@
 The circle (dim=1) is a uniform periodic angle grid with spectral (FFT)
 differentiation.  The 2-sphere (dim=2) is a latitude-longitude product grid,
 Gauss-Legendre in latitude and uniform periodic in longitude, so no node sits
-on a pole.  Latitude derivatives use centered finite-difference stencils on a
-grid extended smoothly across the poles (a half-turn in longitude); longitude
-derivatives are spectral.
+on a pole.  Fields on it are handled through their spherical-harmonic
+expansion up to degree L = nlat - 1, which the grid's quadrature transforms
+exactly: an FFT in longitude, then orthonormal associated Legendre functions
+in latitude (see `legendre_table`).
 
 Both grids also solve the shifted Laplace equation (I - a*Delta) x = f
 exactly for their own discrete Laplacian and a constant `a`: a Fourier
-divide on the circle, one banded latitude system per longitude mode on the
-sphere.  On the circle `a` may also vary from node to node: the system
-(I - diag(a) Delta) is solved by dense LU on at most _DENSE_NODES nodes,
-exactly on a circle that small, and on a finer one for its lowest modes only,
-with max(a) taken above them (see `SphereGrid.shifted_laplace_solve`).
+divide on the circle, a divide by 1 + a l(l+1) on the sphere.  On the circle
+`a` may also vary from node to node: the system (I - diag(a) Delta) is
+solved by dense LU on at most _DENSE_NODES nodes, exactly on a circle that
+small, and on a finer one for its lowest modes only, with max(a) taken above
+them (see `SphereGrid.shifted_laplace_solve`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Latitude stencil width for dim=2 derivatives; must be odd.
-_STENCIL = 9
-
 # Most nodes of the circle's dense per-node shifted Laplace solve, so its LU
 # costs O(_DENSE_NODES^3) whatever the grid size: about 0.05 ms at 64 nodes,
 # against 1-2 ms for a dense LU of 256 nodes and 6-7 ms of 512.
 _DENSE_NODES = 64
 
-# Longitude modes kept at colatitude theta: |m| <= max(_FILTER_FLOOR,
-# sin(theta) * nlon / 2).  Smooth fields on the sphere carry O(sin(theta)^m)
-# energy in mode m near the poles, so the discarded content is negligible,
-# while the retained modes keep the advective/diffusive symbol (m/sin)^2
-# uniformly bounded over the grid.
-_FILTER_FLOOR = 4
 
+def legendre_degrees(mu, lmax):
+    """Orthonormal associated Legendre functions at mu = cos(colatitude),
+    one degree at a time.
 
-def _fd_weights(z, x, m):
-    """Finite-difference weights at z for derivatives 0..m from nodes x.
-
-    Fornberg's recursion; returns an array w of shape (len(x), m+1) where
-    w[j, k] is the weight of node x[j] in the k-th derivative at z.
+    Yields, for l = 0..lmax, the (l+1, len(mu)) array of P_l^m(mu) for
+    m = 0..l, normalized so that the integral of P_l^m P_k^m over [-1, 1] is
+    1 if l == k, and without the Condon-Shortley phase.  The standard
+    three-term recurrence in l runs for all orders at once; only two degrees
+    are held at a time.
     """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    w = np.zeros((n, m + 1))
-    c1 = 1.0
-    c4 = x[0] - z
-    w[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - z
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 = c2 * c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[i, k] = c1 * (k * w[i - 1, k - 1] - c5 * w[i - 1, k]) / c2
-                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                w[j, k] = (c4 * w[j, k] - k * w[j, k - 1]) / c3
-            w[j, 0] = c4 * w[j, 0] / c3
-        c1 = c2
-    return w
+    mu = np.asarray(mu, dtype=float)
+    sin = np.sqrt(1.0 - mu ** 2)
+    prev = np.empty((0, mu.size))
+    row = np.full((1, mu.size), np.sqrt(0.5))
+    yield row
+    for l in range(1, lmax + 1):
+        m = np.arange(l)[:, None]
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        cur = np.empty((l + 1, mu.size))
+        cur[:l] = a * mu * row
+        cur[:l - 1] -= (a * b)[:l - 1] * prev
+        cur[l] = np.sqrt((2.0 * l + 1.0) / (2.0 * l)) * sin * row[l - 1]
+        prev, row = row, cur
+        yield cur
+
+
+def legendre_table(mu, lmax):
+    """The functions of `legendre_degrees` and their colatitude derivatives.
+
+    Returns (P, dP), each of shape (lmax+1, lmax+1, len(mu)) and indexed
+    [m, l, j], zero where l < m; lmax >= 1.  dP comes from the functions of
+    orders m -/+ 1 of the same degree,
+        dP_l^m = (sqrt((l+m)(l-m+1)) P_l^(m-1) - sqrt((l+m+1)(l-m)) P_l^(m+1)) / 2,
+    with P_l^(-1) = -P_l^1, so it needs no division by sin(colatitude).
+    """
+    p = np.zeros((lmax + 1, lmax + 1, np.size(mu)))
+    for l, row in enumerate(legendre_degrees(mu, lmax)):
+        p[:l + 1, l] = row
+    m = np.arange(lmax + 1)[:, None, None]
+    l = np.arange(lmax + 1)[None, :, None]
+    below = np.empty_like(p)
+    below[1:] = p[:-1]
+    below[0] = -p[1]
+    above = np.zeros_like(p)
+    above[:-1] = p[1:]
+    dp = 0.5 * (np.sqrt(np.maximum((l + m) * (l - m + 1), 0)) * below
+                - np.sqrt(np.maximum((l + m + 1) * (l - m), 0)) * above)
+    return p, dp
 
 
 class SphereGrid:
@@ -72,10 +83,9 @@ class SphereGrid:
 
     Immutable after construction; all operations are pure.  Reductions are
     performed in a fixed node order so repeated runs are bit-identical.  The
-    operators of `shifted_laplace_solve` (the dense second-derivative matrix
-    of a per-node solve on the circle, the banded latitude operators on the
-    sphere) are built on the first call that needs them and kept on the
-    grid.
+    dense second-derivative matrix of a per-node solve on the circle is built
+    on the first call that needs it and kept on the grid; the sphere's
+    Legendre table is built with the grid.
 
     Attributes
     ----------
@@ -112,7 +122,6 @@ class SphereGrid:
             self._ik[-1] = 0.0  # odd derivative of the Nyquist mode is ambiguous
         self._mk2 = -(k ** 2)
         self._dense = None
-        self.spacing = 2.0 * np.pi / n
         # Largest magnitude of the discrete second-derivative symbol.
         self.curvature_symbol_bound = (n / 2.0) ** 2
 
@@ -120,21 +129,29 @@ class SphereGrid:
 
     def _build_sphere(self, nlat):
         nlon = 2 * nlat
-        mu, glw = np.polynomial.legendre.leggauss(nlat)
-        order = np.argsort(-mu)  # colatitude increasing from north to south
-        mu = mu[order]
-        glw = glw[order]
+        # colatitude increasing from north to south
+        mu = np.sort(np.polynomial.legendre.leggauss(nlat)[0])[::-1]
+        # Spherical harmonics up to degree L = nlat - 1: the nlat-point Gauss
+        # rule integrates the product of two such Legendre functions exactly,
+        # and 2 nlat longitudes resolve every order m <= L.  The longitude
+        # Nyquist mode m = nlat is dropped.
+        lmax = nlat - 1
+        p, dp = legendre_table(mu, lmax)
+        # Gauss weights as the Christoffel numbers 1 / sum_l P_l^0(mu)^2 of
+        # the table's own orthonormal zonal functions: numpy's leggauss
+        # weights carry relative errors up to 1e-12 at 48 nodes, which break
+        # the transform's orthonormality at 1e-13
+        glw = 1.0 / np.sum(p[0] ** 2, axis=0)
         self.nlat = nlat
         self.nlon = nlon
-        self.colat = np.arccos(mu)
-        self.lon = 2.0 * np.pi * np.arange(nlon) / nlon
+        lon = 2.0 * np.pi * np.arange(nlon) / nlon
         self.sin_colat = np.sqrt(1.0 - mu ** 2)
         self.cos_colat = mu
 
         st = self.sin_colat[:, None]
         ct = self.cos_colat[:, None]
-        cp = np.cos(self.lon)[None, :]
-        sp = np.sin(self.lon)[None, :]
+        cp = np.cos(lon)[None, :]
+        sp = np.sin(lon)[None, :]
         nodes = np.empty((nlat, nlon, 3))
         nodes[:, :, 0] = st * cp
         nodes[:, :, 1] = st * sp
@@ -154,42 +171,13 @@ class SphereGrid:
         self.frame_colat = e_th.reshape(-1, 3)
         self.frame_lon = e_ph.reshape(-1, 3)
 
-        # Latitude stencils on the pole-extended colatitude axis.  A field on
-        # the sphere continues across a pole as f(-t, phi) = f(t, phi + pi),
-        # so ghost rows are mirrored rows rolled by half a turn in longitude.
-        g = _STENCIL // 2
-        self._ghost = g
-        colat_ext = np.concatenate([-self.colat[g - 1::-1],
-                                    self.colat,
-                                    2.0 * np.pi - self.colat[:nlat - g - 1:-1]])
-        w1 = np.empty((nlat, _STENCIL))
-        w2 = np.empty((nlat, _STENCIL))
-        for j in range(nlat):
-            w = _fd_weights(self.colat[j], colat_ext[j:j + _STENCIL], 2)
-            w1[j] = w[:, 1]
-            w2[j] = w[:, 2]
-        self._lat_w1 = w1
-        self._lat_w2 = w2
-        self._lat_bands = None
-
-        m = np.fft.rfftfreq(nlon, d=1.0 / nlon)
-        self._ik_lon = 1j * m
-        if nlon % 2 == 0:
-            self._ik_lon[-1] = 0.0
-        self._mk2_lon = -(m ** 2)
-
-        # Per-ring longitude mode cap and associated filter masks.
-        m_allow = np.maximum(_FILTER_FLOOR,
-                             np.floor(self.sin_colat * nlon / 2.0)).astype(int)
-        m_allow = np.minimum(m_allow, nlon // 2)
-        self._filter_mask = (m[None, :] <= m_allow[:, None]).astype(float)
-        self._filter_active = bool(np.any(self._filter_mask == 0.0))
-
-        dlat = np.diff(self.colat)
-        self.spacing = float(np.min(dlat))
-        lam_lat = (np.pi / self.spacing) ** 2
-        lam_lon = float(np.max((m_allow / self.sin_colat) ** 2))
-        self.curvature_symbol_bound = lam_lat + lam_lon
+        self._leg = p.transpose(0, 2, 1)        # [m, j, l], synthesis
+        self._leg_dcolat = dp.transpose(0, 2, 1)
+        self._leg_analysis = p * glw             # [m, l, j]
+        l = np.arange(lmax + 1)
+        self._lap_symbol = -(l * (l + 1.0))
+        self._im = 1j * l                        # i m for orders 0..L
+        self.curvature_symbol_bound = float(lmax * (lmax + 1))
 
     # ------------------------------------------------------------- reductions
 
@@ -213,6 +201,37 @@ class SphereGrid:
     def area(self):
         return 2.0 * np.pi if self.dim == 1 else 4.0 * np.pi
 
+    # ------------------------------------------------------------ transforms
+
+    def _analysis(self, field):
+        """Coefficients [m, l, (re, im)] of a dim=2 field in the units of
+        numpy's rfft along longitude: one Gauss-weighted Legendre matmul per
+        order m, all orders in one batched call."""
+        fk = np.fft.rfft(self._check_field(field).reshape(self.nlat, self.nlon),
+                         axis=1)
+        fk = np.ascontiguousarray(fk[:, :self.nlat].T)
+        return self._leg_analysis @ fk.view(np.float64).reshape(
+            self.nlat, self.nlat, 2)
+
+    def _synthesis(self, table, coeff):
+        """Longitude spectra [..., m, j] of coefficients [m, l, 2k] through a
+        [m, j, l] table, as k complex rows."""
+        out = (table @ coeff).view(np.complex128)   # [m, j, k]
+        return np.moveaxis(out, -1, 0)
+
+    def _to_nodes(self, spectra):
+        """Node fields of longitude spectra [..., m, j], m = 0..L."""
+        rows = np.fft.irfft(np.swapaxes(spectra, -1, -2), n=self.nlon, axis=-1)
+        return rows.reshape(rows.shape[:-2] + (-1,))
+
+    def harmonic_coefficients(self, field):
+        """Spherical-harmonic coefficients A[m, l] of a dim=2 field, m, l =
+        0..nlat-1, complex, in the units of numpy's rfft along longitude:
+        the projection of the field on degrees l <= nlat - 1 is
+        Re sum_m s_m sum_l A[m, l] P_l^m(cos colat) exp(i m lon) / nlon,
+        with s_0 = 1, s_m = 2 otherwise, and P from `legendre_table`."""
+        return self._analysis(field).view(np.complex128)[..., 0]
+
     # ------------------------------------------------------------ derivatives
 
     def angle_derivatives(self, field):
@@ -225,31 +244,27 @@ class SphereGrid:
         d2 = np.fft.irfft(fk * self._mk2, n=self.n_nodes)
         return d1, d2
 
-    def _dlat(self, f2, w):
-        g = self._ghost
-        half = self.nlon // 2
-        ext = np.empty((self.nlat + 2 * g, self.nlon))
-        ext[g:g + self.nlat] = f2
-        ext[:g] = np.roll(f2[g - 1::-1], half, axis=1)
-        ext[g + self.nlat:] = np.roll(f2[:self.nlat - g - 1:-1], half, axis=1)
-        idx = np.arange(self.nlat)[:, None] + np.arange(_STENCIL)[None, :]
-        return np.einsum("js,jsk->jk", w, ext[idx])
-
-    def _dlon(self, f2, symbol):
-        fk = np.fft.rfft(f2, axis=1)
-        return np.fft.irfft(fk * symbol[None, :], n=self.nlon, axis=1)
-
     def latlon_derivatives(self, field):
-        """Chart partials (f_t, f_p, f_tt, f_tp, f_pp) in colatitude/longitude (dim=2)."""
+        """Chart partials (f_t, f_p, f_tt, f_tp, f_pp) in colatitude/longitude (dim=2).
+
+        Exact derivatives of the field's projection on degrees l <= nlat - 1:
+        f_t through the colatitude derivatives of the Legendre functions,
+        longitude derivatives as i m, and f_tt from the diagonal Laplacian,
+        f_tt = Delta f - cot f_t - f_pp / sin^2.
+        """
         if self.dim != 2:
             raise ValueError("latlon_derivatives is defined for dim=2 grids")
-        f2 = self._check_field(field).reshape(self.nlat, self.nlon)
-        f_t = self._dlat(f2, self._lat_w1)
-        f_tt = self._dlat(f2, self._lat_w2)
-        f_p = self._dlon(f2, self._ik_lon)
-        f_pp = self._dlon(f2, self._mk2_lon)
-        f_tp = self._dlat(self._dlon(f2, self._ik_lon), self._lat_w1)
-        return tuple(a.reshape(-1) for a in (f_t, f_p, f_tt, f_tp, f_pp))
+        coeff = self._analysis(field)
+        lap = coeff * self._lap_symbol[None, :, None]
+        f, f_lap = self._synthesis(self._leg, np.concatenate([coeff, lap], -1))
+        (d_t,) = self._synthesis(self._leg_dcolat, coeff)
+        im = self._im[:, None]
+        f_t, f_p, f_pp, f_tp, f_lap = self._to_nodes(
+            np.stack([d_t, im * f, im * im * f, im * d_t, f_lap]))
+        st = np.repeat(self.sin_colat, self.nlon)
+        ct = np.repeat(self.cos_colat, self.nlon)
+        f_tt = f_lap - (ct / st) * f_t - f_pp / st ** 2
+        return f_t, f_p, f_tt, f_tp, f_pp
 
     def gradient(self, field):
         """Tangential gradient of a scalar field, in ambient coordinates.
@@ -272,34 +287,6 @@ class SphereGrid:
         st = np.repeat(self.sin_colat, self.nlon)
         ct = np.repeat(self.cos_colat, self.nlon)
         return f_tt + (ct / st) * f_t + f_pp / st ** 2
-
-    def _build_lat_bands(self):
-        """Latitude part of the Laplacian of each longitude mode, banded.
-
-        The ghost rows of the latitude stencils are mirrored rows rolled by
-        half a turn, which multiplies mode m by (-1)^m; folding them back
-        leaves bandwidth _STENCIL // 2.  Returns the (2, _STENCIL, nlat)
-        bands (LAPACK layout) of the latitude part for even and odd m; the
-        longitude part -m^2 / sin^2 is diagonal.
-        """
-        g = self._ghost
-        nlat = self.nlat
-        cot = self.cos_colat / self.sin_colat
-        bands = np.zeros((2, _STENCIL, nlat))
-        for j in range(nlat):
-            w = self._lat_w2[j] + cot[j] * self._lat_w1[j]
-            for s in range(_STENCIL):
-                e = j + s - g          # row of the stencil point, unfolded
-                if e < 0:
-                    k, fold = -1 - e, True
-                elif e >= nlat:
-                    k, fold = 2 * nlat - 1 - e, True
-                else:
-                    k, fold = e, False
-                band = g + j - k
-                bands[0, band, k] += w[s]
-                bands[1, band, k] += -w[s] if fold else w[s]
-        return bands
 
     def _build_dense(self):
         """Operators of the circle's per-node solve on m = min(N, _DENSE_NODES)
@@ -351,9 +338,10 @@ class SphereGrid:
         """Solve (I - a * laplacian) x = field for x, a >= 0.
 
         For a constant `a` the solve is exact for this grid's discrete
-        Laplacian: a Fourier divide on the circle; on the sphere one banded
-        system per longitude mode, which cannot take a coefficient that
-        varies along a latitude ring.
+        Laplacian: a Fourier divide on the circle, a divide of each
+        spherical-harmonic coefficient by 1 + a l(l+1) on the sphere, whose
+        result is band-limited to l <= nlat - 1 like every other field the
+        sphere grid returns.
 
         On the circle `a` may also be a per-node array.  On up to
         _DENSE_NODES nodes the system (I - diag(a) Delta) is then solved
@@ -369,37 +357,18 @@ class SphereGrid:
             return self._circle_solve(field, a)
         if np.ndim(a) != 0:
             raise ValueError("the sphere solve takes a constant coefficient")
-        from scipy.linalg.lapack import dgbsv
-        if self._lat_bands is None:
-            self._lat_bands = self._build_lat_bands()
-        g = self._ghost
-        fk = np.fft.rfft(field.reshape(self.nlat, self.nlon), axis=1)
-        rhs = np.ascontiguousarray(fk.T)            # (modes, nlat) complex
-        diag = -self._mk2_lon[:, None] / self.sin_colat[None, :] ** 2
-        # dgbsv reads the band from row g on; rows 0..g-1 hold LU fill-in
-        ab = np.empty((3 * g + 1, self.nlat), order="F")
-        for m in range(rhs.shape[0]):
-            np.multiply(self._lat_bands[m % 2], -a, out=ab[g:])
-            ab[2 * g] += 1.0 + a * diag[m]
-            pair = rhs[m].view(np.float64).reshape(self.nlat, 2)  # re, im
-            _, _, x, info = dgbsv(g, g, ab, pair, overwrite_ab=True)
-            if info != 0:
-                raise np.linalg.LinAlgError(
-                    f"singular latitude system for longitude mode {m}")
-            pair[:] = x
-        return np.fft.irfft(rhs.T, n=self.nlon, axis=1).reshape(-1)
+        coeff = self._analysis(field) / (1.0 - a * self._lap_symbol)[None, :, None]
+        return self._to_nodes(self._synthesis(self._leg, coeff)[0])
 
     def spectral_filter(self, field):
-        """Damp longitude modes that are unresolvable near the poles (dim=2).
+        """Project a dim=2 field on spherical harmonics of degree
+        l <= nlat - 1 (the triangular truncation).
 
-        Identity on dim=1 grids and on dim=2 grids coarse enough that every
-        mode is kept.
+        Identity on dim=1 grids.
         """
-        if self.dim == 1 or not self._filter_active:
+        if self.dim == 1:
             return np.asarray(field, dtype=float)
-        f2 = self._check_field(field).reshape(self.nlat, self.nlon)
-        fk = np.fft.rfft(f2, axis=1)
-        return np.fft.irfft(fk * self._filter_mask, n=self.nlon, axis=1).reshape(-1)
+        return self._to_nodes(self._synthesis(self._leg, self._analysis(field))[0])
 
 
 def make_grid(dim, resolution):

@@ -25,6 +25,7 @@ from .hypersurface import (
     wulff_q_value,
 )
 from .minkowski import make_wulff
+from .sphere_grid import legendre_degrees
 
 
 def _wulff(norm, grid, wulff=None):
@@ -243,9 +244,14 @@ def _symmetric_difference(surface, norm, scale, center, *, warm=None):
 def _interp_radial(surface, dirs):
     """Evaluate the radial field in arbitrary directions.
 
-    dim=1 uses the trigonometric interpolant Re sum_k c_k z^k in
-    z = exp(i*angle), evaluated by Horner's rule; dim=2 uses bivariate
-    spline interpolation in the latitude-longitude chart.
+    Both dimensions sum the grid's own expansion of the field, so a
+    band-limited field is reproduced exactly: on the circle the
+    trigonometric interpolant Re sum_k c_k z^k in z = exp(i*angle), on the
+    sphere Re sum_m c_m z^m in z = exp(i*longitude), with c_m the sum over
+    degrees l <= nlat - 1 of the harmonic coefficients times
+    P_l^m(cos colatitude).  The powers of z are summed by Horner's rule, and
+    the c_m accumulate degree by degree, so no Legendre table over all
+    degrees and directions is held.
     """
     grid = surface.grid
     if grid.dim == 1:
@@ -253,21 +259,19 @@ def _interp_radial(surface, dirs):
         coeff[1:] *= 2.0
         if grid.n_nodes % 2 == 0:
             coeff[-1] *= 0.5   # the Nyquist mode is not doubled
-        z = np.exp(1j * np.arctan2(dirs[:, 1], dirs[:, 0]))
-        acc = np.full(len(z), coeff[-1])
-        for c in coeff[-2::-1]:
-            acc *= z
-            acc += c
-        return acc.real
-    from scipy.interpolate import RectBivariateSpline
-    r2 = surface.r.reshape(grid.nlat, grid.nlon)
-    lon_pad = np.concatenate([grid.lon - 2 * np.pi, grid.lon,
-                              grid.lon + 2 * np.pi])
-    r_pad = np.concatenate([r2, r2, r2], axis=1)
-    spl = RectBivariateSpline(grid.colat, lon_pad, r_pad, kx=3, ky=3)
-    colat = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
-    lon = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * np.pi)
-    return spl(colat, lon, grid=False)
+    else:
+        harmonic = grid.harmonic_coefficients(surface.r) / grid.nlon
+        harmonic[1:] *= 2.0
+        mu = dirs[:, 2] / np.linalg.norm(dirs, axis=1)
+        coeff = np.zeros((grid.nlat, len(dirs)), dtype=complex)
+        for l, p in enumerate(legendre_degrees(mu, grid.nlat - 1)):
+            coeff[:l + 1] += harmonic[:l + 1, l, None] * p
+    z = np.exp(1j * np.arctan2(dirs[:, 1], dirs[:, 0]))
+    acc = np.full(len(z), coeff[-1])
+    for c in coeff[-2::-1]:
+        acc *= z
+        acc += c
+    return acc.real
 
 
 _ASYMMETRY_XATOL, _ASYMMETRY_MAX_ITER = 1e-8, 400   # Nelder-Mead stop rule
@@ -616,32 +620,3 @@ def write_sweep_csv(rows, path):
         for row in rows:
             writer.writerow([str(row[c]) if isinstance(row[c], bool)
                              else repr(float(row[c])) for c in SWEEP_COLUMNS])
-
-
-def select_t_epsilon(trace, center=None):
-    """Pick the recorded time in (0, sqrt(eps1)) minimizing the normalized
-    gap integral of the modified trajectory; returns (t, index, gap).
-
-    eps1 is the initial deficit read off the trace.  Falls back to the
-    earliest positive record when the deficit window contains none.  Every
-    candidate record must be star-shaped about `center` (the trace's weight
-    center by default), or `gap_integral` raises ValueError.
-    """
-    w_rho = trace.wulff_rho
-    n = trace.n
-    vol_w = trace.grid.integrate(w_rho ** (n + 1)) / (n + 1)
-    eps = max(trace.q[0] - wulff_q_value(vol_w, n=n), 0.0)
-    limit = np.sqrt(eps)
-    candidates = [i for i, t in enumerate(trace.times) if 0.0 < t <= limit]
-    if not candidates:
-        candidates = [i for i in range(len(trace.times)) if trace.times[i] > 0.0][:1]
-    if not candidates:
-        raise ValueError("trace has no positive-time records")
-    center = trace.center if center is None else np.asarray(center, float)
-    best = None
-    for i in candidates:
-        surf = trace.rescaled_surface(i)
-        g = gap_integral(surf, trace.norm, center).gap_normalized
-        if best is None or g < best[2]:
-            best = (float(trace.times[i]), i, float(g))
-    return best

@@ -306,6 +306,11 @@ def _family(**family):
     ("verify-identities", {**_BASE, "norm": {
         "family": "ellipsoid", "matrix": np.diag([4.0, 2.0, 1.0]).tolist()}},
      True, "norm acts on dimension 3"),
+    ("verify-identities", {**_BASE, "norm": {"family": "ellipsoid"}}, True,
+     "norm.matrix"),
+    ("verify-identities", {**_BASE, "norm": {
+        "family": "ellipsoid", "matrix": [[1, 0], [0]]}}, True,
+     "norm.matrix"),
 ], ids=["seed-string", "seed-bool", "seed-float", "seed-negative",
         "top-level-array", "output-dir-int", "grid-int", "grid-dim-list",
         "norm-string", "norm-harmonic-int", "harmonics-int", "flow-list",
@@ -327,7 +332,8 @@ def _family(**family):
         "matrix-not-positive-definite", "surface-kind-unknown",
         "surface-center-wrong-length", "flow-surface-missing",
         "deficits-surface-missing", "norm-missing", "flow-norm-missing",
-        "norm-dim-mismatch", "matrix-dim-mismatch"])
+        "norm-dim-mismatch", "matrix-dim-mismatch", "matrix-missing",
+        "matrix-ragged"])
 def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
                                                        monkeypatch, task,
                                                        cfg, use_out, key):
@@ -383,7 +389,7 @@ _IMPORT_PROBE = """
 import json, sys
 from wulff_lab import cli
 tasks = json.loads(sys.argv[1])
-heavy = ("scipy.linalg", "scipy.optimize", "scipy.spatial")
+heavy = ("scipy.linalg", "scipy.optimize", "scipy.spatial", "scipy.interpolate")
 loaded = [[m for m in heavy if m in sys.modules]]
 for task, config, out in tasks:
     assert cli.run(task, config, out) == 0, task
@@ -395,13 +401,19 @@ print(json.dumps(loaded))
 def test_each_task_imports_only_the_scipy_modules_it_calls(tmp_path):
     # a fresh interpreter: this one has loaded scipy already. The tasks run
     # in order in one process, so each row lists what is loaded so far.
-    sphere = {"norm": {"family": "euclidean", "dim": 2},
-              "grid": {"dim": 2, "resolution": 8},
-              "surface": {"kind": "sphere"},
-              "flow": {"t_end": 0.1, "cadence": 0.05}}
+    base = {"norm": {"family": "euclidean", "dim": 2},
+            "grid": {"dim": 2, "resolution": 8},
+            # a weight center off the star center re-graphs each surface
+            # through the interpolated radial field
+            "center": [0.1, 0.0, 0.0]}
+    sphere = {**base, "surface": {"kind": "sphere"}}
     tasks = [("flow", _FLOW), ("verify-identities", {**_BASE, "samples": 20}),
              ("convergence", {**_BASE, "resolutions": [16, 32]}),
-             ("flow", sphere), ("deficits", _FLOW)]
+             ("flow", {**sphere, "flow": {"t_end": 0.1, "cadence": 0.05}}),
+             ("deficits", sphere),
+             ("stability-sweep", {**base, "family": {
+                 "deltas": [0.05, 0.1],
+                 "harmonics": [{"kind": "zonal", "k": 2, "delta": 1.0}]}})]
     args = [(task, _write_config(tmp_path, f"cfg{i}.json", cfg),
              str(tmp_path / f"out{i}")) for i, (task, cfg) in enumerate(tasks)]
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -410,6 +422,9 @@ def test_each_task_imports_only_the_scipy_modules_it_calls(tmp_path):
                             json.dumps(args)], env=env, capture_output=True,
                            text=True, timeout=120, check=True)
     loaded = json.loads(probe.stdout.splitlines()[-1])
-    assert loaded[:4] == [[], [], [], []]       # import, dim-1 tasks
-    assert loaded[4] == ["scipy.linalg"]        # the banded latitude solve
-    assert "scipy.optimize" in loaded[5]        # the asymmetry search
+    # import, the dim-1 tasks and the dim-2 flow, whose transforms are numpy
+    assert loaded[:5] == [[], [], [], [], []]
+    # the asymmetry search and the KD-tree (both load scipy.linalg), but no
+    # spline on the sphere
+    assert loaded[5] == loaded[6] == ["scipy.linalg", "scipy.optimize",
+                                      "scipy.spatial"]
