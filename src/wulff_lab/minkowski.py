@@ -1,10 +1,11 @@
 """Minkowski norms, their duals, and Wulff shapes.
 
 Three norm families are provided.  The euclidean norm and the ellipsoidal
-norms sqrt(x^T A x) have closed-form duals and serve as oracles; the
-"perturbed" family has support function h = 1 + eps*Y on the unit sphere,
-with Y the restriction of a low-degree harmonic polynomial, and exercises
-the numerical dual path: per-row Newton refinement on the sphere, seeded
+norms sqrt(x^T A x) have closed-form duals and ray exits from their Wulff
+shapes, and serve as oracles; the "perturbed" family has support function
+h = 1 + eps*Y on the unit sphere, with Y the restriction of a low-degree
+harmonic polynomial, and exercises the numerical dual path (and the Newton
+ray exits built on it): per-row Newton refinement on the sphere, seeded
 from an optional caller-supplied start (or x/|x|), certified global by the
 sign of x.y, and re-seeded from a grid scan only for rows that fail.
 
@@ -128,6 +129,31 @@ class ProductHarmonic:
         return self._scale * h
 
 
+def _quadric_exit(dirs, offset, scale, form=None):
+    """Largest root s of (o + s*t)^T B (o + s*t) = scale^2 along each row t
+    of dirs, B = form (the identity when None), with DF0 = B x / scale at
+    x = o + s*t: returns (s, g), s = -inf and g = NaN where the line misses
+    the ellipsoid (discriminant <= 0).
+
+    The larger root (-b + sqrt(disc))/a is taken in the form c/(-b - sqrt(disc))
+    when b > 0, so neither form subtracts nearly equal numbers.
+    """
+    bt = dirs if form is None else dirs @ form
+    bo = offset if form is None else form @ offset
+    a = np.einsum("ij,ij->i", dirs, bt)
+    b = bt @ offset
+    c = offset @ bo - scale * scale
+    disc = b * b - a * c
+    hit = disc > 0.0
+    root = np.sqrt(np.where(hit, disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(b > 0.0, c / (-b - root), (root - b) / a)
+    s = np.where(hit, s, 0.0)
+    g = (bo[None, :] + s[:, None] * bt) / scale
+    s[~hit], g[~hit] = -np.inf, np.nan
+    return s, g
+
+
 # --------------------------------------------------------------------------
 # Norm families
 # --------------------------------------------------------------------------
@@ -143,6 +169,9 @@ class MinkowskiNorm:
     shape of `x` (typically the previous result along a path of nearby
     points).  Closed-form families ignore it; numerical ones may use it to
     seed their solver, never changing what is computed beyond roundoff.
+    `exit_distance(dirs, offset, scale, start)` takes the same kind of
+    optional start: the base class solves its rays by Newton, and the
+    quadric families override it with a closed form that ignores the start.
     """
 
     family = "abstract"
@@ -166,6 +195,79 @@ class MinkowskiNorm:
     def wulff_radius(self, directions):
         """Radial profile rho of the unit dual ball: rho = 1/dual_value."""
         return 1.0 / self.dual_value(directions)
+
+    def exit_distance(self, dirs, offset, scale, start=None):
+        """Largest root s of F0(offset + s*dir) = scale along each row of
+        dirs, with DF0 at each row's last Newton point: returns (s, g).
+
+        This is the numerical path, for norms without a closed form; the
+        quadric families override it with the root of a quadratic.  F0 is
+        convex along every line, so a Newton iteration started beyond the
+        root, at max F(dir) * scale + |offset| with slack (the Wulff radius
+        1/F0(dir) never exceeds F(dir)), decreases monotonically onto it.
+        Each step makes one dual solve: F0 is 1-homogeneous, so
+        F0(x) = x.DF0(x), and DF0 is warm-started from the previous step's
+        gradient.  A row whose slope turns nonpositive has passed the
+        minimum of F0 on its line without a root: the line misses the body
+        and the row returns s = -inf (g = NaN).
+
+        `start = (s0, g0)` is an earlier result along the same dirs,
+        typically for a nearby offset.  Rows with finite s0 start Newton at
+        s0, their first dual solve seeded by g0.  By convexity, Newton from
+        any point of positive slope lands at or beyond the largest root
+        after one step and from there decreases monotonically onto it, as
+        from the far point; where the line has no root it descends until
+        its slope turns, as from the far point.  A row whose slope at s0 is
+        not positive may lie before the minimum of F0 on its line, so it
+        restarts from the far point.  The start therefore changes the result
+        by roundoff only.
+
+        After the first step every Newton step is positive in exact
+        arithmetic, so a row whose step is not has reached its root to
+        roundoff; it keeps stepping with the others but no longer holds the
+        iteration open.  This ends the solve on ill-conditioned roots, such
+        as rays nearly tangent to the body from an offset close to its
+        boundary, whose roundoff exceeds the 1e-13 step test.
+        """
+        far = 1.1 * (scale * float(np.max(self.value(dirs)))
+                     + np.linalg.norm(offset))
+        s_out = np.full(len(dirs), -np.inf)
+        g_out = np.full(dirs.shape, np.nan)
+        s = np.full(len(dirs), far)
+        g = warm = None
+        if start is not None:
+            warm = np.isfinite(start[0])
+            s[warm] = start[0][warm]
+            g = np.where(warm[:, None], start[1], offset[None, :] + far * dirs)
+        rows = np.arange(len(dirs))
+        moving = np.ones(len(dirs), dtype=bool)   # no step <= 0 after the first
+        for it in range(60):
+            x = offset[None, :] + s[:, None] * dirs
+            g = self.dual_grad(x, start=g)
+            slope = np.einsum("ij,ij->i", g, dirs)
+            if warm is not None:   # first step: restart warm rows of bad slope
+                back = warm & ~(slope > 0.0)
+                warm = None
+                if np.any(back):
+                    s[back] = far
+                    x[back] = offset[None, :] + far * dirs[back]
+                    g[back] = self.dual_grad(x[back])
+                    slope[back] = np.einsum("ij,ij->i", g[back], dirs[back])
+            hit = slope > 0.0
+            if not np.all(hit):
+                rows, s, dirs, x, g, slope, moving = (
+                    a[hit] for a in (rows, s, dirs, x, g, slope, moving))
+            ds = (np.einsum("ij,ij->i", x, g) - scale) / slope
+            s = s - ds
+            if it > 0:
+                moving &= ds > 0.0
+            if np.max(np.abs(ds[moving]), initial=0.0) < 1e-13 * scale:
+                break
+        else:
+            raise RuntimeError("radial re-graph of the Wulff shape did not converge")
+        s_out[rows] = s
+        g_out[rows] = g
+        return s_out, g_out
 
     def spec(self):
         raise NotImplementedError
@@ -207,6 +309,9 @@ class EuclideanNorm(MinkowskiNorm):
 
     def dual_grad(self, x, start=None):
         return self.grad(x)
+
+    def exit_distance(self, dirs, offset, scale, start=None):
+        return _quadric_exit(dirs, offset, scale)
 
     def spec(self):
         return {"family": "euclidean", "dim": self.ambient_dim - 1}
@@ -272,6 +377,9 @@ class EllipsoidNorm(MinkowskiNorm):
         bx = x @ self.inverse
         f0 = np.sqrt(np.einsum("ij,ij->i", x, bx))
         return _restore(bx / f0[:, None], single, lead)
+
+    def exit_distance(self, dirs, offset, scale, start=None):
+        return _quadric_exit(dirs, offset, scale, self.inverse)
 
     def spec(self):
         return {"family": "ellipsoid", "matrix": self.matrix.tolist()}

@@ -99,89 +99,33 @@ def pmomentum_chain(surface, norm, center=None, p=2.0, cache=None, wulff=None):
 # --------------------------------------------------------------------------
 
 
-def _exit_distance(norm, dirs, offset, scale, start=None):
-    """Largest root s of F0(offset + s*dir) = scale along each row of dirs,
-    with DF0 at each row's last Newton point: returns (s, g).
-
-    F0 is convex along every line, so a Newton iteration started beyond the
-    root, at max F(dir) * scale + |offset| with slack (the Wulff radius
-    1/F0(dir) never exceeds F(dir)), decreases monotonically onto it.  Each
-    step makes one dual solve: F0 is 1-homogeneous, so F0(x) = x.DF0(x), and
-    DF0 is warm-started from the previous step's gradient.  A row whose slope
-    turns nonpositive has passed the minimum of F0 on its line without a
-    root: the line misses the body and the row returns s = -inf (g = NaN).
-
-    `start = (s0, g0)` is an earlier result along the same dirs, typically
-    for a nearby offset.  Rows with finite s0 start Newton at s0, their first
-    dual solve seeded by g0.  By convexity, Newton from any point of positive
-    slope lands at or beyond the largest root after one step and from there
-    decreases monotonically onto it, as from the far point; where the line
-    has no root it descends until its slope turns, as from the far point.  A
-    row whose slope at s0 is not positive may lie before the minimum of F0
-    on its line, so it restarts from the far point.  The start therefore
-    changes the result by roundoff only.
-    """
-    far = 1.1 * (scale * float(np.max(norm.value(dirs)))
-                 + np.linalg.norm(offset))
-    s_out = np.full(len(dirs), -np.inf)
-    g_out = np.full(dirs.shape, np.nan)
-    s = np.full(len(dirs), far)
-    g = warm = None
-    if start is not None:
-        warm = np.isfinite(start[0])
-        s[warm] = start[0][warm]
-        g = np.where(warm[:, None], start[1], offset[None, :] + far * dirs)
-    rows = np.arange(len(dirs))
-    for _ in range(60):
-        x = offset[None, :] + s[:, None] * dirs
-        g = norm.dual_grad(x, start=g)
-        slope = np.einsum("ij,ij->i", g, dirs)
-        if warm is not None:   # first step: restart warm rows of bad slope
-            back = warm & ~(slope > 0.0)
-            warm = None
-            if np.any(back):
-                s[back] = far
-                x[back] = offset[None, :] + far * dirs[back]
-                g[back] = norm.dual_grad(x[back])
-                slope[back] = np.einsum("ij,ij->i", g[back], dirs[back])
-        hit = slope > 0.0
-        if not np.all(hit):
-            rows, s, dirs, x, g, slope = (a[hit] for a in
-                                          (rows, s, dirs, x, g, slope))
-        ds = (np.einsum("ij,ij->i", x, g) - scale) / slope
-        s = s - ds
-        if np.max(np.abs(ds), initial=0.0) < 1e-13 * scale:
-            break
-    else:
-        raise RuntimeError("radial re-graph of the Wulff shape did not converge")
-    s_out[rows] = s
-    g_out[rows] = g
-    return s_out, g_out
-
-
 def wulff_profile_about(norm, grid, scale, wulff_center, graph_center, *,
                         warm=None):
     """Radial profile of scale*W + wulff_center as a graph about graph_center.
 
     Solves dual_value(graph_center + s*theta - wulff_center) = scale for
-    s > 0 along every node direction (see `_exit_distance`).  Requires
-    graph_center to lie inside the shape, at F0 below 0.999*scale, and
-    raises ValueError otherwise.
+    the largest root s along every node direction (`norm.exit_distance`:
+    closed form for the quadric norms, Newton otherwise).  Raises ValueError
+    unless every root is positive, that is unless graph_center lies inside
+    the shape.  The test is exact: a center on or outside the convex shape
+    has a separating plane, and every ray pointing into the closed half-space
+    away from the shape has its largest root <= 0 or none; every closed
+    hemisphere of node directions holds a node (on the circle for N >= 2 and
+    on the antipodally symmetric sphere grid), so some node shows it.
 
     `warm` is an optional dict that carries the ray solution from one call
     to the next on the same norm, grid and scale: its "rays" entry, when
-    present, seeds the solve, and is replaced by this call's solution.
+    present, seeds the solve, and is replaced by this call's solution
+    (s, DF0), also when the call raises.
     """
     wulff_center = np.asarray(wulff_center, dtype=float)
     graph_center = np.asarray(graph_center, dtype=float)
-    offset = graph_center - wulff_center
-    off_val = norm.dual_value(offset) if np.linalg.norm(offset) > 0.0 else 0.0
-    if off_val >= 0.999 * scale:
-        raise ValueError("graph center lies outside (or too close to) the shape")
-    rays = _exit_distance(norm, grid.nodes, offset, scale,
-                          None if warm is None else warm.get("rays"))
+    rays = norm.exit_distance(grid.nodes, graph_center - wulff_center, scale,
+                              None if warm is None else warm.get("rays"))
     if warm is not None:
         warm["rays"] = rays
+    if not np.min(rays[0]) > 0.0:
+        raise ValueError("graph center lies on or outside the shape")
     return rays[0]
 
 
@@ -216,21 +160,22 @@ def _symmetric_difference(surface, norm, scale, center, *, warm=None):
     center C in one interval [s_in, s_out].  With R = r^(n+1),
     S = max(s_out, 0)^(n+1) and A = max(s_in, 0)^(n+1) the ray contributes
     (|R - S| + A - 2 max(A - min(R, S), 0)) / (n+1), which is exact in the
-    radial variable and continuous in the center.  While C lies inside L
-    (F0(C - center) < 0.999*scale) s_in < 0 and s_out is the re-graphed
-    profile, solved warm from `warm` (see `wulff_profile_about`); otherwise
-    s_in = -s_out(-theta) is solved as well, from the far point.
+    radial variable and continuous in the center.  s_out is the re-graphed
+    profile, solved warm from `warm` (see `wulff_profile_about`).  While C
+    lies inside L every s_out is positive and s_in < 0, so A = 0; otherwise
+    (`wulff_profile_about` raises) s_in = -s_out(-theta) is solved as well,
+    from the far point.  The two formulas agree where C meets the boundary.
     """
     n = surface.grid.dim
+    warm = {} if warm is None else warm
     a = 0.0
     try:
         s_out = wulff_profile_about(norm, surface.grid, scale, center,
                                     surface.center, warm=warm)
-    except ValueError:   # the star center is not well inside the body
-        offset = surface.center - center
-        theta = surface.grid.nodes
-        s_out = _exit_distance(norm, theta, offset, scale)[0]
-        s_in = -_exit_distance(norm, -theta, offset, scale)[0]
+    except ValueError:   # the star center is on or outside the body
+        s_out = warm["rays"][0]
+        s_in = -norm.exit_distance(-surface.grid.nodes, surface.center - center,
+                                   scale)[0]
         # where one solve misses the line (s_out = -inf or s_in = +inf) the
         # chord is empty: A = S, and the ray contributes R
         a = np.maximum(np.minimum(s_in, s_out), 0.0) ** (n + 1)
@@ -241,7 +186,23 @@ def _symmetric_difference(surface, norm, scale, center, *, warm=None):
     return surface.grid.integrate(ray)
 
 
-def _interp_radial(surface, dirs):
+def _radial_coefficients(surface):
+    """The grid's expansion of the radial field, as `_interp_radial` sums
+    it: trigonometric coefficients c_k on the circle, harmonic coefficients
+    A[m, l] (doubled for m > 0, in units of one node field) on the sphere."""
+    grid = surface.grid
+    if grid.dim == 1:
+        coeff = np.fft.rfft(surface.r) / grid.n_nodes
+        coeff[1:] *= 2.0
+        if grid.n_nodes % 2 == 0:
+            coeff[-1] *= 0.5   # the Nyquist mode is not doubled
+        return coeff
+    harmonic = grid.harmonic_coefficients(surface.r) / grid.nlon
+    harmonic[1:] *= 2.0
+    return harmonic
+
+
+def _interp_radial(surface, dirs, coeff=None):
     """Evaluate the radial field in arbitrary directions.
 
     Both dimensions sum the grid's own expansion of the field, so a
@@ -251,19 +212,15 @@ def _interp_radial(surface, dirs):
     degrees l <= nlat - 1 of the harmonic coefficients times
     P_l^m(cos colatitude).  The powers of z are summed by Horner's rule, and
     the c_m accumulate degree by degree, so no Legendre table over all
-    degrees and directions is held.
+    degrees and directions is held.  `coeff` is the field's
+    `_radial_coefficients`, computed here when not given.
     """
     grid = surface.grid
-    if grid.dim == 1:
-        coeff = np.fft.rfft(surface.r) / grid.n_nodes
-        coeff[1:] *= 2.0
-        if grid.n_nodes % 2 == 0:
-            coeff[-1] *= 0.5   # the Nyquist mode is not doubled
-    else:
-        harmonic = grid.harmonic_coefficients(surface.r) / grid.nlon
-        harmonic[1:] *= 2.0
+    if coeff is None:
+        coeff = _radial_coefficients(surface)
+    if grid.dim == 2:
         mu = dirs[:, 2] / np.linalg.norm(dirs, axis=1)
-        coeff = np.zeros((grid.nlat, len(dirs)), dtype=complex)
+        harmonic, coeff = coeff, np.zeros((grid.nlat, len(dirs)), dtype=complex)
         for l, p in enumerate(legendre_degrees(mu, grid.nlat - 1)):
             coeff[:l + 1] += harmonic[:l + 1, l, None] * p
     z = np.exp(1j * np.arctan2(dirs[:, 1], dirs[:, 0]))
@@ -409,28 +366,61 @@ class GapResult:
     ratio: float              # gap / gradient_surrogate (0 when both vanish)
 
 
+_REGRAPH_MAX_ITER = 40   # Illinois steps after the two bracket evaluations;
+                         # 6 to 13 on smooth star surfaces
+
+
 def _regraph_radial(surface, point):
     """Radial field of the surface re-graphed about an interior point.
 
-    Solves |point + s*theta - C| = r(direction) along every node direction
-    by vectorized bisection on the interpolated radial field.  The surface
-    must be star-shaped about the point (`gap_integral` checks it), so each
-    ray crosses it once and the root is unique.
+    Solves f(s) = |o + s*theta| - r((o + s*theta)/|o + s*theta|) = 0, with
+    o = point - C, along every node direction on the interpolated radial
+    field (its expansion computed once).  The surface must be star-shaped
+    about the point (`gap_integral` checks it), so each ray crosses it once
+    and the root is unique: f(0) < 0 < f(max r + |o|).  Each ray keeps that
+    bracket and takes Illinois (modified regula falsi) steps inside it,
+    which converge superlinearly; a ray stops once its estimate moves by at
+    most 1e-15 of the first bracket's length, and only the rays still
+    moving are evaluated.
     """
     grid = surface.grid
     offset = np.asarray(point, dtype=float) - surface.center
     if np.linalg.norm(offset) == 0.0:
         return surface.r
-    lo = np.zeros(grid.n_nodes)
-    hi = np.full(grid.n_nodes, np.max(surface.r) + np.linalg.norm(offset) + 1e-9)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        y = offset[None, :] + mid[:, None] * grid.nodes
+    coeff = _radial_coefficients(surface)
+
+    def excess(s, dirs):
+        y = offset[None, :] + s[:, None] * dirs
         dist = np.linalg.norm(y, axis=1)
-        pos = dist > _interp_radial(surface, y / dist[:, None])   # beyond r
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-    return 0.5 * (lo + hi)
+        return dist - _interp_radial(surface, y / dist[:, None], coeff)
+
+    dirs = grid.nodes
+    reach = np.max(surface.r) + np.linalg.norm(offset) + 1e-9
+    lo, hi = np.zeros(grid.n_nodes), np.full(grid.n_nodes, reach)
+    f_lo, f_hi = excess(lo, dirs), excess(hi, dirs)
+    root = np.empty(grid.n_nodes)
+    rows = np.arange(grid.n_nodes)
+    last = np.zeros(grid.n_nodes)   # +1: hi moved last, -1: lo moved last
+    prev = np.full(grid.n_nodes, np.inf)
+    for _ in range(_REGRAPH_MAX_ITER):
+        s = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        f = excess(s, dirs)
+        up = f > 0.0   # s lies beyond the root: it replaces hi
+        # Illinois: an end kept twice in a row has its value halved
+        f_lo = np.where(up & (last > 0), 0.5 * f_lo, f_lo)
+        f_hi = np.where(~up & (last < 0), 0.5 * f_hi, f_hi)
+        hi, f_hi = np.where(up, s, hi), np.where(up, f, f_hi)
+        lo, f_lo = np.where(up, lo, s), np.where(up, f_lo, f)
+        last = np.where(up, 1.0, -1.0)
+        done = (np.abs(s - prev) <= 1e-15 * reach) | (f == 0.0)
+        root[rows[done]] = s[done]
+        keep = ~done
+        if not np.any(keep):
+            return root
+        rows, dirs, lo, hi, f_lo, f_hi, last, prev = (
+            a[keep] for a in (rows, dirs, lo, hi, f_lo, f_hi, last, s))
+    raise RuntimeError("re-graph of the surface about the weight center "
+                       "did not converge")
 
 
 def gap_integral(surface, norm, center=None, cache=None, wulff=None):

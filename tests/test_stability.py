@@ -28,13 +28,15 @@ from wulff_lab import (
     wulff_q_value,
     wulff_surface,
 )
-from wulff_lab import stability
+from wulff_lab import MinkowskiNorm, stability
 from wulff_lab.stability import (
     _cloud_min_dists,
-    _exit_distance,
     _interp_radial,
     _symmetric_difference,
 )
+
+# the Newton ray solve, which the quadric norms override with a closed form
+newton_exit = MinkowskiNorm.exit_distance
 
 
 def test_deficit_zero_on_translated_wulff(grid512, ellipse2):
@@ -209,6 +211,31 @@ def test_gap_identity_off_center_sphere(grid2_32, name, request):
     assert gap.identity_residual < 1e-4
 
 
+@pytest.mark.parametrize("res", [16, 32])
+def test_regraph_radial_interpolates_a_few_times(res, ellipse3, monkeypatch):
+    # the re-graph about an off-center weight center takes bracketed secant
+    # steps on every ray: a handful of interpolations, each root on the
+    # interpolated surface to roundoff
+    grid = make_grid(2, res)
+    s = fourier_surface(grid, 1.0, [{"kind": "zonal", "k": 2, "delta": 0.08},
+                                    {"kind": "zonal", "k": 3, "delta": 0.045}])
+    c = np.array([0.1, 0.0, 0.05])
+    calls = []
+
+    def counting(surface, dirs, *rest):
+        calls.append(len(dirs))
+        return _interp_radial(surface, dirs, *rest)
+
+    monkeypatch.setattr(stability, "_interp_radial", counting)
+    gap = gap_integral(s, ellipse3, c)
+    assert len(calls) <= 16
+    assert gap.identity_residual < (1e-6 if res == 16 else 1e-12)
+    r_c = stability._regraph_radial(s, c)
+    y = c[None, :] + r_c[:, None] * grid.nodes
+    dist = np.linalg.norm(y, axis=1)
+    assert np.max(np.abs(dist - _interp_radial(s, y / dist[:, None]))) <= 1e-14
+
+
 @pytest.mark.parametrize("center", [[2.0, 0.0], [0.9, 0.0]],
                          ids=["outside", "outside-kernel"])
 def test_gap_integral_rejects_center_not_star(grid256, euclid2, center):
@@ -350,9 +377,64 @@ def test_cloud_min_dists_matches_brute_force(d):
 
 
 def test_wulff_profile_about_rejects_outside_center(grid256, euclid2):
-    with pytest.raises(ValueError, match="outside"):
-        wulff_profile_about(euclid2, grid256, 1.0, np.array([3.0, 0.0]),
+    # the graph center must lie strictly inside: outside the unit disk, and
+    # exactly on its boundary (offsets whose F0 is 1 in floating point), the
+    # call raises; just inside it does not
+    for wulff_center in ([3.0, 0.0], [1.2, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                         [0.6, -0.8]):
+        with pytest.raises(ValueError, match="outside"):
+            wulff_profile_about(euclid2, grid256, 1.0, np.array(wulff_center),
+                                np.zeros(2))
+    s = wulff_profile_about(euclid2, grid256, 1.0, np.array([1.0 - 1e-9, 0.0]),
                             np.zeros(2))
+    assert np.min(s) > 0.0
+
+
+@pytest.mark.parametrize("name, dim", [
+    ("euclid2", 1), ("ellipse2", 1), ("perturbed2", 1),
+    ("euclid3", 2), ("ellipse3", 2), ("perturbed3", 2),
+])
+def test_inside_test_at_the_boundary(name, dim, request, monkeypatch):
+    # the star center at F0(offset)/scale = 0.9995, 1 - 1e-9, 1 and 1.2 of
+    # the body: the one-sided formula runs only strictly inside, and there it
+    # equals the two-sided one; along the first axis the quadric bodies are
+    # met exactly at F0 = 1, where the rays must see the center as outside
+    norm = request.getfixturevalue(name)
+    grid = make_grid(dim, 128 if dim == 1 else 16)
+    kind = {} if dim == 1 else {"kind": "zonal"}
+    surface = fourier_surface(grid, 1.0, [{**kind, "k": 2, "delta": 0.1}])
+    scale = 1.0
+    rng = np.random.default_rng(30 + dim)
+    axis = np.eye(dim + 1)[0]
+    quadric = name != f"perturbed{dim + 1}"
+
+    def two_sided(*args, **kw):
+        wulff_profile_about(*args, **kw)
+        raise ValueError("forced through the two-sided formula")
+
+    for u in (axis, rng.standard_normal(dim + 1)):
+        for frac in (0.9995, 1.0 - 1e-9, 1.0, 1.2):
+            offset = frac * scale * u / norm.dual_value(u)
+            center = surface.center - offset
+            try:
+                wulff_profile_about(norm, grid, scale, center, surface.center)
+                inside = True
+            except ValueError as exc:
+                assert "outside" in str(exc)
+                inside = False
+            if frac != 1.0:
+                assert inside == (frac < 1.0)
+            elif quadric and u is axis:
+                assert not inside
+            value = _symmetric_difference(surface, norm, scale, center)
+            with monkeypatch.context() as m:
+                m.setattr(stability, "wulff_profile_about", two_sided)
+                forced = _symmetric_difference(surface, norm, scale, center)
+            assert value > 0.0
+            if inside:
+                assert abs(value - forced) <= 1e-12 * value
+            else:
+                assert value == forced
 
 
 def test_full_deficit_report(grid256, ellipse2):
@@ -421,8 +503,8 @@ def test_symmetric_difference_off_center_against_monte_carlo(grid512,
 def test_symmetric_difference_continuous_across_switch(grid256, euclid2,
                                                        threshold):
     # r = 1 + 0.3 cos(theta) against the unit disk centered at (x, 0): the
-    # s_in solve switches on at F0(C - p) = 0.999*scale, and s_in crosses 0
-    # where C leaves the disk; neither may make the value jump
+    # s_in solve switches on, and s_in crosses 0, where C leaves the disk;
+    # the value may not jump there, nor just inside it
     s = StarSurface(grid256, 1.0 + 0.3 * np.cos(grid256.angles))
     h = 1e-5
 
@@ -466,12 +548,23 @@ def _inside_offset(norm, rng, scale, frac):
     return frac * scale * u / norm.dual_value(u)
 
 
+def _warm_starts(norm, dirs, prev, scale):
+    # the Newton roots at `prev`, with rows of a miss (-inf) and rows whose
+    # warm point lies far behind the offset, where the slope is negative
+    s0, g0 = newton_exit(norm, dirs, prev, scale)
+    assert np.all(np.isfinite(s0))
+    s0, g0 = s0.copy(), g0.copy()
+    s0[::5], g0[::5] = -np.inf, np.nan
+    s0[2::5] = -10.0 * scale * np.max(norm.value(dirs))
+    return s0, g0
+
+
 @pytest.mark.parametrize("name, dim", [
     ("euclid2", 1), ("ellipse2", 1), ("perturbed2", 1),
     ("euclid3", 2), ("ellipse3", 2), ("perturbed3", 2),
 ])
 def test_exit_distance_warm_start_matches_cold(name, dim, request):
-    # a start may speed the ray solve but never changes its roots
+    # a start may speed the Newton ray solve but never changes its roots
     norm = request.getfixturevalue(name)
     dirs = make_grid(dim, 64 if dim == 1 else 12).nodes
     rng = np.random.default_rng(dim)
@@ -481,22 +574,49 @@ def test_exit_distance_warm_start_matches_cold(name, dim, request):
         prev = _inside_offset(norm, rng, scale, rng.uniform(0.0, 0.9))
         near = prev + 1e-3 * rng.standard_normal(dim + 1)
         jump = _inside_offset(norm, rng, scale, rng.uniform(0.0, 0.9))
-        s0, g0 = _exit_distance(norm, dirs, prev, scale)
-        assert np.all(np.isfinite(s0))
-        # rows with a miss (-inf) and rows whose warm point lies far
-        # behind the offset, where the slope is negative, restart cold
-        s0, g0 = s0.copy(), g0.copy()
-        s0[::5], g0[::5] = -np.inf, np.nan
-        s0[2::5] = -10.0 * scale * np.max(norm.value(dirs))
+        s0, g0 = _warm_starts(norm, dirs, prev, scale)
         for offset in (near, jump):
-            cold, g_cold = _exit_distance(norm, dirs, offset, scale)
-            warm, g_warm = _exit_distance(norm, dirs, offset, scale,
-                                          start=(s0, g0))
+            cold, g_cold = newton_exit(norm, dirs, offset, scale)
+            warm, g_warm = newton_exit(norm, dirs, offset, scale,
+                                       start=(s0, g0))
             assert np.all(np.isfinite(warm))
             assert np.max(np.abs(warm - cold)) <= tol
             exact = norm.dual_grad(offset[None, :] + warm[:, None] * dirs)
             assert np.max(np.abs(g_warm - exact)) <= 1e-10
             assert np.max(np.abs(g_cold - exact)) <= 1e-10
+
+
+@pytest.mark.parametrize("name, dim", [
+    ("euclid2", 1), ("ellipse2", 1), ("tilted2", 1),
+    ("euclid3", 2), ("ellipse3", 2), ("tilted3", 2),
+])
+def test_newton_exit_distance_matches_quadric_closed_form(name, dim, request):
+    # the quadric norms solve their rays in closed form; the Newton path they
+    # no longer run is pinned against it, cold and warm-started
+    norm = request.getfixturevalue(name)
+    dirs = make_grid(dim, 64 if dim == 1 else 12).nodes
+    rng = np.random.default_rng(10 + dim)
+    scale = 1.3
+    for _ in range(3):
+        prev = _inside_offset(norm, rng, scale, rng.uniform(0.0, 0.9))
+        start = _warm_starts(norm, dirs, prev, scale)
+        offset = _inside_offset(norm, rng, scale, rng.uniform(0.0, 0.9))
+        exact, g_exact = norm.exit_distance(dirs, offset, scale)
+        assert np.all(exact > 0.0)
+        for warm in (None, start):
+            s, g = newton_exit(norm, dirs, offset, scale, start=warm)
+            assert np.max(np.abs(s - exact)) <= 1e-13 * scale
+            assert np.max(np.abs(g - g_exact)) <= 1e-10
+    # outside the body: the same rays miss, and the hits have equal roots
+    for frac in (1.2, 2.0, 4.0):
+        offset = _inside_offset(norm, rng, scale, frac)
+        exact, g_exact = norm.exit_distance(dirs, offset, scale)
+        s, _ = newton_exit(norm, dirs, offset, scale)
+        miss = np.isinf(exact)
+        assert 0 < np.sum(miss) < len(dirs)
+        assert np.array_equal(np.isinf(s), miss)
+        assert np.all(exact[miss] < 0.0) and np.all(np.isnan(g_exact[miss]))
+        assert np.max(np.abs(s[~miss] - exact[~miss])) <= 1e-13 * scale
 
 
 def test_exit_distance_warm_start_keeps_misses(euclid2, perturbed2):
@@ -506,10 +626,10 @@ def test_exit_distance_warm_start_keeps_misses(euclid2, perturbed2):
     scale = 1.0
     for norm in (euclid2, perturbed2):
         prev = np.array([1.6, 0.3])
-        start = _exit_distance(norm, dirs, prev, scale)
+        start = newton_exit(norm, dirs, prev, scale)
         for offset in (prev + np.array([0.01, -0.02]), np.array([-1.4, 0.9])):
-            cold, _ = _exit_distance(norm, dirs, offset, scale)
-            warm, _ = _exit_distance(norm, dirs, offset, scale, start=start)
+            cold, _ = newton_exit(norm, dirs, offset, scale)
+            warm, _ = newton_exit(norm, dirs, offset, scale, start=start)
             assert 0 < np.sum(np.isinf(cold)) < len(dirs)
             assert np.array_equal(np.isinf(warm), np.isinf(cold))
             hit = np.isfinite(cold)
@@ -537,10 +657,10 @@ def test_asymmetry_warm_rays_save_dual_solves(monkeypatch):
     warm = asymmetry_index(surface, norm)
     n_warm = len(calls)
 
-    def cold_exit(norm, dirs, offset, scale, start=None):
-        return _exit_distance(norm, dirs, offset, scale)
+    def cold_exit(dirs, offset, scale, start=None):
+        return newton_exit(norm, dirs, offset, scale)
 
-    monkeypatch.setattr(stability, "_exit_distance", cold_exit)
+    monkeypatch.setattr(norm, "exit_distance", cold_exit)
     calls.clear()
     cold = asymmetry_index(surface, norm)
     assert n_warm <= 0.8 * len(calls)
