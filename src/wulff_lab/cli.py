@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .hypersurface import (
+    HARMONIC_KEYS,
     MeanConvexityError,
     geometry,
     surface_from_spec,
@@ -328,19 +329,30 @@ def run(task, config_path, out_dir=None, seed=None):
     try:
         # the whole config is checked, and the norm, grid and surface
         # built, before anything is written; center's length, the norm's
-        # dimension and family.deltas span fields
+        # dimension, family.deltas and the keys of a harmonic span fields
         _validate(cfg, _SCHEMA, "")
         if cfg.get("task", task) != task:
             raise ValueError(f"config task {cfg['task']!r} does not match "
                              f"{task!r}")
         center = cfg.get("center")
         grid_cfg = _settings(cfg, "grid", _GRID_DEFAULTS)
-        size = grid_cfg["dim"] + 1
+        dim = grid_cfg["dim"]
+        size = dim + 1
         if center is not None and len(center) != size:
             raise ValueError(f"center must be a list of {size} finite "
                              f"numbers, got {center!r}")
         if "deltas" not in cfg.get("family", {"deltas": None}):
             raise ValueError("family.deltas is required")
+        for section in ("surface", "family"):
+            for i, h in enumerate(cfg.get(section, {}).get("harmonics", [])):
+                wrong = [key for key in h if key not in HARMONIC_KEYS[dim]]
+                if wrong:
+                    raise ValueError(f"{section}.harmonics[{i}].{wrong[0]} "
+                                     f"is not a key of a dim-{dim} harmonic")
+        if task == "stability-sweep" and len(cfg.get("p_exponents", [])) > 1:
+            raise ValueError("p_exponents must hold one exponent for "
+                             "stability-sweep, got "
+                             f"{cfg['p_exponents']!r}")
         seed = cfg.get("seed", 0) if seed is None else seed
         _validate(seed, _SEED, "seed")
         seed = int(seed)
@@ -351,7 +363,7 @@ def run(task, config_path, out_dir=None, seed=None):
             raise ValueError(f"norm acts on dimension {norm.ambient_dim}, "
                              f"the grid needs {size}")
         task_fn, acts_on = _TASK_FN[task]
-        target = grid_cfg["dim"]
+        target = dim
         if acts_on != "dim":
             target = make_grid(**grid_cfg)
         if acts_on == "surface":

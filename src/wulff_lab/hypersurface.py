@@ -257,20 +257,30 @@ def wulff_surface(norm, grid, scale=1.0, center=None):
     return StarSurface(grid, scale * norm.wulff_radius(grid.nodes), center)
 
 
+# The keys a radial harmonic takes on the circle (dim 1) and on the sphere
+# (dim 2); `degree` is another name for `k`
+HARMONIC_KEYS = {1: ("k", "degree", "delta", "phase"),
+                 2: ("kind", "k", "degree", "delta")}
+
+
 def _harmonic_profile(grid, h):
     """Evaluate one radial harmonic described by a spec dict on the grid."""
+    for key in h:
+        if key not in HARMONIC_KEYS[grid.dim]:
+            raise ValueError(f"{key!r} is not a key of a dim-{grid.dim} "
+                             f"harmonic")
     if grid.dim == 1:
-        k = int(h.get("k", 1))
+        k = int(h.get("k", h.get("degree", 1)))
         phase = float(h.get("phase", 0.0))
         return np.cos(k * grid.angles + phase)
     kind = h.get("kind", "sectoral")
+    k = int(h.get("k", h.get("degree", 2)))
     if kind == "sectoral":
-        return SectoralHarmonic(int(h.get("k", h.get("degree", 2)))).value(grid.nodes)
+        return SectoralHarmonic(k).value(grid.nodes)
     if kind == "product":
         return ProductHarmonic().value(grid.nodes)
     if kind == "zonal":
         # Legendre polynomial of the vertical coordinate
-        k = int(h.get("k", h.get("degree", 2)))
         if k < 0:
             raise ValueError(f"zonal harmonic degree must be >= 0, got {k}")
         coef = np.zeros(k + 1)

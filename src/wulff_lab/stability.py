@@ -25,7 +25,7 @@ from .hypersurface import (
     wulff_q_value,
 )
 from .minkowski import make_wulff
-from .sphere_grid import legendre_degrees
+from .sphere_grid import legendre_degrees, make_grid
 
 
 def _wulff(norm, grid, wulff=None):
@@ -271,10 +271,8 @@ def asymmetry_index(surface, norm, wulff=None):
 class HausdorffResult:
     a: float              # fitted scale (area-weighted mean of r/rho)
     a_volume: float       # alternative scale matching enclosed volumes
-    sup_norm: float       # max |r - a*rho| over the grid
+    sup_norm: float       # max |r - a*rho| over the oversampled directions
     hausdorff: float      # two-sided Hausdorff distance to a*W (+ center)
-    bound: float          # sup_norm * (1 + max|grad rho| / min rho)
-    bound_ok: bool
 
 
 def _cloud_min_dists(pts_a, pts_b):
@@ -289,66 +287,48 @@ def _cloud_min_dists(pts_a, pts_b):
     return dist, idx
 
 
-def _directed_hausdorff(pts_a, curve_fn, params, dist, idx):
-    """Directed Hausdorff distance from a point cloud to a parametrized
-    curve: parabolic refinement of each nearest-sample distance (dim=1)."""
-    h = params[1] - params[0]
-    t0 = params[idx]
-    d0 = dist ** 2
-    dm = np.sum((pts_a - curve_fn(t0 - h)) ** 2, axis=1)
-    dp = np.sum((pts_a - curve_fn(t0 + h)) ** 2, axis=1)
-    denom = dm - 2.0 * d0 + dp
-    shift = np.where(np.abs(denom) > 1e-300,
-                     0.5 * (dm - dp) / np.where(denom == 0, 1.0, denom), 0.0)
-    shift = np.clip(shift, -1.0, 1.0)
-    refined = np.sum((pts_a - curve_fn(t0 + shift * h)) ** 2, axis=1)
-    return float(np.sqrt(np.max(np.minimum(d0, refined))))
+def _directed_hausdorff(pts_a, pts_b, normal_b):
+    """Directed Hausdorff distance from one sampled surface to another: the
+    largest distance from a sample of the first to the tangent plane of the
+    second at its nearest sample."""
+    _, idx = _cloud_min_dists(pts_a, pts_b)
+    gap = np.einsum("ij,ij->i", pts_a - pts_b[idx], normal_b[idx])
+    return float(np.max(np.abs(gap)))
 
 
-_HAUSDORFF_OVERSAMPLE = 4   # dim=1 cloud points per grid node
+_HAUSDORFF_OVERSAMPLE = 2   # fine-grid resolution per grid resolution
 
 
 def hausdorff_to_wulff(surface, norm, wulff=None):
     """Fit a rescaled Wulff shape about the surface's star center and measure
-    the sup-norm radial gap and the two-sided Hausdorff distance to it."""
+    the sup-norm radial gap and the two-sided Hausdorff distance to it.
+
+    Both surfaces are sampled along the directions of a grid of twice the
+    resolution: the surface through its interpolated radial field, the Wulff
+    shape exactly.  A radial graph R has the outward normal along
+    R*theta - grad R.  Each directed distance is the largest distance from a
+    sample to the tangent plane at its nearest sample on the other surface,
+    which errs by O(curvature * spacing^2) however small the distance is.
+    The radial gap is read on the same samples, so hausdorff <= sup_norm.
+    """
     grid = surface.grid
     w = _wulff(norm, grid, wulff)
-    ratio = surface.r / w.rho
-    a = grid.mean(ratio)
+    a = grid.mean(surface.r / w.rho)
     a_vol = (volume(surface) / w.volume) ** (1.0 / (grid.dim + 1.0))
-    sup_norm = float(np.max(np.abs(surface.r - a * w.rho)))
-
-    if grid.dim == 1:
-        m = _HAUSDORFF_OVERSAMPLE * grid.n_nodes
-        t_fine = 2.0 * np.pi * np.arange(m) / m
-
-        def on_circle(t):
-            dirs = np.column_stack([np.cos(t), np.sin(t)])
-            return surface.center[None, :] + _interp_radial(surface, dirs)[:, None] * dirs
-
-        def on_wulff(t):
-            dirs = np.column_stack([np.cos(t), np.sin(t)])
-            return surface.center[None, :] + (a / norm.dual_value(dirs))[:, None] * dirs
-
-        pts_sigma = on_circle(t_fine)
-        pts_wulff = on_wulff(t_fine)
-        d1, i1 = _cloud_min_dists(pts_sigma, pts_wulff)
-        d2, i2 = _cloud_min_dists(pts_wulff, pts_sigma)
-        haus = max(_directed_hausdorff(pts_sigma, on_wulff, t_fine, d1, i1),
-                   _directed_hausdorff(pts_wulff, on_circle, t_fine, d2, i2))
-    else:
-        pts_sigma = surface.points
-        pts_wulff = surface.center[None, :] + (a * w.rho)[:, None] * grid.nodes
-        d1, _ = _cloud_min_dists(pts_sigma, pts_wulff)
-        d2, _ = _cloud_min_dists(pts_wulff, pts_sigma)
-        haus = float(max(np.max(d1), np.max(d2)))
-
-    grad_rho = grid.gradient(w.rho)
-    bound = sup_norm * (1.0 + float(np.max(np.linalg.norm(grad_rho, axis=1)))
-                        / float(np.min(w.rho)))
+    fine = make_grid(grid.dim, _HAUSDORFF_OVERSAMPLE * grid.resolution)
+    radii = (_interp_radial(surface, fine.nodes),
+             a * norm.wulff_radius(fine.nodes))
+    clouds = []
+    for r in radii:
+        normal = r[:, None] * fine.nodes - fine.gradient(r)
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        clouds.append((surface.center + r[:, None] * fine.nodes, normal))
+    (pts_sigma, nu_sigma), (pts_wulff, nu_wulff) = clouds
+    haus = max(_directed_hausdorff(pts_sigma, pts_wulff, nu_wulff),
+               _directed_hausdorff(pts_wulff, pts_sigma, nu_sigma))
     return HausdorffResult(a=float(a), a_volume=float(a_vol),
-                           sup_norm=sup_norm, hausdorff=haus, bound=bound,
-                           bound_ok=bool(haus <= bound + 1e-9))
+                           sup_norm=float(np.max(np.abs(radii[0] - radii[1]))),
+                           hausdorff=haus)
 
 
 # --------------------------------------------------------------------------

@@ -202,6 +202,8 @@ _BASE = {"norm": {"family": "euclidean", "dim": 1},
 _FLOW = {**_BASE, "surface": {"kind": "sphere"},
          "flow": {"t_end": 0.1, "cadence": 0.05}}
 _FOURIER = {"kind": "radial-fourier", "r0": 1.0, "harmonics": 3}
+_SPHERE = {"norm": {"family": "euclidean", "dim": 2},
+           "grid": {"dim": 2, "resolution": 8}}
 
 
 def _fourier(*harmonics):
@@ -255,6 +257,19 @@ def _family(**family):
     ("stability-sweep", {**_BASE, "p_exponents": []}, True, "p_exponents"),
     ("deficits", {**_FLOW, "p_exponents": [0.5]}, True, "p_exponents"),
     ("deficits", {**_FLOW, "p_exponents": ["a"]}, True, "p_exponents"),
+    ("stability-sweep", {**_BASE, "p_exponents": [1.0, 3.0]}, True,
+     "p_exponents"),
+    ("deficits", _fourier({"kind": "zonal", "k": 2, "delta": 0.1}), True,
+     "surface.harmonics[0].kind"),
+    ("stability-sweep", _family(deltas=[0.1], harmonics=[
+        {"k": 1}, {"kind": "sectoral", "k": 2}]), True,
+     "family.harmonics[1].kind"),
+    ("deficits", {**_SPHERE, "surface": {"kind": "radial-fourier",
+                                         "harmonics": [{"k": 2, "phase": 0.5}]}},
+     True, "surface.harmonics[0].phase"),
+    ("stability-sweep", {**_SPHERE, "family": {"deltas": [0.1], "harmonics": [
+        {"kind": "zonal", "k": 2, "phase": 0.5}]}}, True,
+     "family.harmonics[0].phase"),
     ("convergence", {**_BASE, "resolutions": 5}, True, "resolutions"),
     ("convergence", {**_BASE, "resolutions": [32.5, 64]}, True,
      "resolutions"),
@@ -321,7 +336,9 @@ def _family(**family):
         "family-deltas-empty", "family-deltas-missing", "family-deltas-null",
         "family-r0-string", "family-harmonics-int", "family-harmonic-k-float",
         "p-exponents-int", "p-exponents-empty", "p-exponents-below-one",
-        "p-exponents-string", "resolutions-int", "resolutions-float",
+        "p-exponents-string", "sweep-p-exponents-two",
+        "circle-harmonic-kind", "circle-family-harmonic-kind",
+        "sphere-harmonic-phase", "sphere-family-harmonic-phase", "resolutions-int", "resolutions-float",
         "resolutions-one", "resolutions-repeated", "resolutions-bool",
         "samples-list", "samples-zero", "samples-negative", "samples-float",
         "center-nan", "center-string", "center-entry-string",
@@ -344,6 +361,20 @@ def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_circle_harmonic_degree_is_k(tmp_path):
+    # `degree` names the wavenumber on the circle as on the sphere: a k = 3
+    # bump is far from every translate of the disk, a k = 1 one is not
+    summaries = []
+    for key in ("degree", "k"):
+        cfg = _write_config(tmp_path, f"{key}.json", {**_BASE, "surface": {
+            "kind": "radial-fourier", "harmonics": [{key: 3, "delta": 0.05}]}})
+        assert run("deficits", cfg, tmp_path / key) == 0
+        summaries.append(json.loads((tmp_path / key / "summary.json")
+                                    .read_text())["results"])
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["deficits"]["alpha"] > 0.05
 
 
 def test_negative_zonal_degree_is_input_error(tmp_path, capsys):

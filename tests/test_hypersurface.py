@@ -284,3 +284,15 @@ def test_zonal_harmonic_rejects_negative_degree():
     grid = make_grid(2, 8)
     with pytest.raises(ValueError, match="zonal harmonic degree"):
         fourier_surface(grid, 1.0, [{"kind": "zonal", "k": -1, "delta": 0.1}])
+
+
+def test_harmonic_keys_per_dimension(grid256):
+    # `degree` is another name for `k` on the circle; a key the dimension's
+    # harmonics do not take is an error, not silently ignored
+    s = fourier_surface(grid256, 1.0, [{"degree": 3, "delta": 0.05}])
+    np.testing.assert_allclose(s.r, 1.0 + 0.05 * np.cos(3 * grid256.angles))
+    with pytest.raises(ValueError, match="'kind' is not a key of a dim-1"):
+        fourier_surface(grid256, 1.0, [{"kind": "zonal", "k": 2}])
+    with pytest.raises(ValueError, match="'phase' is not a key of a dim-2"):
+        fourier_surface(make_grid(2, 8), 1.0,
+                        [{"kind": "zonal", "k": 2, "phase": 0.5}])

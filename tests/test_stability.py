@@ -28,7 +28,7 @@ from wulff_lab import (
     wulff_q_value,
     wulff_surface,
 )
-from wulff_lab import MinkowskiNorm, stability
+from wulff_lab import EllipsoidNorm, MinkowskiNorm, PerturbedNorm, stability
 from wulff_lab.stability import (
     _cloud_min_dists,
     _interp_radial,
@@ -142,7 +142,7 @@ def test_hausdorff_cosine_perturbation(grid512, euclid2):
         h = hausdorff_to_wulff(s, euclid2)
         assert h.a == pytest.approx(1.0, abs=1e-12)
         assert h.sup_norm == pytest.approx(delta, abs=1e-12)
-        assert h.bound_ok
+        assert h.hausdorff <= h.sup_norm + 1e-12
 
 
 def test_hausdorff_ellipse_against_circle_fit(grid512, ellipse2, euclid2):
@@ -151,7 +151,63 @@ def test_hausdorff_ellipse_against_circle_fit(grid512, ellipse2, euclid2):
     s = wulff_surface(ellipse2, grid512)
     h = hausdorff_to_wulff(s, euclid2)
     exact = max(2.0 - h.a, h.a - 1.0)
-    assert h.hausdorff == pytest.approx(exact, abs=1e-3)
+    assert h.hausdorff == pytest.approx(exact, abs=1e-10)
+
+
+@pytest.mark.parametrize("res, rel", [(16, 1.5e-2), (32, 4e-3)])
+def test_hausdorff_ellipsoid_against_sphere_fit(res, rel, ellipse3, euclid3):
+    # oracle: distance from an origin-centered sphere of radius a to the
+    # ellipsoid with semi-axes (2, 1.5, 1) is max(2 - a, a - 1); the nodal
+    # radial gap misses it by 4.4e-2 / 1.2e-2 at these resolutions
+    s = wulff_surface(ellipse3, make_grid(2, res))
+    h = hausdorff_to_wulff(s, euclid3)
+    exact = max(2.0 - h.a, h.a - 1.0)
+    assert h.hausdorff == pytest.approx(exact, rel=rel)
+
+
+_HAUSDORFF_SURFACES = {
+    1: [{"k": 2, "delta": 0.1}, {"k": 3, "delta": 0.05, "phase": 0.4}],
+    2: [{"kind": "zonal", "k": 2, "delta": 0.1},
+        {"kind": "sectoral", "k": 3, "delta": 0.05}],
+}
+
+
+def _hausdorff_norm(family, dim):
+    if family == "ellipsoid":
+        return EllipsoidNorm(np.diag([4.0, 2.25, 1.0][-dim - 1:]))
+    return PerturbedNorm(dim + 1, 0.1)
+
+
+@pytest.mark.parametrize("dim, res", [(1, 64), (1, 128), (2, 16), (2, 32)])
+@pytest.mark.parametrize("family", ["ellipsoid", "perturbed"])
+def test_hausdorff_within_radial_gap(dim, res, family):
+    # a sample's partner along its own direction lies within the radial
+    # gap, so the distance never exceeds the gap read on the same samples
+    norm = _hausdorff_norm(family, dim)
+    grid = make_grid(dim, res)
+    c = np.full(dim + 1, 0.2)
+    for s in (fourier_surface(grid, 1.0, _HAUSDORFF_SURFACES[dim], c),
+              # the Wulff shape graphed about a point off its center
+              StarSurface(grid, wulff_profile_about(norm, grid, 1.0, c,
+                                                    np.zeros(dim + 1)), -c)):
+        h = hausdorff_to_wulff(s, norm)
+        assert 0.0 < h.hausdorff <= h.sup_norm + 1e-12
+
+
+@pytest.mark.parametrize("dim, res", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("family", ["ellipsoid", "perturbed"])
+def test_hausdorff_of_translated_wulff_falls_with_resolution(dim, res, family):
+    # what is left is the interpolation error of a Wulff radius whose
+    # harmonic series does not end
+    norm = _hausdorff_norm(family, dim)
+    dist = []
+    for grid in (make_grid(dim, res), make_grid(dim, 2 * res)):
+        s = wulff_surface(norm, grid, 1.3, np.full(dim + 1, 0.2))
+        h = hausdorff_to_wulff(s, norm)
+        assert h.a == pytest.approx(1.3, abs=1e-12)
+        dist.append(h.hausdorff)
+    assert dist[0] < 2e-3
+    assert dist[1] < dist[0] / 5.0
 
 
 def test_gap_zero_on_wulff(grid512, perturbed2):
