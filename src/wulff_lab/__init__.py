@@ -33,7 +33,6 @@ from .hypersurface import (
     sphere_surface,
     wulff_surface,
     fourier_surface,
-    random_star_surface,
     surface_from_spec,
     MeanConvexityError,
 )

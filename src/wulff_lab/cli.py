@@ -95,17 +95,39 @@ def _reals(low=-math.inf):
                       and all(_finite_real(x) and x >= low for x in v))
 
 
+def _tagged(tag, variants):
+    """The schema of an object whose keys depend on the value of one of
+    them, its tag: `variants` maps each tag value to the other keys of that
+    variant, with None for an object that leaves the tag out."""
+    def variant(value, path):
+        name = value.get(tag)
+        if (name is None or isinstance(name, str)) and name in variants:
+            return {tag: _STRING, **variants[name]} if name else variants[name]
+        names = ", ".join(repr(n) for n in variants if n is not None)
+        raise ValueError(f"{path}.{tag} must be one of {names}, got {name!r}")
+    return variant
+
+
 # The config schema.  A key maps to a (description, test) leaf, to the schema
-# of a nested object, or to a one-element list: the schema of every entry of
-# a list of objects.
+# of a nested object, to a one-element list: the schema of every entry of a
+# list of objects, or to a `_tagged` object, which takes only the keys its
+# family or kind reads.
 _INTEGER = ("an integer", _integer)
 _REAL = ("a finite number", _finite_real)
 _REALS = ("a non-empty list of finite numbers", _reals())
 _STRING = ("a string", lambda v: isinstance(v, str))
 _DIM = ("1 or 2", lambda v: _integer(v) and v in (1, 2))
 _SEED = ("a non-negative integer", lambda v: _integer(v) and v >= 0)
-_HARMONIC = {"k": _INTEGER, "degree": _INTEGER, "delta": _REAL,
-             "phase": _REAL, "kind": _STRING}
+# a non-finite matrix passes here; EllipsoidNorm names it
+_MATRIX = ("a square list of lists of numbers",
+           lambda m: isinstance(m, list) and m != [] and all(
+               isinstance(row, list) and len(row) == len(m)
+               and all(map(_real, row)) for row in m))
+_K = {"k": _INTEGER, "degree": _INTEGER, "delta": _REAL}
+# a harmonic without a kind is a circle harmonic or the sphere's sectoral
+# default; `run` then checks its keys against the grid dimension
+_HARMONIC = _tagged("kind", {None: {**_K, "phase": _REAL}, "sectoral": _K,
+                             "zonal": _K, "product": {"delta": _REAL}})
 _SCHEMA = {
     "task": _STRING,
     "seed": _SEED,
@@ -113,15 +135,17 @@ _SCHEMA = {
     "tolerances": dict.fromkeys(_DEFAULT_TOLERANCES, _REAL),
     "grid": {"dim": _DIM, "resolution": (
         "an integer >= 8", lambda v: _integer(v) and v >= 8)},
-    # a non-finite matrix passes here; EllipsoidNorm names it
-    "norm": {"family": _STRING, "dim": _DIM, "epsilon": _REAL,
-             "matrix": ("a square list of lists of numbers",
-                        lambda m: isinstance(m, list) and m != [] and all(
-                            isinstance(row, list) and len(row) == len(m)
-                            and all(map(_real, row)) for row in m)),
-             "harmonic": {"kind": _STRING, "degree": _INTEGER}},
-    "surface": {"kind": _STRING, "radius": _REAL, "scale": _REAL,
-                "r0": _REAL, "harmonics": [_HARMONIC], "center": _REALS},
+    # an ellipsoid's dimension is its matrix's
+    "norm": _tagged("family", {
+        "euclidean": {"dim": _DIM},
+        "ellipsoid": {"matrix": _MATRIX},
+        "perturbed": {"dim": _DIM, "epsilon": _REAL,
+                      "harmonic": {"kind": _STRING, "degree": _INTEGER}}}),
+    "surface": _tagged("kind", {
+        "sphere": {"radius": _REAL, "center": _REALS},
+        "wulff": {"scale": _REAL, "center": _REALS},
+        "radial-fourier": {"r0": _REAL, "harmonics": [_HARMONIC],
+                           "center": _REALS}}),
     "flow": {k: _INTEGER if isinstance(v, int) else _REAL
              for k, v in _FLOW_DEFAULTS.items()},
     "family": {"deltas": _REALS, "r0": _REAL, "harmonics": [_HARMONIC]},
@@ -139,6 +163,8 @@ _SCHEMA = {
 def _validate(value, schema, path):
     """Check `value` against `schema` at every depth; an error names the
     key path of the offending value, for example `surface.harmonics[0].k`."""
+    if callable(schema) and isinstance(value, dict):
+        schema = schema(value, path)
     if isinstance(schema, tuple):
         description, test = schema
         if not test(value):
@@ -349,6 +375,9 @@ def run(task, config_path, out_dir=None, seed=None):
                 if wrong:
                     raise ValueError(f"{section}.harmonics[{i}].{wrong[0]} "
                                      f"is not a key of a dim-{dim} harmonic")
+                if "k" in h and "degree" in h:
+                    raise ValueError(f"{section}.harmonics[{i}].degree is "
+                                     "another name for k: give one of them")
         if task == "stability-sweep" and len(cfg.get("p_exponents", [])) > 1:
             raise ValueError("p_exponents must hold one exponent for "
                              "stability-sweep, got "

@@ -258,7 +258,8 @@ def wulff_surface(norm, grid, scale=1.0, center=None):
 
 
 # The keys a radial harmonic takes on the circle (dim 1) and on the sphere
-# (dim 2); `degree` is another name for `k`
+# (dim 2); `degree` is another name for `k`, and a harmonic gives at most
+# one of them
 HARMONIC_KEYS = {1: ("k", "degree", "delta", "phase"),
                  2: ("kind", "k", "degree", "delta")}
 
@@ -269,6 +270,8 @@ def _harmonic_profile(grid, h):
         if key not in HARMONIC_KEYS[grid.dim]:
             raise ValueError(f"{key!r} is not a key of a dim-{grid.dim} "
                              f"harmonic")
+    if "k" in h and "degree" in h:
+        raise ValueError("'degree' is another name for 'k': give one of them")
     if grid.dim == 1:
         k = int(h.get("k", h.get("degree", 1)))
         phase = float(h.get("phase", 0.0))
@@ -295,31 +298,6 @@ def fourier_surface(grid, r0=1.0, harmonics=(), center=None):
     for h in harmonics:
         r = r + float(h.get("delta", 0.0)) * _harmonic_profile(grid, h)
     return StarSurface(grid, float(r0) * r, center)
-
-
-def random_star_surface(grid, norm, rng, amplitude=0.25, modes=4, max_tries=200):
-    """Rejection-sample a strictly F-mean-convex star-shaped surface.
-
-    Draws radial Fourier perturbations with decaying mode amplitudes and
-    rejects candidates until min H_F > 0 under `norm`.
-    """
-    for _ in range(max_tries):
-        harmonics = []
-        for k in range(1, modes + 1):
-            delta = amplitude * rng.uniform(-1.0, 1.0) / k ** 2
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            if grid.dim == 1:
-                harmonics.append({"k": k, "delta": delta, "phase": phase})
-            else:
-                harmonics.append({"kind": "zonal", "k": k + 1, "delta": delta})
-        try:
-            surf = fourier_surface(grid, 1.0, harmonics)
-        except ValueError:
-            continue
-        if geometry(surf, norm).min_mean_curv > 1e-6:
-            return surf
-    raise RuntimeError("could not sample an F-mean-convex surface; "
-                       "reduce the perturbation amplitude")
 
 
 def surface_from_spec(spec, grid, norm=None):

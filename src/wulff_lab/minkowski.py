@@ -1,8 +1,9 @@
 """Minkowski norms, their duals, and Wulff shapes.
 
-Three norm families are provided.  The euclidean norm and the ellipsoidal
-norms sqrt(x^T A x) have closed-form duals and ray exits from their Wulff
-shapes, and serve as oracles; the "perturbed" family has support function
+Three norm families are provided.  The ellipsoidal norms sqrt(x^T A x) have
+closed-form duals and ray exits from their Wulff shapes, and serve as
+oracles; the euclidean norm is the identity ellipsoid, A = I, and shares
+their code.  The "perturbed" family has support function
 h = 1 + eps*Y on the unit sphere, with Y the restriction of a low-degree
 harmonic polynomial, and exercises the numerical dual path (and the Newton
 ray exits built on it): per-row Newton refinement on the sphere, seeded
@@ -129,17 +130,24 @@ class ProductHarmonic:
         return self._scale * h
 
 
-def _quadric_exit(dirs, offset, scale, form=None):
+def _quadric_grad(x, form):
+    """B x / F and F = sqrt(x^T B x) at the nonzero rows x, B = form."""
+    bx = x @ form
+    f = np.sqrt(np.einsum("ij,ij->i", x, bx))
+    return bx / f[:, None], f
+
+
+def _quadric_exit(dirs, offset, scale, form):
     """Largest root s of (o + s*t)^T B (o + s*t) = scale^2 along each row t
-    of dirs, B = form (the identity when None), with DF0 = B x / scale at
-    x = o + s*t: returns (s, g), s = -inf and g = NaN where the line misses
-    the ellipsoid (discriminant <= 0).
+    of dirs, B = form, with DF0 = B x / scale at x = o + s*t: returns (s, g),
+    s = -inf and g = NaN where the line misses the ellipsoid (discriminant
+    <= 0).
 
     The larger root (-b + sqrt(disc))/a is taken in the form c/(-b - sqrt(disc))
     when b > 0, so neither form subtracts nearly equal numbers.
     """
-    bt = dirs if form is None else dirs @ form
-    bo = offset if form is None else form @ offset
+    bt = dirs @ form
+    bo = form @ offset
     a = np.einsum("ij,ij->i", dirs, bt)
     b = bt @ offset
     c = offset @ bo - scale * scale
@@ -276,52 +284,13 @@ class MinkowskiNorm:
         return f"<{type(self).__name__} d={self.ambient_dim}>"
 
 
-class EuclideanNorm(MinkowskiNorm):
-    family = "euclidean"
-
-    def __init__(self, ambient_dim):
-        if ambient_dim not in (2, 3):
-            raise ValueError("ambient dimension must be 2 or 3")
-        self.ambient_dim = int(ambient_dim)
-        self.positivity = 1.0
-
-    def value(self, x):
-        x, single, lead = _as_batch(x, self.ambient_dim)
-        return _restore(np.linalg.norm(x, axis=-1), single, lead)
-
-    def grad(self, x):
-        x, single, lead = _as_batch(x, self.ambient_dim)
-        _check_nonzero(x)
-        n = np.linalg.norm(x, axis=-1, keepdims=True)
-        return _restore(x / n, single, lead)
-
-    def hess(self, x):
-        x, single, lead = _as_batch(x, self.ambient_dim)
-        _check_nonzero(x)
-        n = np.linalg.norm(x, axis=-1)
-        u = x / n[:, None]
-        eye = np.eye(self.ambient_dim)
-        h = (eye[None] - u[:, :, None] * u[:, None, :]) / n[:, None, None]
-        return _restore(h, single, lead)
-
-    def dual_value(self, x):
-        return self.value(x)
-
-    def dual_grad(self, x, start=None):
-        return self.grad(x)
-
-    def exit_distance(self, dirs, offset, scale, start=None):
-        return _quadric_exit(dirs, offset, scale)
-
-    def spec(self):
-        return {"family": "euclidean", "dim": self.ambient_dim - 1}
-
-
 class EllipsoidNorm(MinkowskiNorm):
     """F(x) = sqrt(x^T A x) for a symmetric positive-definite matrix A.
 
     The unit dual ball is the ellipsoid {x : x^T A^-1 x <= 1}, with semi-axes
-    the square roots of the eigenvalues of A.
+    the square roots of the eigenvalues of A, and F0(x) = sqrt(x^T A^-1 x):
+    the primal and the dual share one value kernel and one gradient kernel,
+    applied to A and to its inverse.
     """
 
     family = "ellipsoid"
@@ -345,44 +314,58 @@ class EllipsoidNorm(MinkowskiNorm):
         self.ambient_dim = a.shape[0]
         self.positivity = float(np.sqrt(np.linalg.eigvalsh(a)[0]))
 
-    def value(self, x):
+    def _value(self, x, form):
+        """sqrt(x^T B x) per row, B = form."""
         x, single, lead = _as_batch(x, self.ambient_dim)
-        q = np.einsum("ij,jk,ik->i", x, self.matrix, x)
-        return _restore(np.sqrt(q), single, lead)
+        return _restore(np.sqrt(np.einsum("ij,ij->i", x, x @ form)),
+                        single, lead)
+
+    def _grad(self, x, form):
+        """B x / sqrt(x^T B x) per row, B = form."""
+        x, single, lead = _as_batch(x, self.ambient_dim)
+        _check_nonzero(x)
+        return _restore(_quadric_grad(x, form)[0], single, lead)
+
+    def value(self, x):
+        return self._value(x, self.matrix)
 
     def grad(self, x):
-        x, single, lead = _as_batch(x, self.ambient_dim)
-        _check_nonzero(x)
-        ax = x @ self.matrix
-        f = np.sqrt(np.einsum("ij,ij->i", x, ax))
-        return _restore(ax / f[:, None], single, lead)
+        return self._grad(x, self.matrix)
 
     def hess(self, x):
+        """(A - DF DF^T) / F."""
         x, single, lead = _as_batch(x, self.ambient_dim)
         _check_nonzero(x)
-        ax = x @ self.matrix
-        f = np.sqrt(np.einsum("ij,ij->i", x, ax))
-        h = self.matrix[None] / f[:, None, None] \
-            - ax[:, :, None] * ax[:, None, :] / f[:, None, None] ** 3
-        return _restore(h, single, lead)
+        g, f = _quadric_grad(x, self.matrix)
+        h = self.matrix[None] - g[:, :, None] * g[:, None, :]
+        return _restore(h / f[:, None, None], single, lead)
 
     def dual_value(self, x):
-        x, single, lead = _as_batch(x, self.ambient_dim)
-        q = np.einsum("ij,jk,ik->i", x, self.inverse, x)
-        return _restore(np.sqrt(q), single, lead)
+        return self._value(x, self.inverse)
 
     def dual_grad(self, x, start=None):
-        x, single, lead = _as_batch(x, self.ambient_dim)
-        _check_nonzero(x)
-        bx = x @ self.inverse
-        f0 = np.sqrt(np.einsum("ij,ij->i", x, bx))
-        return _restore(bx / f0[:, None], single, lead)
+        return self._grad(x, self.inverse)
 
     def exit_distance(self, dirs, offset, scale, start=None):
         return _quadric_exit(dirs, offset, scale, self.inverse)
 
     def spec(self):
         return {"family": "ellipsoid", "matrix": self.matrix.tolist()}
+
+
+class EuclideanNorm(EllipsoidNorm):
+    """F(x) = |x|: the ellipsoid norm of the identity matrix, self-dual, with
+    the unit ball as its Wulff shape."""
+
+    family = "euclidean"
+
+    def __init__(self, ambient_dim):
+        if ambient_dim not in (2, 3):
+            raise ValueError("ambient dimension must be 2 or 3")
+        super().__init__(np.eye(int(ambient_dim)))
+
+    def spec(self):
+        return {"family": "euclidean", "dim": self.ambient_dim - 1}
 
 
 class PerturbedNorm(MinkowskiNorm):
@@ -634,6 +617,12 @@ def norm_from_spec(spec):
         if kind == "sectoral":
             harmonic = SectoralHarmonic(int(h.get("degree", 3)))
         elif kind == "product":
+            # spec() writes the degree, which is 3 by definition
+            if h.get("degree", 3) != 3:
+                raise ValueError("norm.harmonic.degree of a product harmonic "
+                                 f"must be 3, got {h['degree']!r}")
+            if d != 3:
+                raise ValueError("a product harmonic needs norm.dim 2")
             harmonic = ProductHarmonic()
         else:
             raise ValueError(f"unknown harmonic kind: {kind}")

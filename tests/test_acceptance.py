@@ -25,7 +25,6 @@ from wulff_lab import (
     make_grid,
     make_wulff,
     quantitative_wulff,
-    random_star_surface,
     run_flow,
     sphere_surface,
     stability_sweep,
@@ -199,6 +198,26 @@ def test_criterion_07_convergence_to_wulff(flow_suite):
     _report(7, "exponential convergence to a rescaled Wulff shape",
             ok, f"sup|r_hat/rho - a| at t=10: {worst_dist:.2e} (tol 1e-3), "
                 f"slowest log-slope {worst_slope:.2f} (< -0.1)")
+
+
+def random_star_surface(grid, norm, rng, max_tries=200):
+    """Rejection-sample a strictly F-mean-convex curve: radial Fourier modes
+    k = 1..4 of amplitude 0.25 * U(-1, 1) / k^2 and uniform phase, drawn
+    again until min H_F > 0 under `norm`."""
+    for _ in range(max_tries):
+        harmonics = [{"k": k, "delta": 0.25 * rng.uniform(-1.0, 1.0) / k ** 2,
+                      "phase": rng.uniform(0.0, 2.0 * np.pi)}
+                     for k in range(1, 5)]
+        surf = fourier_surface(grid, 1.0, harmonics)
+        if geometry(surf, norm).min_mean_curv > 1e-6:
+            return surf
+    raise RuntimeError("could not sample an F-mean-convex curve")
+
+
+def test_random_star_surface_is_admissible(grid256, ellipse2):
+    rng = np.random.default_rng(14)
+    s = random_star_surface(grid256, ellipse2, rng)
+    assert geometry(s, ellipse2).min_mean_curv > 0
 
 
 def test_criterion_08_deficit_positivity(norms):

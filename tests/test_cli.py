@@ -326,6 +326,49 @@ def _family(**family):
     ("verify-identities", {**_BASE, "norm": {
         "family": "ellipsoid", "matrix": [[1, 0], [0]]}}, True,
      "norm.matrix"),
+    ("verify-identities", {**_BASE, "norm": {
+        "family": "euclidean", "dim": 1, "epsilon": 0.3}}, True,
+     "unknown key norm.epsilon"),
+    ("verify-identities", {**_BASE, "norm": {
+        "family": "euclidean", "dim": 1,
+        "harmonic": {"kind": "sectoral", "degree": 5}}}, True,
+     "unknown key norm.harmonic"),
+    ("verify-identities", {**_BASE, "norm": {
+        "family": "ellipsoid", "dim": 1, "matrix": [[4, 0], [0, 1]]}}, True,
+     "unknown key norm.dim"),
+    ("verify-identities", {**_BASE, "norm": {
+        "family": "ellipsoid", "matrix": [[4, 0], [0, 1]],
+        "harmonic": {"kind": "sectoral", "degree": 5}}}, True,
+     "unknown key norm.harmonic"),
+    ("verify-identities", {**_BASE, "norm": {"family": "crystalline"}}, True,
+     "norm.family must be one of 'euclidean', 'ellipsoid', 'perturbed'"),
+    ("verify-identities", {**_SPHERE, "norm": {
+        "family": "perturbed", "dim": 2,
+        "harmonic": {"kind": "product", "degree": 5}}}, True,
+     "norm.harmonic.degree"),
+    ("verify-identities", {**_BASE, "norm": {
+        "family": "perturbed", "dim": 1, "harmonic": {"kind": "product"}}},
+     True, "norm.dim 2"),
+    ("flow", {**_FLOW, "surface": {"kind": "sphere", "r0": 1.0}}, True,
+     "unknown key surface.r0"),
+    ("flow", {**_FLOW, "surface": {"kind": "sphere", "harmonics": []}}, True,
+     "unknown key surface.harmonics"),
+    ("flow", {**_FLOW, "surface": {"kind": "sphere", "scale": 2.0}}, True,
+     "unknown key surface.scale"),
+    ("deficits", {**_SPHERE, "surface": {"kind": "radial-fourier",
+                                         "harmonics": [{"kind": "product",
+                                                        "k": 5,
+                                                        "delta": 0.1}]}},
+     True, "unknown key surface.harmonics[0].k"),
+    ("deficits", {**_SPHERE, "surface": {"kind": "radial-fourier",
+                                         "harmonics": [{"kind": "cubic",
+                                                        "delta": 0.1}]}},
+     True, "surface.harmonics[0].kind must be one of"),
+    ("flow", _fourier({"k": 2, "degree": 3, "delta": 0.1}), True,
+     "surface.harmonics[0].degree"),
+    ("stability-sweep", {**_SPHERE, "family": {"deltas": [0.1], "harmonics": [
+        {"kind": "zonal", "k": 2, "degree": 3}]}}, True,
+     "family.harmonics[0].degree"),
 ], ids=["seed-string", "seed-bool", "seed-float", "seed-negative",
         "top-level-array", "output-dir-int", "grid-int", "grid-dim-list",
         "norm-string", "norm-harmonic-int", "harmonics-int", "flow-list",
@@ -350,7 +393,12 @@ def _family(**family):
         "surface-center-wrong-length", "flow-surface-missing",
         "deficits-surface-missing", "norm-missing", "flow-norm-missing",
         "norm-dim-mismatch", "matrix-dim-mismatch", "matrix-missing",
-        "matrix-ragged"])
+        "matrix-ragged", "euclidean-epsilon", "euclidean-harmonic",
+        "ellipsoid-dim", "ellipsoid-harmonic", "norm-family-unknown",
+        "product-norm-degree", "product-norm-dim", "sphere-r0",
+        "sphere-harmonics", "sphere-scale", "sphere-product-harmonic-k",
+        "sphere-harmonic-kind-unknown", "harmonic-k-and-degree",
+        "family-harmonic-k-and-degree"])
 def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
                                                        monkeypatch, task,
                                                        cfg, use_out, key):

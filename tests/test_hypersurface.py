@@ -10,7 +10,6 @@ from wulff_lab import (
     make_grid,
     make_wulff,
     q_functional,
-    random_star_surface,
     sphere_surface,
     surface_from_spec,
     volume,
@@ -252,12 +251,6 @@ def test_equality_case_deficit_zero(grid512, ellipse2):
         assert abs(q - wulff_q_value(w.volume, n=1)) < 1e-8
 
 
-def test_random_star_surface_is_admissible(grid256, ellipse2):
-    rng = np.random.default_rng(14)
-    s = random_star_surface(grid256, ellipse2, rng)
-    assert geometry(s, ellipse2).min_mean_curv > 0
-
-
 def test_surface_from_spec(grid256, euclid2):
     s = surface_from_spec({"kind": "sphere", "radius": 2.0}, grid256)
     assert volume(s) == pytest.approx(4 * np.pi, abs=1e-10)
@@ -296,3 +289,5 @@ def test_harmonic_keys_per_dimension(grid256):
     with pytest.raises(ValueError, match="'phase' is not a key of a dim-2"):
         fourier_surface(make_grid(2, 8), 1.0,
                         [{"kind": "zonal", "k": 2, "phase": 0.5}])
+    with pytest.raises(ValueError, match="'degree' is another name for 'k'"):
+        fourier_surface(grid256, 1.0, [{"k": 2, "degree": 3, "delta": 0.05}])

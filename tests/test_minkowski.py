@@ -33,6 +33,47 @@ def test_euclidean_values(euclid2):
     assert euclid2.dual_value([3.0, 4.0]) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_euclidean_norm_matches_textbook_formulas(d):
+    # the euclidean norm runs the ellipsoid code on the identity matrix:
+    # check every method against the closed forms of |x|
+    norm = EuclideanNorm(d)
+    rng = np.random.default_rng(40 + d)
+    x = rng.standard_normal((500, d)) * np.exp(rng.uniform(-3.0, 3.0, (500, 1)))
+    n = np.sqrt(np.sum(x * x, axis=1))
+    u = x / n[:, None]
+    assert np.max(np.abs(norm.value(x) - n) / n) < 1e-15
+    assert np.max(np.linalg.norm(norm.grad(x) - u, axis=1)) < 1e-15
+    hess = (np.eye(d)[None] - u[:, :, None] * u[:, None, :]) / n[:, None, None]
+    assert np.max(np.abs(norm.hess(x) - hess) * n[:, None, None]) < 1e-15
+    np.testing.assert_allclose(norm.dual_value(x), norm.value(x), rtol=1e-15)
+    np.testing.assert_allclose(norm.dual_grad(x), norm.grad(x), rtol=1e-15,
+                               atol=1e-15)
+    # ray exits from inside the ball (every ray hits) and from outside it
+    theta = rng.standard_normal((500, d))
+    theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+    scale = 1.2
+    for reach in (0.5, 1.5):
+        o = rng.standard_normal(d)
+        o *= reach * scale / np.linalg.norm(o)
+        ot = theta @ o
+        disc = ot * ot - o @ o + scale * scale
+        hit = disc > 0.0
+        s, g = norm.exit_distance(theta, o, scale)
+        exact = -ot[hit] + np.sqrt(disc[hit])
+        assert np.max(np.abs(s[hit] - exact)) < 4e-15 * (scale + reach * scale)
+        p = o[None, :] + s[hit, None] * theta[hit]
+        assert np.max(np.abs(g[hit] - p / scale)) < 4e-15
+        assert np.all(s[~hit] == -np.inf) and np.all(np.isnan(g[~hit]))
+        assert np.all(hit) if reach < 1.0 else 0 < np.sum(hit) < len(hit)
+    assert norm.positivity == 1.0
+    assert norm.spec() == {"family": "euclidean", "dim": d - 1}
+    clone = norm_from_spec(norm.spec())
+    assert type(clone) is EuclideanNorm and clone.spec() == norm.spec()
+    with pytest.raises(ValueError, match="ambient dimension must be 2 or 3"):
+        EuclideanNorm(d + 2)
+
+
 def test_ellipsoid_values(ellipse2):
     # F = sqrt(4 x1^2 + x2^2), differentiated by hand
     assert ellipse2.value([1.0, 0.0]) == pytest.approx(2.0)
@@ -202,6 +243,15 @@ def test_norm_from_spec_roundtrip(ellipse2, perturbed2):
         assert clone.value(x) == pytest.approx(norm.value(x), rel=1e-12)
     with pytest.raises(ValueError, match="unknown norm family"):
         norm_from_spec({"family": "crystalline"})
+    # the product harmonic is degree 3 on the 2-sphere: spec() writes its
+    # degree, and another degree or dimension is an error, not ignored
+    spec = PerturbedNorm(3, 0.1, ProductHarmonic()).spec()
+    assert spec["harmonic"] == {"kind": "product", "degree": 3}
+    assert type(norm_from_spec(spec).harmonic) is ProductHarmonic
+    with pytest.raises(ValueError, match="degree of a product harmonic"):
+        norm_from_spec({**spec, "harmonic": {"kind": "product", "degree": 5}})
+    with pytest.raises(ValueError, match="product harmonic needs norm.dim 2"):
+        norm_from_spec({**spec, "dim": 1})
 
 
 def test_sectoral_harmonic_is_harmonic():
