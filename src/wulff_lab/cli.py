@@ -139,8 +139,11 @@ _SCHEMA = {
     "norm": _tagged("family", {
         "euclidean": {"dim": _DIM},
         "ellipsoid": {"matrix": _MATRIX},
+        # without a kind, the harmonic is the dimension's default
         "perturbed": {"dim": _DIM, "epsilon": _REAL,
-                      "harmonic": {"kind": _STRING, "degree": _INTEGER}}}),
+                      "harmonic": _tagged("kind", dict.fromkeys(
+                          (None, "sectoral", "product"),
+                          {"degree": _INTEGER}))}}),
     "surface": _tagged("kind", {
         "sphere": {"radius": _REAL, "center": _REALS},
         "wulff": {"scale": _REAL, "center": _REALS},
@@ -224,7 +227,7 @@ def _task_verify_identities(cfg, norm, grid, tol, out_dir, seed):
         "wulff_identity": _check(wulff.identity_residual, tol["wulff_identity"]),
     }
     results = {
-        "duality": report.to_dict(),
+        "duality": asdict(report),
         "wulff": {"volume": wulff.volume, "perimeter": wulff.perimeter,
                   "identity_residual": wulff.identity_residual},
         "norm_positivity": float(norm.positivity),
@@ -270,7 +273,7 @@ def _task_deficits(cfg, norm, surface, tol, out_dir, seed):
         "qw_deficit_nonnegative": _check(-report.qw_deficit,
                                          tol["deficit_negativity"]),
     }
-    return {"deficits": report.to_dict()}, checks
+    return {"deficits": asdict(report)}, checks
 
 
 def _task_stability_sweep(cfg, norm, grid, tol, out_dir, seed):

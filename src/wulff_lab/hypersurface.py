@@ -3,15 +3,16 @@
 A surface is a positive radial field r over a SphereGrid together with a
 star center P, embedding node theta to P + r(theta)*theta.  `geometry`
 produces the pointwise quantities the flow and the functionals read (unit
-normal, area measures, F and DF at the normal, the anisotropic mean
-curvature H_F and the largest tangential eigenvalue of D^2F); the integral
-functionals (volume, anisotropic perimeter, weighted momenta, the
-scale-invariant quotient Q) are thin quadratures over that cache.
+normal, area measures, F at the normal, the anisotropic mean curvature H_F
+and the largest tangential eigenvalue of D^2F); the integral functionals
+(volume, anisotropic perimeter, weighted momenta, the scale-invariant
+quotient Q) are thin quadratures over that cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -67,13 +68,11 @@ class GeometryCache:
     weights, so integrals over the surface are plain sums against them.
     """
 
-    points: np.ndarray = field(repr=False)
     normal: np.ndarray = field(repr=False)
     grad_r: np.ndarray = field(repr=False)
     area_w: np.ndarray = field(repr=False)        # measure weights d(mu)
     f_normal: np.ndarray = field(repr=False)      # F(normal)
     aniso_area_w: np.ndarray = field(repr=False)  # F(normal) d(mu)
-    aniso_normal: np.ndarray = field(repr=False)  # DF(normal)
     norm_hess_max: np.ndarray = field(repr=False)  # top eigenvalue, tangent
     aniso_mean_curv: np.ndarray = field(repr=False)
 
@@ -82,109 +81,57 @@ class GeometryCache:
         return float(np.min(self.aniso_mean_curv))
 
 
-def _geometry_curve(surface, norm):
+def geometry(surface, norm):
+    """All pointwise geometric quantities of a surface under a norm.
+
+    In the grid's orthonormal frame e_i, with v and h the gradient and
+    covariant Hessian of r there, the chart tangents are
+    t_i = v_i theta + r e_i, the metric is g = r^2 I + v v^T and the second
+    fundamental form b = (r^2 I + 2 v v^T - r h) / sqrt(r^2 + |v|^2); with
+    C_ij = t_i . D^2F(normal) t_j, H_F = tr(g^-1 C g^-1 b).  The same
+    formulas serve the circle (one tangent) and the sphere (two); the small
+    matrices are held node-last, [i, j, node], so every product runs along
+    node rows.
+    """
     grid = surface.grid
+    if norm.ambient_dim != grid.dim + 1:
+        raise ValueError("norm and surface grid dimensions do not match")
     r = surface.r
-    rt, rtt = grid.angle_derivatives(r)
-    sq = np.sqrt(r ** 2 + rt ** 2)
-
-    theta = grid.nodes
-    tau = grid.tangents
-    points = surface.center[None, :] + r[:, None] * theta
-    normal = (r[:, None] * theta - rt[:, None] * tau) / sq[:, None]
-    grad_r = rt[:, None] * tau
-
-    curv = (r ** 2 + 2.0 * rt ** 2 - r * rtt) / sq ** 3
-    if not np.all(np.isfinite(curv)):
-        raise ValueError("non-finite curvature; the surface is under-resolved")
-
-    tangent = (rt[:, None] * theta + r[:, None] * tau) / sq[:, None]
-
-    f_nu = norm.value(normal)
-    hess = norm.hess(normal)
-    b = np.einsum("id,ide,ie->i", tangent, hess, tangent)
-    hf = curv * b
-
-    area_w = sq * grid.weights
-    return GeometryCache(
-        points=points, normal=normal, grad_r=grad_r, area_w=area_w,
-        f_normal=f_nu, aniso_area_w=f_nu * area_w,
-        aniso_normal=norm.grad(normal),
-        norm_hess_max=b, aniso_mean_curv=hf)
-
-
-def _geometry_sphere(surface, norm):
-    grid = surface.grid
-    r = surface.r
-    r_t, r_p, r_tt, r_tp, r_pp = grid.latlon_derivatives(r)
-
-    st = np.repeat(grid.sin_colat, grid.nlon)
-    ct = np.repeat(grid.cos_colat, grid.nlon)
-    theta = grid.nodes
-    e_t = grid.frame_colat
-    e_p = grid.frame_lon
-
-    grad_r = r_t[:, None] * e_t + (r_p / st)[:, None] * e_p
-    w2 = r ** 2 + r_t ** 2 + (r_p / st) ** 2
+    v, h = grid.frame_derivatives(r)
+    r2 = r * r
+    w2 = r2 + np.einsum("in,in->n", v, v)
     sq = np.sqrt(w2)
-    points = surface.center[None, :] + r[:, None] * theta
-    normal = (r[:, None] * theta - grad_r) / sq[:, None]
+    grad_r = np.einsum("in,ind->nd", v, grid.frame)
+    normal = (r[:, None] * grid.nodes - grad_r) / sq[:, None]
 
-    # covariant Hessian of r in the round chart
-    h_tt = r_tt
-    h_tp = r_tp - (ct / st) * r_p
-    h_pp = r_pp + st * ct * r_t
-
-    g11 = r ** 2 + r_t ** 2
-    g12 = r_t * r_p
-    g22 = (r * st) ** 2 + r_p ** 2
-    b11 = (r ** 2 + 2.0 * r_t ** 2 - r * h_tt) / sq
-    b12 = (2.0 * r_t * r_p - r * h_tp) / sq
-    b22 = ((r * st) ** 2 + 2.0 * r_p ** 2 - r * h_pp) / sq
-
-    # chart tangents and the norm Hessian as a bilinear form on them
-    t1 = r_t[:, None] * theta + r[:, None] * e_t
-    t2 = r_p[:, None] * theta + (r * st)[:, None] * e_p
+    eye = np.eye(grid.dim)[:, :, None]
+    vv = v[:, None] * v[None, :]
+    # Sherman-Morrison inverse of the metric
+    g_inv = (eye - vv / w2) / r2
+    b = (r2 * eye + 2.0 * vv - r * h) / sq
+    t = v[:, None] * grid.nodes.T + r * grid.frame.transpose(0, 2, 1)
     f_nu = norm.value(normal)
-    hess = norm.hess(normal)
-    c11 = np.einsum("id,ide,ie->i", t1, hess, t1)
-    c12 = np.einsum("id,ide,ie->i", t1, hess, t2)
-    c22 = np.einsum("id,ide,ie->i", t2, hess, t2)
+    hess = np.ascontiguousarray(norm.hess(normal).transpose(1, 2, 0))
+    c = np.einsum("idn,jdn->ijn", np.einsum("den,ien->idn", hess, t), t)
 
     # H_F = tr(M S) with M = g^-1 C and S = g^-1 b the shape operator
-    det = g11 * g22 - g12 ** 2
-    m11 = (g22 * c11 - g12 * c12) / det
-    m12 = (g22 * c12 - g12 * c22) / det
-    m21 = (g11 * c12 - g12 * c11) / det
-    m22 = (g11 * c22 - g12 * c12) / det
-    s11 = (g22 * b11 - g12 * b12) / det
-    s12 = (g22 * b12 - g12 * b22) / det
-    s21 = (g11 * b12 - g12 * b11) / det
-    s22 = (g11 * b22 - g12 * b12) / det
-    hf = m11 * s11 + m12 * s21 + m21 * s12 + m22 * s22
-    if not np.all(np.isfinite(hf)):
+    m = np.einsum("ijn,jkn->ikn", g_inv, c)
+    hf = np.einsum("ijn,jkn,kin->n", m, g_inv, b)
+    if not np.isfinite(hf).all():
         raise ValueError("non-finite mean curvature; the surface is under-resolved")
 
-    # largest eigenvalue of M; this form of the discriminant stays accurate
-    # when the eigenvalues coincide, and the clip only absorbs rounding
-    disc = np.maximum((m11 - m22) ** 2 + 4.0 * m12 * m21, 0.0)
-    hess_max = 0.5 * (m11 + m22 + np.sqrt(disc))
+    # largest eigenvalue of M, exact for one and two tangents; this form of
+    # the discriminant stays accurate when the eigenvalues coincide, and the
+    # clip only absorbs rounding
+    disc = sum(((m[i, i] - m[j, j]) / 2.0) ** 2 + m[i, j] * m[j, i]
+               for i, j in combinations(range(grid.dim), 2))
+    hess_max = np.trace(m) / grid.dim + np.sqrt(np.maximum(disc, 0.0))
 
-    area_w = (r ** (grid.dim - 1)) * sq * grid.weights
+    area_w = r ** (grid.dim - 1) * sq * grid.weights
     return GeometryCache(
-        points=points, normal=normal, grad_r=grad_r, area_w=area_w,
+        normal=normal, grad_r=grad_r, area_w=area_w,
         f_normal=f_nu, aniso_area_w=f_nu * area_w,
-        aniso_normal=norm.grad(normal),
         norm_hess_max=hess_max, aniso_mean_curv=hf)
-
-
-def geometry(surface, norm):
-    """All pointwise geometric quantities of a surface under a norm."""
-    if norm.ambient_dim != surface.grid.dim + 1:
-        raise ValueError("norm and surface grid dimensions do not match")
-    if surface.grid.dim == 1:
-        return _geometry_curve(surface, norm)
-    return _geometry_sphere(surface, norm)
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +149,7 @@ def flux_volume(surface, cache, about=None):
     """Enclosed volume via the divergence-theorem flux about any point."""
     n = surface.grid.dim
     about = surface.center if about is None else np.asarray(about, dtype=float)
-    rel = cache.points - about[None, :]
+    rel = surface.points - about[None, :]
     return float(np.sum(np.einsum("ij,ij->i", rel, cache.normal)
                         * cache.area_w)) / (n + 1)
 
@@ -222,7 +169,7 @@ def weighted_momentum(surface, norm, center, p=1.0, cache=None):
     if cache is None:
         cache = geometry(surface, norm)
     center = np.asarray(center, dtype=float)
-    rel = cache.points - center[None, :]
+    rel = surface.points - center[None, :]
     return float(np.sum(norm.dual_value(rel) ** p * cache.aniso_area_w))
 
 
@@ -281,6 +228,9 @@ def _harmonic_profile(grid, h):
     if kind == "sectoral":
         return SectoralHarmonic(k).value(grid.nodes)
     if kind == "product":
+        if "k" in h or "degree" in h:
+            raise ValueError("a product harmonic has degree 3: give no 'k' "
+                             "or 'degree'")
         return ProductHarmonic().value(grid.nodes)
     if kind == "zonal":
         # Legendre polynomial of the vertical coordinate

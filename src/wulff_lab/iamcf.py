@@ -376,9 +376,9 @@ def _q_derivative_terms(surface, norm, center, cache=None):
     per = float(np.sum(cache.aniso_area_w))
     mom = weighted_momentum(surface, norm, center, 1.0, cache)
     vol = volume(surface)
-    rel = cache.points - center[None, :]
+    rel = surface.points - center[None, :]
     dual_grad = norm.dual_grad(rel)
-    align = np.einsum("ij,ij->i", dual_grad, cache.aniso_normal)
+    align = np.einsum("ij,ij->i", dual_grad, norm.grad(cache.normal))
     correction = float(np.sum((align - 1.0) / cache.aniso_mean_curv
                               * cache.aniso_area_w))
     return per ** (-1.0 - 1.0 / n), (-mom / n, (1.0 + 1.0 / n) * vol,

@@ -16,7 +16,7 @@ All evaluation methods are vectorized: `x` may be a single vector of shape
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -645,15 +645,12 @@ class DualityReport:
     cauchy_schwarz_gap: float    # max(0, x.y - F(x) F0(y)) / (F(x) F0(y))
     equality_case: float         # |x.y - F(x) F0(y)| at x = c DF(y)
     samples: int
+    max_residual: float = field(init=False)
 
-    @property
-    def max_residual(self):
-        return max(self.primal_of_dual_grad, self.dual_of_primal_grad,
-                   self.grad_roundtrip, self.cauchy_schwarz_gap,
-                   self.equality_case)
-
-    def to_dict(self):
-        return {**asdict(self), "max_residual": self.max_residual}
+    def __post_init__(self):
+        self.max_residual = max(
+            self.primal_of_dual_grad, self.dual_of_primal_grad,
+            self.grad_roundtrip, self.cauchy_schwarz_gap, self.equality_case)
 
 
 def verify_duality(norm, n_samples=1000, rng=None):

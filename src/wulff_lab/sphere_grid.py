@@ -92,6 +92,10 @@ class SphereGrid:
     dim : 1 or 2 (dimension of the sphere, ambient space has dim+1 coords)
     nodes : (n_nodes, dim+1) unit vectors
     weights : (n_nodes,) positive quadrature weights summing to |S^dim|
+    frame : (dim, n_nodes, dim+1) orthonormal tangent frame, the angle
+        direction on the circle and the colatitude and longitude directions
+        on the sphere; stored node-last (frame.transpose(0, 2, 1) is
+        contiguous), so per-node contractions with it run along node rows
     """
 
     def __init__(self, dim, resolution):
@@ -106,16 +110,16 @@ class SphereGrid:
         else:
             self._build_sphere(self.resolution)
         self.n_nodes = self.nodes.shape[0]
-        for arr in (self.nodes, self.weights):
+        for arr in (self.nodes, self.weights, self.frame):
             arr.setflags(write=False)
 
     # ------------------------------------------------------------------ S^1
 
     def _build_circle(self, n):
-        self.angles = 2.0 * np.pi * np.arange(n) / n
-        self.nodes = np.column_stack([np.cos(self.angles), np.sin(self.angles)])
+        a = self.angles = 2.0 * np.pi * np.arange(n) / n
+        self.nodes = np.column_stack([np.cos(a), np.sin(a)])
         self.weights = np.full(n, 2.0 * np.pi / n)
-        self.tangents = np.column_stack([-np.sin(self.angles), np.cos(self.angles)])
+        self.frame = np.array([[-np.sin(a), np.cos(a)]]).transpose(0, 2, 1)
         k = np.fft.rfftfreq(n, d=1.0 / n)  # integer wavenumbers 0..n/2
         self._ik = 1j * k
         if n % 2 == 0:
@@ -152,24 +156,15 @@ class SphereGrid:
         ct = self.cos_colat[:, None]
         cp = np.cos(lon)[None, :]
         sp = np.sin(lon)[None, :]
-        nodes = np.empty((nlat, nlon, 3))
-        nodes[:, :, 0] = st * cp
-        nodes[:, :, 1] = st * sp
-        nodes[:, :, 2] = ct * np.ones_like(cp)
-        self.nodes = nodes.reshape(-1, 3)
+        zero = np.zeros((nlat, nlon))
+        # [vector, coordinate, node]: the nodes, then the orthonormal chart
+        # frame (colatitude and longitude directions)
+        xyz = np.array([[st * cp, st * sp, ct + zero],
+                        [ct * cp, ct * sp, -st + zero],
+                        [-sp + zero, cp + zero, zero]]).reshape(3, 3, -1)
+        self.nodes = np.ascontiguousarray(xyz[0].T)
+        self.frame = xyz[1:].transpose(0, 2, 1)
         self.weights = np.repeat(glw * (2.0 * np.pi / nlon), nlon)
-
-        # Orthonormal chart frame (colatitude and longitude directions).
-        e_th = np.empty((nlat, nlon, 3))
-        e_th[:, :, 0] = ct * cp
-        e_th[:, :, 1] = ct * sp
-        e_th[:, :, 2] = -st * np.ones_like(cp)
-        e_ph = np.empty((nlat, nlon, 3))
-        e_ph[:, :, 0] = -sp * np.ones_like(ct)
-        e_ph[:, :, 1] = cp * np.ones_like(ct)
-        e_ph[:, :, 2] = 0.0
-        self.frame_colat = e_th.reshape(-1, 3)
-        self.frame_lon = e_ph.reshape(-1, 3)
 
         self._leg = p.transpose(0, 2, 1)        # [m, j, l], synthesis
         self._leg_dcolat = dp.transpose(0, 2, 1)
@@ -266,27 +261,37 @@ class SphereGrid:
         f_tt = f_lap - (ct / st) * f_t - f_pp / st ** 2
         return f_t, f_p, f_tt, f_tp, f_pp
 
+    def frame_derivatives(self, field):
+        """Gradient components v[i] and covariant Hessian h[i, j] of a scalar
+        field in the orthonormal frame e_i = frame[i], each an (n_nodes,)
+        field.
+
+        On the circle v = f' and h = f''.  On the sphere the round chart's
+        partials give v = (f_t, f_p / sin) and
+        h = [[f_tt, (f_tp - cot f_p) / sin], [., f_pp / sin^2 + cot f_t]].
+        """
+        if self.dim == 1:
+            d1, d2 = self.angle_derivatives(field)
+            return d1[None], d2[None, None]
+        f_t, f_p, f_tt, f_tp, f_pp = self.latlon_derivatives(field)
+        inv_sin = 1.0 / np.repeat(self.sin_colat, self.nlon)
+        cot = np.repeat(self.cos_colat, self.nlon) * inv_sin
+        h_tp = (f_tp - cot * f_p) * inv_sin
+        h = np.array([[f_tt, h_tp], [h_tp, f_pp * inv_sin ** 2 + cot * f_t]])
+        return np.array([f_t, f_p * inv_sin]), h
+
     def gradient(self, field):
         """Tangential gradient of a scalar field, in ambient coordinates.
 
         The returned (n_nodes, dim+1) vectors are orthogonal to the nodes.
         """
-        if self.dim == 1:
-            d1, _ = self.angle_derivatives(field)
-            return d1[:, None] * self.tangents
-        f_t, f_p, _, _, _ = self.latlon_derivatives(field)
-        inv_sin = 1.0 / np.repeat(self.sin_colat, self.nlon)
-        return f_t[:, None] * self.frame_colat + (f_p * inv_sin)[:, None] * self.frame_lon
+        v, _ = self.frame_derivatives(field)
+        return np.einsum("in,ind->nd", v, self.frame)
 
     def laplacian(self, field):
         """Laplace-Beltrami operator applied to a scalar field."""
-        if self.dim == 1:
-            _, d2 = self.angle_derivatives(field)
-            return d2
-        f_t, _, f_tt, _, f_pp = self.latlon_derivatives(field)
-        st = np.repeat(self.sin_colat, self.nlon)
-        ct = np.repeat(self.cos_colat, self.nlon)
-        return f_tt + (ct / st) * f_t + f_pp / st ** 2
+        _, h = self.frame_derivatives(field)
+        return np.trace(h)
 
     def _build_dense(self):
         """Operators of the circle's per-node solve on m = min(N, _DENSE_NODES)

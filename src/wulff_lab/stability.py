@@ -11,7 +11,7 @@ distance bounds.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -417,7 +417,7 @@ def gap_integral(surface, norm, center=None, cache=None, wulff=None):
     grid = surface.grid
     n = grid.dim
     c = np.zeros(n + 1) if center is None else np.asarray(center, dtype=float)
-    rel = cache.points - c[None, :]
+    rel = surface.points - c[None, :]
     flux = np.einsum("ij,ij->i", rel, cache.normal)
     if np.min(flux) <= 0.0:
         raise ValueError("surface is not star-shaped about the weight center")
@@ -493,7 +493,7 @@ class DeficitReport:
     """All deficit and stability quantities for one surface/norm pair."""
 
     eps1: float
-    eps_p: dict
+    eps_p: dict                  # keyed by str(float(p)), as JSON keys it
     alpha: float
     alpha_center: list
     a: float
@@ -509,11 +509,6 @@ class DeficitReport:
     asymmetry_method: str
     asymmetry_converged: bool
 
-    def to_dict(self):
-        d = asdict(self)
-        d["eps_p"] = {str(k): v for k, v in self.eps_p.items()}
-        return d
-
 
 def full_deficit_report(surface, norm, center=None, p_exponents=(2.0,),
                         wulff=None):
@@ -525,7 +520,7 @@ def full_deficit_report(surface, norm, center=None, p_exponents=(2.0,),
     cache = geometry(surface, norm)
     gap = gap_integral(surface, norm, c, cache, w)   # checks the center first
     eps1 = deficit_thm11(surface, norm, c, cache, w)
-    eps_p = {float(p): deficit_pmomentum(surface, norm, c, p, cache, w)
+    eps_p = {str(float(p)): deficit_pmomentum(surface, norm, c, p, cache, w)
              for p in p_exponents}
     asym = asymmetry_index(surface, norm, w)
     haus = hausdorff_to_wulff(surface, norm, w)
@@ -569,7 +564,7 @@ def stability_sweep(family, norm, grid, p=2.0, center=None):
         rows.append({
             "delta": float(delta),
             "eps1": rep.eps1,
-            "eps_p": float(rep.eps_p[float(p)]),
+            "eps_p": float(rep.eps_p[str(float(p))]),
             "alpha": rep.alpha,
             "hausdorff": rep.hausdorff,
             "f1_eps1": rep.f1_eps1,

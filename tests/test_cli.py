@@ -349,6 +349,9 @@ def _family(**family):
     ("verify-identities", {**_BASE, "norm": {
         "family": "perturbed", "dim": 1, "harmonic": {"kind": "product"}}},
      True, "norm.dim 2"),
+    ("verify-identities", {**_BASE, "norm": {
+        "family": "perturbed", "dim": 1, "harmonic": {"kind": "cubic"}}},
+     True, "norm.harmonic.kind must be one of 'sectoral', 'product'"),
     ("flow", {**_FLOW, "surface": {"kind": "sphere", "r0": 1.0}}, True,
      "unknown key surface.r0"),
     ("flow", {**_FLOW, "surface": {"kind": "sphere", "harmonics": []}}, True,
@@ -395,7 +398,8 @@ def _family(**family):
         "norm-dim-mismatch", "matrix-dim-mismatch", "matrix-missing",
         "matrix-ragged", "euclidean-epsilon", "euclidean-harmonic",
         "ellipsoid-dim", "ellipsoid-harmonic", "norm-family-unknown",
-        "product-norm-degree", "product-norm-dim", "sphere-r0",
+        "product-norm-degree", "product-norm-dim",
+        "norm-harmonic-kind-unknown", "sphere-r0",
         "sphere-harmonics", "sphere-scale", "sphere-product-harmonic-k",
         "sphere-harmonic-kind-unknown", "harmonic-k-and-degree",
         "family-harmonic-k-and-degree"])

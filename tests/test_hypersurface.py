@@ -73,7 +73,7 @@ def test_normal_matches_embedding_normal(grid512, grid2_32, euclid2, euclid3):
     s = fourier_surface(grid512, 1.0, [{"k": 2, "delta": 0.2}])
     cache = geometry(s, euclid2)
     rt, _ = grid512.angle_derivatives(s.r)
-    tangent = rt[:, None] * grid512.nodes + s.r[:, None] * grid512.tangents
+    tangent = rt[:, None] * grid512.nodes + s.r[:, None] * grid512.frame[0]
     rot = np.column_stack([tangent[:, 1], -tangent[:, 0]])
     rot /= np.linalg.norm(rot, axis=1, keepdims=True)
     assert np.max(np.linalg.norm(cache.normal - rot, axis=1)) < 1e-10
@@ -82,8 +82,8 @@ def test_normal_matches_embedding_normal(grid512, grid2_32, euclid2, euclid3):
     cache2 = geometry(s2, euclid3)
     r_t, r_p, _, _, _ = grid2_32.latlon_derivatives(s2.r)
     st = np.repeat(grid2_32.sin_colat, grid2_32.nlon)
-    t1 = r_t[:, None] * grid2_32.nodes + s2.r[:, None] * grid2_32.frame_colat
-    t2 = r_p[:, None] * grid2_32.nodes + (s2.r * st)[:, None] * grid2_32.frame_lon
+    t1 = r_t[:, None] * grid2_32.nodes + s2.r[:, None] * grid2_32.frame[0]
+    t2 = r_p[:, None] * grid2_32.nodes + (s2.r * st)[:, None] * grid2_32.frame[1]
     cr = np.cross(t1, t2)
     cr /= np.linalg.norm(cr, axis=1, keepdims=True)
     assert np.max(np.linalg.norm(cache2.normal - cr, axis=1)) < 1e-10
@@ -92,7 +92,8 @@ def test_normal_matches_embedding_normal(grid512, grid2_32, euclid2, euclid3):
 def test_euler_relation(grid256, perturbed2):
     s = fourier_surface(grid256, 1.0, [{"k": 3, "delta": 0.1}])
     cache = geometry(s, perturbed2)
-    resid = np.einsum("ij,ij->i", cache.aniso_normal, cache.normal) - cache.f_normal
+    resid = (np.einsum("ij,ij->i", perturbed2.grad(cache.normal), cache.normal)
+             - cache.f_normal)
     assert np.max(np.abs(resid)) < 1e-13
 
 
@@ -291,3 +292,6 @@ def test_harmonic_keys_per_dimension(grid256):
                         [{"kind": "zonal", "k": 2, "phase": 0.5}])
     with pytest.raises(ValueError, match="'degree' is another name for 'k'"):
         fourier_surface(grid256, 1.0, [{"k": 2, "degree": 3, "delta": 0.05}])
+    with pytest.raises(ValueError, match="product harmonic has degree 3"):
+        fourier_surface(make_grid(2, 8), 1.0,
+                        [{"kind": "product", "k": 5, "delta": 0.1}])

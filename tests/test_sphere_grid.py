@@ -66,7 +66,7 @@ def test_gradient_constant_is_zero(grid256, grid2_32):
 def test_gradient_cosine_circle(grid256):
     g = grid256
     grad = g.gradient(np.cos(g.angles))
-    exact = -np.sin(g.angles)[:, None] * g.tangents
+    exact = -np.sin(g.angles)[:, None] * g.frame[0]
     assert np.max(np.abs(grad - exact)) < 1e-8
 
 
@@ -80,6 +80,21 @@ def test_gradient_linear_restriction_sphere(grid2_32):
     assert np.max(np.linalg.norm(grad - exact, axis=1)) < 1e-8
 
 
+@pytest.mark.parametrize("dim, resolution", [(1, 256), (2, 32)])
+def test_frame_derivatives_of_linear_restriction(dim, resolution):
+    # l = a.theta restricted to the sphere has gradient a - l theta, so
+    # v_i = a.e_i, and covariant Hessian -l times the identity; h carries
+    # rounding amplified by k^2 on the circle and by 1/sin^2 near the poles
+    # (2.2e-12 and 2.4e-12 here)
+    g = make_grid(dim, resolution)
+    a = np.array([0.36, -0.48, 0.8])[:dim + 1]
+    ell = g.nodes @ a
+    v, h = g.frame_derivatives(ell)
+    np.testing.assert_allclose(v, g.frame @ a, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(h, -ell * np.eye(dim)[:, :, None], rtol=0.0,
+                               atol=1e-11)
+
+
 def test_gradient_matches_finite_differences(grid2_32):
     # independent check: central differences of f along great circles
     g = grid2_32
@@ -90,7 +105,7 @@ def test_gradient_matches_finite_differences(grid2_32):
     idx = rng.choice(g.n_nodes, size=40, replace=False)
     for i in idx:
         theta = g.nodes[i]
-        for tang in (g.frame_colat[i], g.frame_lon[i]):
+        for tang in g.frame[:, i]:
             plus = theta * np.cos(h) + tang * np.sin(h)
             minus = theta * np.cos(h) - tang * np.sin(h)
             fd = (f_fn(plus) - f_fn(minus)) / (2 * h)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -496,7 +498,7 @@ def test_inside_test_at_the_boundary(name, dim, request, monkeypatch):
 def test_full_deficit_report(grid256, ellipse2):
     s = fourier_surface(grid256, 1.0, [{"k": 1, "delta": 0.15}])
     rep = full_deficit_report(s, ellipse2, p_exponents=(1.0, 2.0))
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["eps1"] > 0.0
     assert d["eps_p"]["2.0"] > -1e-10
     assert d["alpha"] > 0.0
