@@ -5,10 +5,14 @@ closed-form duals and ray exits from their Wulff shapes, and serve as
 oracles; the euclidean norm is the identity ellipsoid, A = I, and shares
 their code.  The "perturbed" family has support function
 h = 1 + eps*Y on the unit sphere, with Y the restriction of a low-degree
-harmonic polynomial, and exercises the numerical dual path (and the Newton
-ray exits built on it): per-row Newton refinement on the sphere, seeded
-from an optional caller-supplied start (or x/|x|), certified global by the
-sign of x.y, and re-seeded from a grid scan only for rows that fail.
+harmonic polynomial, and exercises the numerical dual path: per-row Newton
+refinement on the sphere, seeded from an optional caller-supplied start (or
+x/|x|), certified global by the sign of x.y, and re-seeded from a grid scan
+only for rows that fail.  Its ray exits from the Wulff shape need no dual
+solve: one Newton iteration per ray on the Cahn-Hoffman parametrization
+x = DF(nu) of the boundary, certified by the sign of nu.dir, with the
+nested Newton on the dual (the base class's) as the fallback for rows that
+fail.
 
 All evaluation methods are vectorized: `x` may be a single vector of shape
 (d,) or a batch of shape (..., d).
@@ -26,6 +30,7 @@ _NEWTON_TOL = 1e-13        # chart gradient, relative to |x|
 _NEWTON_STEP_TOL = 1e-8    # the step before a passing gradient test
 _NEWTON_MAXIT = 40         # scan-seeded fallback
 _WARM_MAXIT = 8            # first pass, from the start or x/|x|
+_RAY_MAXIT = 10            # joint ray solve, before the nested fallback
 _SCAN_RESOLUTION = {2: 512, 3: 24}   # scan grid per ambient dimension
 
 
@@ -178,8 +183,10 @@ class MinkowskiNorm:
     points).  Closed-form families ignore it; numerical ones may use it to
     seed their solver, never changing what is computed beyond roundoff.
     `exit_distance(dirs, offset, scale, start)` takes the same kind of
-    optional start: the base class solves its rays by Newton, and the
-    quadric families override it with a closed form that ignores the start.
+    optional start: the base class solves its rays by a Newton iteration
+    with one dual solve per step, the quadric families override it with a
+    closed form that ignores the start, and the perturbed family with one
+    Newton solve on the boundary that falls back to the base class's.
     """
 
     family = "abstract"
@@ -208,11 +215,13 @@ class MinkowskiNorm:
         """Largest root s of F0(offset + s*dir) = scale along each row of
         dirs, with DF0 at each row's last Newton point: returns (s, g).
 
-        This is the numerical path, for norms without a closed form; the
-        quadric families override it with the root of a quadratic.  F0 is
-        convex along every line, so a Newton iteration started beyond the
-        root, at max F(dir) * scale + |offset| with slack (the Wulff radius
-        1/F0(dir) never exceeds F(dir)), decreases monotonically onto it.
+        This is the nested numerical path: the quadric families override it
+        with the root of a quadratic, and the perturbed family with a joint
+        Newton solve on its Wulff boundary that calls this one only for the
+        rows its certificate rejects.  F0 is convex along every line, so a
+        Newton iteration started beyond the root, at max F(dir) * scale +
+        |offset| with slack (the Wulff radius 1/F0(dir) never exceeds
+        F(dir)), decreases monotonically onto it.
         Each step makes one dual solve: F0 is 1-homogeneous, so
         F0(x) = x.DF0(x), and DF0 is warm-started from the previous step's
         gradient.  A row whose slope turns nonpositive has passed the
@@ -592,6 +601,79 @@ class PerturbedNorm(MinkowskiNorm):
         y = self._dual_maximizer(x, start)
         g = y / self._value_batch(y)[:, None]
         return _restore(g, single, lead)
+
+    # ray exits
+
+    def exit_distance(self, dirs, offset, scale, start=None):
+        """Largest root s of F0(offset + s*dir) = scale along each row of
+        dirs, with DF0 there: returns (s, g), s = -inf and g = NaN where the
+        line misses the body.
+
+        The boundary of scale*W is the Cahn-Hoffman image {scale*DF(nu) :
+        |nu| = 1}, so each row solves R = scale*DF(nu) - offset - s*dir = 0
+        for (s, nu) by one Newton iteration, nu moved in `_newton`'s tangent
+        chart.  F is 1-homogeneous, so D^2F(nu) nu = 0 and D^2F(nu) B =
+        B T with T = `_tangent_hess`; the step is then closed form:
+        ds = nu.R / nu.dir along the normal and c = T^-1 B^T(dir*ds - R)/scale
+        in the chart.  At the root DF0 = nu/F(nu).
+
+        A row starts from `start = (s0, g0)` where both are finite, at
+        (s0, g0/|g0|), since DF0 is parallel to the normal; otherwise from
+        its exit from the euclidean ball of radius scale.  A line meets the
+        strictly convex boundary at most twice and only the exit has
+        nu.dir > 0, so a converged row with nu.dir > 0 is the largest root.
+        Rows that fail this certificate (converged at the entry, singular,
+        still moving after _RAY_MAXIT steps, or missing the ball) are solved
+        by the nested Newton of `MinkowskiNorm.exit_distance`, from their
+        start rows: the start and the path change the result by roundoff
+        only.
+        """
+        s = np.full(len(dirs), -np.inf)
+        g = np.full(dirs.shape, np.nan)
+        warm = np.zeros(len(dirs), dtype=bool)
+        if start is not None:
+            warm = np.isfinite(start[0]) & np.all(np.isfinite(start[1]), axis=1)
+            s[warm], g[warm] = start[0][warm], start[1][warm]
+        s[~warm], g[~warm] = _quadric_exit(dirs[~warm], offset, scale,
+                                           np.eye(self.ambient_dim))
+        idx = np.flatnonzero(np.isfinite(s))
+        ok = np.zeros(len(dirs), dtype=bool)
+        sa, th = s[idx], dirs[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            na = g[idx] / np.linalg.norm(g[idx], axis=1, keepdims=True)
+            for _ in range(_RAY_MAXIT):
+                frame = _tangent_frame(na)
+                r = (scale * self._grad_batch(na) - offset[None, :]
+                     - sa[:, None] * th)
+                ds = np.einsum("ij,ij->i", na, r) / np.einsum("ij,ij->i", na, th)
+                v = th * ds[:, None] - r
+                bv = [np.einsum("ij,ij->i", v, b) / scale for b in frame]
+                t = self._tangent_hess(na, self._value_batch(na), frame)
+                if len(frame) == 1:
+                    c = [bv[0] / t[:, 0, 0]]
+                else:
+                    det = t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] * t[:, 0, 1]
+                    c = [(t[:, 1, 1] * bv[0] - t[:, 0, 1] * bv[1]) / det,
+                         (t[:, 0, 0] * bv[1] - t[:, 0, 1] * bv[0]) / det]
+                step = np.sqrt(sum(ck * ck for ck in c))
+                cap = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-300), 1.0)
+                sa = sa + ds
+                na = na + sum((cap * ck)[:, None] * b for ck, b in zip(c, frame))
+                na /= np.linalg.norm(na, axis=1, keepdims=True)
+                conv = (np.abs(ds) <= 1e-13 * scale) & (step < _NEWTON_STEP_TOL)
+                s[idx[conv]], g[idx[conv]], ok[idx[conv]] = sa[conv], na[conv], True
+                keep = ~conv & np.isfinite(step) & np.isfinite(ds)
+                idx, sa, th, na = idx[keep], sa[keep], th[keep], na[keep]
+                if idx.size == 0:
+                    break
+        ok[ok] = np.einsum("ij,ij->i", g[ok], dirs[ok]) > 0.0   # g = nu here
+        g[ok] /= self._value_batch(g[ok])[:, None]
+        if not np.all(ok):
+            rows = ~ok
+            rest = None if start is None else (start[0][rows], start[1][rows])
+            s[rows], g[rows] = MinkowskiNorm.exit_distance(
+                self, dirs[rows], offset, scale, rest)
+        return s, g
 
     def spec(self):
         kind = ("sectoral" if isinstance(self.harmonic, SectoralHarmonic)

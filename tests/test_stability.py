@@ -727,6 +727,106 @@ def test_asymmetry_warm_rays_save_dual_solves(monkeypatch):
     assert warm.converged and cold.converged
 
 
+@pytest.mark.parametrize("spec, res", [
+    pytest.param({"family": "perturbed", "dim": 1, "epsilon": 0.1}, 64,
+                 id="perturbed2"),
+    pytest.param({"family": "perturbed", "dim": 2, "epsilon": 0.1}, 12,
+                 id="perturbed3"),
+    pytest.param({"family": "perturbed", "dim": 1, "epsilon": 0.08,
+                  "harmonic": {"kind": "sectoral", "degree": 2}}, 512,
+                 id="sectoral2-512"),
+])
+def test_perturbed_exit_distance_matches_nested_newton(spec, res):
+    # the joint Newton solve on the Wulff boundary against the nested path
+    # it replaced, cold and warm-started, inside and outside the body
+    norm = norm_from_spec(spec)
+    dim = spec["dim"]
+    dirs = make_grid(dim, res).nodes
+    rng = np.random.default_rng(40 + res)
+    scale = 1.3
+    for frac in (0.0, 0.3, 0.6, 0.95):
+        prev = _inside_offset(norm, rng, scale, rng.uniform(0.0, 0.95))
+        start = _warm_starts(norm, dirs, prev, scale)
+        offset = _inside_offset(norm, rng, scale, frac)
+        nested, _ = newton_exit(norm, dirs, offset, scale)
+        for warm in (None, start):
+            s, g = norm.exit_distance(dirs, offset, scale, start=warm)
+            assert np.max(np.abs(s - nested)) <= 1e-13 * scale
+            exact = norm.dual_grad(offset[None, :] + s[:, None] * dirs)
+            assert np.max(np.abs(g - exact)) <= 1e-10
+    # outside the body: the same rays miss, and the hits have equal roots
+    for frac in (1.2, 2.0, 4.0):
+        offset = _inside_offset(norm, rng, scale, frac)
+        nested, _ = newton_exit(norm, dirs, offset, scale)
+        s, g = norm.exit_distance(dirs, offset, scale)
+        miss = np.isinf(nested)
+        assert 0 < np.sum(miss) < len(dirs)
+        assert np.array_equal(np.isinf(s), miss)
+        assert np.all(s[miss] < 0.0) and np.all(np.isnan(g[miss]))
+        assert np.max(np.abs(s[~miss] - nested[~miss])) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name, dim", [("perturbed2", 1), ("perturbed3", 2)])
+def test_perturbed_exit_distance_certificate_sends_entries_to_nested(
+        name, dim, request, monkeypatch):
+    # warm-started at the entry point s0 = -s_out(-theta) with DF0 there,
+    # every row is a root of the joint system with nu.theta < 0: the
+    # certificate rejects it, and the nested path finds the exit
+    norm = request.getfixturevalue(name)
+    dirs = make_grid(dim, 64 if dim == 1 else 12).nodes
+    rng = np.random.default_rng(50 + dim)
+    scale = 1.3
+    offset = _inside_offset(norm, rng, scale, 0.5)
+    back, g_back = newton_exit(norm, -dirs, offset, scale)
+    assert np.all(np.einsum("ij,ij->i", g_back, dirs) < 0.0)
+    exit_s, _ = newton_exit(norm, dirs, offset, scale)
+    rows = []
+
+    def nested(self, dirs, *args, **kw):
+        rows.append(len(dirs))
+        return newton_exit(self, dirs, *args, **kw)
+
+    monkeypatch.setattr(MinkowskiNorm, "exit_distance", nested)
+    s, _ = norm.exit_distance(dirs, offset, scale, start=(-back, g_back))
+    assert rows == [len(dirs)]
+    assert np.max(np.abs(s - exit_s)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("spec, res, harmonics", [
+    pytest.param({"family": "perturbed", "dim": 2, "epsilon": 0.1,
+                  "harmonic": {"kind": "product"}}, 16,
+                 [{"kind": "zonal", "k": 2, "delta": 0.0802},
+                  {"kind": "zonal", "k": 3, "delta": 0.0451}], id="zonal-16"),
+    pytest.param({"family": "perturbed", "dim": 1, "epsilon": 0.1}, 128,
+                 [{"k": 2, "delta": 0.1}, {"k": 3, "delta": 0.05, "phase": 0.4}],
+                 id="curve-128"),
+])
+def test_asymmetry_search_makes_no_dual_ray_solves(spec, res, harmonics,
+                                                   monkeypatch):
+    # every ray of the translation search passes the joint solve's
+    # certificate: the Wulff construction is the only dual solve
+    norm = norm_from_spec(spec)
+    surface = fourier_surface(make_grid(spec["dim"], res), 1.0, harmonics)
+    calls = []
+
+    def counting(method):
+        def wrapped(x, *args, **kw):
+            calls.append(len(x))
+            return method(x, *args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(norm, "dual_value", counting(norm.dual_value))
+    monkeypatch.setattr(norm, "dual_grad", counting(norm.dual_grad))
+
+    def nested(*args, **kw):
+        raise AssertionError("a ray reached the nested Newton path")
+
+    monkeypatch.setattr(MinkowskiNorm, "exit_distance", nested)
+    res = asymmetry_index(surface, norm)
+    assert res.converged and res.alpha > 0.0
+    assert len(calls) <= 1
+
+
 def _dense_interp(surface, dirs):
     # the explicit phase-matrix form of the trigonometric interpolant
     n_nodes = surface.grid.n_nodes
