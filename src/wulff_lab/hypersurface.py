@@ -88,10 +88,11 @@ def geometry(surface, norm):
     covariant Hessian of r there, the chart tangents are
     t_i = v_i theta + r e_i, the metric is g = r^2 I + v v^T and the second
     fundamental form b = (r^2 I + 2 v v^T - r h) / sqrt(r^2 + |v|^2); with
-    C_ij = t_i . D^2F(normal) t_j, H_F = tr(g^-1 C g^-1 b).  The same
-    formulas serve the circle (one tangent) and the sphere (two); the small
-    matrices are held node-last, [i, j, node], so every product runs along
-    node rows.
+    C_ij = t_i . D^2F(normal) t_j, H_F = tr(g^-1 C g^-1 b).  F(normal) and
+    C come from the norm's `tangent_form`, in closed form: the d x d
+    Hessian is never built.  The same formulas serve the circle (one
+    tangent) and the sphere (two); the small matrices are held node-last,
+    [i, j, node], so every product runs along node rows.
     """
     grid = surface.grid
     if norm.ambient_dim != grid.dim + 1:
@@ -110,9 +111,7 @@ def geometry(surface, norm):
     g_inv = (eye - vv / w2) / r2
     b = (r2 * eye + 2.0 * vv - r * h) / sq
     t = v[:, None] * grid.nodes.T + r * grid.frame.transpose(0, 2, 1)
-    f_nu = norm.value(normal)
-    hess = np.ascontiguousarray(norm.hess(normal).transpose(1, 2, 0))
-    c = np.einsum("idn,jdn->ijn", np.einsum("den,ien->idn", hess, t), t)
+    f_nu, c = norm.tangent_form(normal, t.transpose(0, 2, 1))
 
     # H_F = tr(M S) with M = g^-1 C and S = g^-1 b the shape operator
     m = np.einsum("ijn,jkn->ikn", g_inv, c)
@@ -161,26 +160,29 @@ def aniso_perimeter(surface, norm, cache=None):
     return float(np.sum(cache.aniso_area_w))
 
 
-def weighted_momentum(surface, norm, center, p=1.0, cache=None):
+def weighted_momentum(surface, norm, center, p=1.0, cache=None, dual=None):
     """Weighted momentum: integral of dual_value(x - center)^p against the
-    anisotropic area measure."""
+    anisotropic area measure.  `dual` is dual_value(x - center) at the
+    surface points when the caller has already solved it."""
     if p < 1.0:
         raise ValueError(f"momentum exponent must be >= 1, got {p}")
     if cache is None:
         cache = geometry(surface, norm)
-    center = np.asarray(center, dtype=float)
-    rel = surface.points - center[None, :]
-    return float(np.sum(norm.dual_value(rel) ** p * cache.aniso_area_w))
+    if dual is None:
+        center = np.asarray(center, dtype=float)
+        dual = norm.dual_value(surface.points - center[None, :])
+    return float(np.sum(dual ** p * cache.aniso_area_w))
 
 
-def q_functional(surface, norm, center=None, cache=None):
-    """Scale-invariant quotient Q = per^(-1-1/n) * (momentum - volume)."""
+def q_functional(surface, norm, center=None, cache=None, dual=None):
+    """Scale-invariant quotient Q = per^(-1-1/n) * (momentum - volume);
+    `dual` as in `weighted_momentum`."""
     if cache is None:
         cache = geometry(surface, norm)
     n = surface.grid.dim
     c = np.zeros(n + 1) if center is None else np.asarray(center, dtype=float)
     per = float(np.sum(cache.aniso_area_w))
-    mom = weighted_momentum(surface, norm, c, 1.0, cache)
+    mom = weighted_momentum(surface, norm, c, 1.0, cache, dual)
     return per ** (-1.0 - 1.0 / n) * (mom - volume(surface))
 
 

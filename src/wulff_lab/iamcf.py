@@ -294,12 +294,13 @@ def _record_state(trace, surface, norm, t, dt, cache):
     ratio = r_hat / trace.wulff_rho
     a = surface.grid.mean(ratio)
     sup_dist = float(np.max(np.abs(ratio - a)))
-    c_hat = scale * surface.center + (1.0 - scale) * trace.center
-    x_hat = c_hat[None, :] + r_hat[:, None] * surface.grid.nodes
-    barrier = norm.dual_value(x_hat - trace.center[None, :])
+    # one dual solve: x_hat - P = scale (x - P) on the modified trajectory,
+    # and F0 is 1-homogeneous
+    dual = norm.dual_value(surface.points - trace.center[None, :])
+    barrier = scale * dual
     trace._record(
         times=t, dts=dt,
-        q=q_functional(surface, norm, trace.center, cache),
+        q=q_functional(surface, norm, trace.center, cache, dual),
         perimeter=float(np.sum(cache.aniso_area_w)),
         volume=volume(surface),
         min_hf=float(np.exp(t / n) * cache.min_mean_curv),
@@ -374,10 +375,12 @@ def _q_derivative_terms(surface, norm, center, cache=None):
     n = surface.grid.dim
     center = np.asarray(center, dtype=float)
     per = float(np.sum(cache.aniso_area_w))
-    mom = weighted_momentum(surface, norm, center, 1.0, cache)
-    vol = volume(surface)
     rel = surface.points - center[None, :]
     dual_grad = norm.dual_grad(rel)
+    # F0(x - P) = (x - P).DF0(x - P): F0 is 1-homogeneous
+    mom = weighted_momentum(surface, norm, center, 1.0, cache,
+                            np.einsum("ij,ij->i", rel, dual_grad))
+    vol = volume(surface)
     align = np.einsum("ij,ij->i", dual_grad, norm.grad(cache.normal))
     correction = float(np.sum((align - 1.0) / cache.aniso_mean_curv
                               * cache.aniso_area_w))

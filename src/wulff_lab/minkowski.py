@@ -49,19 +49,20 @@ def _restore(values, single, lead_shape):
 
 
 def _tangent_frame(y):
-    """Orthonormal tangent vectors at unit rows y: a list of d-1 (m, d) arrays.
+    """Orthonormal tangent vectors at unit rows y, shape (d-1, m, d) and
+    stored node-last, as `tangent_form` takes them.
 
     In 3-D this is the branchless frame of Duff et al., "Building an
     Orthonormal Basis, Revisited", JCGT 6(1), 2017.
     """
     if y.shape[1] == 2:
-        return [np.column_stack([-y[:, 1], y[:, 0]])]
+        return np.array([[-y[:, 1], y[:, 0]]]).transpose(0, 2, 1)
     y0, y1, y2 = y.T
     sign = np.copysign(1.0, y2)
     a = -1.0 / (sign + y2)
     b = y0 * y1 * a
-    return [np.column_stack([1.0 + sign * y0 * y0 * a, sign * b, -sign * y0]),
-            np.column_stack([b, sign + y1 * y1 * a, -y1])]
+    return np.array([[1.0 + sign * y0 * y0 * a, sign * b, -sign * y0],
+                     [b, sign + y1 * y1 * a, -y1]]).transpose(0, 2, 1)
 
 
 def _check_nonzero(x):
@@ -175,8 +176,16 @@ def _quadric_exit(dirs, offset, scale, form):
 class MinkowskiNorm:
     """Base class: a convex 1-homogeneous norm, smooth away from the origin.
 
-    Subclasses implement `value`, `grad`, `hess`, `dual_value`, `dual_grad`.
-    Instances are immutable value objects; all methods are pure.
+    Subclasses implement `value`, `grad`, `hess`, `tangent_form`,
+    `dual_value`, `dual_grad`.  Instances are immutable value objects; all
+    methods are pure.
+
+    `tangent_form(nu, t)` is D^2F where the flow and the Newton solves read
+    it: on the tangent plane of a unit normal.  It takes unit rows nu of
+    shape (m, d) and tangent vectors t of shape (k, m, d), t_i . nu = 0, and
+    returns F(nu) and C_ij = t_i . D^2F(nu) t_j, shape (k, k, m), in closed
+    form and without the d x d Hessian.  F is 1-homogeneous, so
+    D^2F(nu) nu = 0 and C determines D^2F(nu) there.
 
     `dual_grad(x, start)` accepts an optional guess of the answer with the
     shape of `x` (typically the previous result along a path of nearby
@@ -199,6 +208,9 @@ class MinkowskiNorm:
         raise NotImplementedError
 
     def hess(self, x):
+        raise NotImplementedError
+
+    def tangent_form(self, nu, t):
         raise NotImplementedError
 
     def dual_value(self, x):
@@ -349,6 +361,15 @@ class EllipsoidNorm(MinkowskiNorm):
         h = self.matrix[None] - g[:, :, None] * g[:, None, :]
         return _restore(h / f[:, None, None], single, lead)
 
+    def tangent_form(self, nu, t):
+        """(T^T A T - (T^T DF)(DF^T T)) / F: `hess` between tangents."""
+        g, f = _quadric_grad(nu, self.matrix)
+        tg = np.einsum("imd,md->im", t, g)
+        c = np.einsum("imd,jmd->ijm", t, t @ self.matrix)
+        c -= tg[:, None] * tg[None]
+        c /= f
+        return f, c
+
     def dual_value(self, x):
         return self._value(x, self.inverse)
 
@@ -464,19 +485,6 @@ class PerturbedNorm(MinkowskiNorm):
         )
         return h
 
-    def _tangent_hess(self, y, fy, frame):
-        """B^T D^2F(y) B, shape (m, d-1, d-1), at unit rows y with F(y) = fy
-        and tangent frame B.  The terms of `_hess_batch` that carry y vanish
-        on tangent vectors; at |y| = 1 the rest is (k - (k-1) F(y)) I +
-        eps D^2p."""
-        k = self.harmonic.degree
-        b = np.stack(frame, axis=-1)
-        block = self.eps * np.matmul(np.swapaxes(b, 1, 2),
-                                     np.matmul(self.harmonic.hess(y), b))
-        diag = np.arange(len(frame))
-        block[:, diag, diag] += (k - (k - 1) * fy)[:, None]
-        return block
-
     def value(self, x):
         x, single, lead = _as_batch(x, self.ambient_dim)
         return _restore(self._value_batch(x), single, lead)
@@ -490,6 +498,19 @@ class PerturbedNorm(MinkowskiNorm):
         x, single, lead = _as_batch(x, self.ambient_dim)
         _check_nonzero(x)
         return _restore(self._hess_batch(x), single, lead)
+
+    def tangent_form(self, nu, t):
+        """(k - (k-1) F(nu)) g + eps T^T D^2p(nu) T with g_ij = t_i . t_j:
+        the terms of `_hess_batch` that carry nu vanish on tangent vectors,
+        and at |nu| = 1 the rest is (1 + (1-k) eps p) g + eps T^T D^2p T,
+        with eps p = F(nu) - 1."""
+        k = self.harmonic.degree
+        f = self._value_batch(nu)
+        ht = np.einsum("mde,ime->imd", self.harmonic.hess(nu), t)
+        c = np.einsum("imd,jmd->ijm", t, t)
+        c *= k - (k - 1) * f
+        c += self.eps * np.einsum("imd,jmd->ijm", t, ht)
+        return f, c
 
     # dual evaluation
 
@@ -527,13 +548,13 @@ class PerturbedNorm(MinkowskiNorm):
                 if idx.size == 0:
                     break
                 fy, num = fy[keep], num[keep]
-                frame = [b[keep] for b in frame]
+                frame = frame[:, keep]
                 xb, gb, gt = ([v[keep] for v in vs] for vs in (xb, gb, gt))
-            bhb = self._tangent_hess(ya, fy, frame)
+            _, bhb = self.tangent_form(ya, frame)
             f2, f3 = fy * fy, 2.0 * num / (fy * fy * fy)
 
             def h(k, m):   # entry (k, m) of B^T D^2phi B
-                return ((-(xb[k] * gb[m] + gb[k] * xb[m]) - num * bhb[:, k, m])
+                return ((-(xb[k] * gb[m] + gb[k] * xb[m]) - num * bhb[k, m])
                         / f2 + f3 * gb[k] * gb[m])
 
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -613,7 +634,7 @@ class PerturbedNorm(MinkowskiNorm):
         |nu| = 1}, so each row solves R = scale*DF(nu) - offset - s*dir = 0
         for (s, nu) by one Newton iteration, nu moved in `_newton`'s tangent
         chart.  F is 1-homogeneous, so D^2F(nu) nu = 0 and D^2F(nu) B =
-        B T with T = `_tangent_hess`; the step is then closed form:
+        B T with T = `tangent_form`(nu, B); the step is then closed form:
         ds = nu.R / nu.dir along the normal and c = T^-1 B^T(dir*ds - R)/scale
         in the chart.  At the root DF0 = nu/F(nu).
 
@@ -648,13 +669,13 @@ class PerturbedNorm(MinkowskiNorm):
                 ds = np.einsum("ij,ij->i", na, r) / np.einsum("ij,ij->i", na, th)
                 v = th * ds[:, None] - r
                 bv = [np.einsum("ij,ij->i", v, b) / scale for b in frame]
-                t = self._tangent_hess(na, self._value_batch(na), frame)
+                _, t = self.tangent_form(na, frame)
                 if len(frame) == 1:
-                    c = [bv[0] / t[:, 0, 0]]
+                    c = [bv[0] / t[0, 0]]
                 else:
-                    det = t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] * t[:, 0, 1]
-                    c = [(t[:, 1, 1] * bv[0] - t[:, 0, 1] * bv[1]) / det,
-                         (t[:, 0, 0] * bv[1] - t[:, 0, 1] * bv[0]) / det]
+                    det = t[0, 0] * t[1, 1] - t[0, 1] * t[0, 1]
+                    c = [(t[1, 1] * bv[0] - t[0, 1] * bv[1]) / det,
+                         (t[0, 0] * bv[1] - t[0, 1] * bv[0]) / det]
                 step = np.sqrt(sum(ck * ck for ck in c))
                 cap = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-300), 1.0)
                 sa = sa + ds

@@ -121,10 +121,12 @@ class SphereGrid:
         self.weights = np.full(n, 2.0 * np.pi / n)
         self.frame = np.array([[-np.sin(a), np.cos(a)]]).transpose(0, 2, 1)
         k = np.fft.rfftfreq(n, d=1.0 / n)  # integer wavenumbers 0..n/2
-        self._ik = 1j * k
+        ik = 1j * k
         if n % 2 == 0:
-            self._ik[-1] = 0.0  # odd derivative of the Nyquist mode is ambiguous
+            ik[-1] = 0.0  # odd derivative of the Nyquist mode is ambiguous
         self._mk2 = -(k ** 2)
+        # symbols of the first and second derivative, one row each
+        self._d12 = np.array([ik, self._mk2])
         self._dense = None
         # Largest magnitude of the discrete second-derivative symbol.
         self.curvature_symbol_bound = (n / 2.0) ** 2
@@ -234,9 +236,7 @@ class SphereGrid:
         if self.dim != 1:
             raise ValueError("angle_derivatives is defined for dim=1 grids")
         field = self._check_field(field)
-        fk = np.fft.rfft(field)
-        d1 = np.fft.irfft(fk * self._ik, n=self.n_nodes)
-        d2 = np.fft.irfft(fk * self._mk2, n=self.n_nodes)
+        d1, d2 = np.fft.irfft(np.fft.rfft(field) * self._d12, n=self.n_nodes)
         return d1, d2
 
     def latlon_derivatives(self, field):
@@ -321,9 +321,11 @@ class SphereGrid:
             self._dense = self._build_dense()
         d2, nearest = self._dense
         m = d2.shape[0]
-        # each of the m nodes carries the largest coefficient near it
-        a_m = np.zeros(m)
-        np.maximum.at(a_m, nearest, a)
+        if m == n:
+            a_m = a
+        else:   # each of the m nodes carries the largest coefficient near it
+            a_m = np.zeros(m)
+            np.maximum.at(a_m, nearest, a)
         system = d2 * -a_m[:, None]
         system.flat[::m + 1] += 1.0
         if m == n:

@@ -41,17 +41,21 @@ def _wulff(norm, grid, wulff=None):
 # --------------------------------------------------------------------------
 
 
-def deficit_thm11(surface, norm, center=None, cache=None, wulff=None):
+def deficit_thm11(surface, norm, center=None, cache=None, wulff=None,
+                  dual=None):
     """Deficit of the sharp weighted inequality: Q(surface) minus the value
     attained by rescaled Wulff shapes.  Nonnegative for star-shaped,
     F-mean-convex surfaces; zero exactly on rescaled translates of the
-    Wulff shape centered at `center`."""
+    Wulff shape centered at `center`.  `dual` is dual_value(x - center) at
+    the surface points when the caller has already solved it, here and in
+    the other deficits."""
     w = _wulff(norm, surface.grid, wulff)
-    q = q_functional(surface, norm, center, cache)
+    q = q_functional(surface, norm, center, cache, dual)
     return q - wulff_q_value(w.volume, n=surface.grid.dim)
 
 
-def deficit_pmomentum(surface, norm, center=None, p=2.0, cache=None, wulff=None):
+def deficit_pmomentum(surface, norm, center=None, p=2.0, cache=None, wulff=None,
+                      dual=None):
     """Deficit of the p-momentum inequality, normalized by the surface's
     anisotropic perimeter and volume."""
     if p < 1.0:
@@ -61,7 +65,7 @@ def deficit_pmomentum(surface, norm, center=None, p=2.0, cache=None, wulff=None)
     n = surface.grid.dim
     c = np.zeros(n + 1) if center is None else np.asarray(center, dtype=float)
     w = _wulff(norm, surface.grid, wulff)
-    mom_p = weighted_momentum(surface, norm, c, p, cache)
+    mom_p = weighted_momentum(surface, norm, c, p, cache, dual)
     per = float(np.sum(cache.aniso_area_w))
     vol = volume(surface)
     return mom_p / (per * vol ** (p / (n + 1.0))) - w.volume ** (-p / (n + 1.0))
@@ -77,11 +81,12 @@ def pmomentum_chain(surface, norm, center=None, p=2.0, cache=None, wulff=None):
     w = _wulff(norm, surface.grid, wulff)
     per = float(np.sum(cache.aniso_area_w))
     vol = volume(surface)
-    mom1 = weighted_momentum(surface, norm, c, 1.0, cache)
-    deficit_p = deficit_pmomentum(surface, norm, c, p, cache, w)
+    dual = norm.dual_value(surface.points - c[None, :])
+    mom1 = weighted_momentum(surface, norm, c, 1.0, cache, dual)
+    deficit_p = deficit_pmomentum(surface, norm, c, p, cache, w, dual)
     holder_lower = (mom1 / per) ** p / vol ** (p / (n + 1.0)) \
         - w.volume ** (-p / (n + 1.0))
-    eps1 = deficit_thm11(surface, norm, c, cache, w)
+    eps1 = deficit_thm11(surface, norm, c, cache, w, dual)
     chain_lower = ((vol + per ** (1.0 + 1.0 / n)
                     * (eps1 + wulff_q_value(w.volume, n=n)))
                    / (per * vol ** (1.0 / (n + 1.0)))) ** p \
@@ -406,7 +411,8 @@ def _regraph_radial(surface, point):
                        "did not converge")
 
 
-def gap_integral(surface, norm, center=None, cache=None, wulff=None):
+def gap_integral(surface, norm, center=None, cache=None, wulff=None,
+                 dual=None):
     """Integrated pointwise Cauchy-Schwarz gap of a surface, its
     divergence-form equivalent, and the gradient lower-bound surrogate.
 
@@ -414,7 +420,8 @@ def gap_integral(surface, norm, center=None, cache=None, wulff=None):
     exact along the rays from the weight center P: with r_P the surface
     re-graphed about P it is per - (integral of r_P^n * rho).  The surface
     must be star-shaped about P: ValueError unless the support function
-    (x - P).nu is positive at every node."""
+    (x - P).nu is positive at every node.  `dual` is F0(x - P) at the
+    surface points when the caller has already solved it."""
     if cache is None:
         cache = geometry(surface, norm)
     grid = surface.grid
@@ -424,7 +431,8 @@ def gap_integral(surface, norm, center=None, cache=None, wulff=None):
     flux = np.einsum("ij,ij->i", rel, cache.normal)
     if np.min(flux) <= 0.0:
         raise ValueError("surface is not star-shaped about the weight center")
-    dual = norm.dual_value(rel)
+    if dual is None:
+        dual = norm.dual_value(rel)
     gap = float(np.sum((dual * cache.f_normal - flux) * cache.area_w))
     gap_norm = float(np.sum((cache.f_normal - flux / dual) * cache.area_w))
     per = float(np.sum(cache.aniso_area_w))
@@ -521,9 +529,12 @@ def full_deficit_report(surface, norm, center=None, p_exponents=(2.0,),
     c = np.zeros(n + 1) if center is None else np.asarray(center, dtype=float)
     w = _wulff(norm, grid, wulff)
     cache = geometry(surface, norm)
-    gap = gap_integral(surface, norm, c, cache, w)   # checks the center first
-    eps1 = deficit_thm11(surface, norm, c, cache, w)
-    eps_p = {str(float(p)): deficit_pmomentum(surface, norm, c, p, cache, w)
+    # one dual solve at the surface points serves every deficit
+    dual = norm.dual_value(surface.points - c[None, :])
+    gap = gap_integral(surface, norm, c, cache, w, dual)   # checks the center
+    eps1 = deficit_thm11(surface, norm, c, cache, w, dual)
+    eps_p = {str(float(p)): deficit_pmomentum(surface, norm, c, p, cache, w,
+                                              dual)
              for p in p_exponents}
     asym = asymmetry_index(surface, norm, w)
     haus = hausdorff_to_wulff(surface, norm, w)

@@ -13,6 +13,7 @@ from wulff_lab import (
     geometry,
     make_grid,
     monotonicity_report,
+    norm_from_spec,
     q_functional,
     radial_speed,
     run_flow,
@@ -352,3 +353,39 @@ def test_derivative_error_unfloored_on_moving_shape(ellipse3):
     assert rep.derivative_rel_error == abs(
         rep.derivative_fd - rep.derivative_formula) / abs(rep.derivative_formula)
     assert rep.derivative_rel_error < 1e-2
+
+
+@pytest.mark.parametrize("dim, res, spec", [
+    (1, 64, {"family": "euclidean", "dim": 1}),
+    (1, 64, {"family": "ellipsoid", "matrix": [[4.0, 0.0], [0.0, 1.0]]}),
+    (1, 64, {"family": "perturbed", "dim": 1, "epsilon": 0.08,
+             "harmonic": {"kind": "sectoral", "degree": 2}}),
+    (2, 16, {"family": "ellipsoid",
+             "matrix": [[4.0, 0.0, 1.0], [0.0, 2.25, 0.0], [1.0, 0.0, 1.0]]}),
+    (2, 16, {"family": "perturbed", "dim": 2, "epsilon": 0.1,
+             "harmonic": {"kind": "product"}}),
+], ids=["euclid-1", "ellipse-1", "perturbed-1", "ellipsoid-2", "perturbed-2"])
+def test_flow_reads_only_the_tangent_form(dim, res, spec, monkeypatch):
+    # the flow and its dQ/dt check read D^2F through `tangent_form` alone,
+    # and each record solves the dual norm once, besides the Wulff shape's
+    norm = norm_from_spec(spec)
+
+    def no_hess(x):
+        raise AssertionError("the flow built a full Hessian")
+
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return dual_value(x)
+
+    dual_value = norm.dual_value
+    monkeypatch.setattr(norm, "hess", no_hess)
+    monkeypatch.setattr(norm, "dual_value", counting)
+    harmonics = ([{"k": 2, "delta": 0.06}, {"k": 1, "delta": 0.15}] if dim == 1
+                 else [{"kind": "zonal", "k": 2, "delta": 0.05}])
+    surface = fourier_surface(make_grid(dim, res), 1.0, harmonics)
+    trace, _ = run_flow(FlowConfig(norm, surface, t_end=0.04, cadence=0.02))
+    assert trace.steps_taken > 0
+    assert len(calls) == 1 + len(trace.times)
+    monotonicity_report(trace)

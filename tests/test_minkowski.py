@@ -352,13 +352,39 @@ def test_perturbed_dual_rows_are_independent(name, request):
 ], ids=["sectoral2-2d", "sectoral3-2d", "sectoral2-3d", "sectoral3-3d",
         "product-3d"])
 def test_tangent_hess_matches_full_hessian(d, harmonic):
-    # the dual Newton's tangent block B^T D^2F B, formed without the terms
-    # that carry y, equals the projection of the full Hessian at unit y
+    # the dual Newton's tangent block B^T D^2F B, the tangent form on its
+    # orthonormal frame, equals the projection of the full Hessian at unit y
     norm = PerturbedNorm(d, 0.05, harmonic)
     y = np.random.default_rng(13).standard_normal((200, d))
     y /= np.linalg.norm(y, axis=1, keepdims=True)
     frame = _tangent_frame(y)
     b = np.stack(frame, axis=-1)
     full = np.swapaxes(b, 1, 2) @ norm._hess_batch(y) @ b
-    block = norm._tangent_hess(y, norm._value_batch(y), frame)
-    assert np.max(np.abs(block - full)) <= 1e-13
+    f, block = norm.tangent_form(y, frame)
+    assert np.max(np.abs(np.moveaxis(block, -1, 0) - full)) <= 1e-13
+    assert np.array_equal(f, norm._value_batch(y))
+
+
+@pytest.mark.parametrize("name", ["euclid2", "tilted2", "perturbed2",
+                                  "euclid3", "tilted3", "perturbed3"])
+def test_tangent_form_matches_full_hessian(name, request):
+    # at unit nu and tangents of any length and angle, t_i . nu = 0, the
+    # closed form is t_i . hess(nu) t_j, relative to |t_i| |t_j| max|hess|;
+    # the tangents are combinations of an orthonormal frame, which keeps
+    # t_i . nu at roundoff relative to |t_i| (a projection does not)
+    norm = request.getfixturevalue(name)
+    d = norm.ambient_dim
+    rng = np.random.default_rng(14 + d)
+    nu = rng.standard_normal((300, d))
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    coef = rng.standard_normal((d - 1, 300, d - 1)) * np.exp(
+        rng.uniform(-2.0, 2.0, (d - 1, 300, 1)))
+    t = np.einsum("imj,jmd->imd", coef, _tangent_frame(nu))
+    f, c = norm.tangent_form(nu, t)
+    hess = norm.hess(nu)
+    full = np.einsum("imd,mde,jme->ijm", t, hess, t)
+    size = np.linalg.norm(t, axis=2)
+    scale = size[:, None] * size[None] * np.max(np.abs(hess), axis=(1, 2))
+    assert c.shape == (d - 1, d - 1, 300)
+    assert np.max(np.abs(c - full) / scale) <= 1e-14
+    assert np.array_equal(f, norm.value(nu))

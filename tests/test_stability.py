@@ -508,6 +508,24 @@ def test_full_deficit_report(grid256, ellipse2):
     assert rep.asymmetry_method == "radial"
 
 
+def test_full_deficit_report_solves_the_dual_once(grid256, ellipse2,
+                                                  monkeypatch):
+    # the gap integral and every deficit share one dual solve at the
+    # surface points
+    s = fourier_surface(grid256, 1.0, [{"k": 1, "delta": 0.15}])
+    w = make_wulff(ellipse2, grid256)
+    calls = []
+    dual_value = ellipse2.dual_value
+
+    def counting(x):
+        calls.append(np.array_equal(x, s.points))
+        return dual_value(x)
+
+    monkeypatch.setattr(ellipse2, "dual_value", counting)
+    full_deficit_report(s, ellipse2, p_exponents=(1.0, 2.0, 3.0), wulff=w)
+    assert sum(calls) == 1
+
+
 def _disk_lens(d):
     # area of the intersection of two unit disks at distance d
     if d >= 2.0:
