@@ -5,14 +5,9 @@ closed-form duals and ray exits from their Wulff shapes, and serve as
 oracles; the euclidean norm is the identity ellipsoid, A = I, and shares
 their code.  The "perturbed" family has support function
 h = 1 + eps*Y on the unit sphere, with Y the restriction of a low-degree
-harmonic polynomial, and exercises the numerical dual path: per-row Newton
-refinement on the sphere, seeded from an optional caller-supplied start (or
-x/|x|), certified global by the sign of x.y, and re-seeded from a grid scan
-only for rows that fail.  Its ray exits from the Wulff shape need no dual
-solve: one Newton iteration per ray on the Cahn-Hoffman parametrization
-x = DF(nu) of the boundary, certified by the sign of nu.dir, with the
-nested Newton on the dual (the base class's) as the fallback for rows that
-fail.
+harmonic polynomial, and exercises the numerical path: its dual and its ray
+exits are solved by one Newton kernel on the Wulff boundary (see
+`PerturbedNorm`).
 
 All evaluation methods are vectorized: `x` may be a single vector of shape
 (d,) or a batch of shape (..., d).
@@ -26,11 +21,9 @@ import numpy as np
 
 from .sphere_grid import SphereGrid, make_grid
 
-_NEWTON_TOL = 1e-13        # chart gradient, relative to |x|
-_NEWTON_STEP_TOL = 1e-8    # the step before a passing gradient test
-_NEWTON_MAXIT = 40         # scan-seeded fallback
-_WARM_MAXIT = 8            # first pass, from the start or x/|x|
-_RAY_MAXIT = 10            # joint ray solve, before the nested fallback
+_NEWTON_STEP_TOL = 1e-8    # the chart step before a passing root test
+_FIRST_MAXIT = 10          # first pass, before a fallback
+_SCAN_MAXIT = 40           # the dual's scan-seeded second pass
 _SCAN_RESOLUTION = {2: 512, 3: 24}   # scan grid per ambient dimension
 
 
@@ -194,8 +187,8 @@ class MinkowskiNorm:
     `exit_distance(dirs, offset, scale, start)` takes the same kind of
     optional start: the base class solves its rays by a Newton iteration
     with one dual solve per step, the quadric families override it with a
-    closed form that ignores the start, and the perturbed family with one
-    Newton solve on the boundary that falls back to the base class's.
+    closed form that ignores the start, and the perturbed family with its
+    boundary Newton kernel, which also solves its dual.
     """
 
     family = "abstract"
@@ -405,14 +398,12 @@ class PerturbedNorm(MinkowskiNorm):
     k normalized to sup 1 on the sphere, i.e. F = |x| + eps * p(x)/|x|^(k-1).
     Construction fails if the perturbation breaks strict convexity of F^2/2.
 
-    The dual norm has no closed form; it is evaluated by maximizing
-    x.y / F(y) over unit y with Newton refinement in a tangent chart.  Each
-    row starts from the normalized `start` row when `dual_grad` is given
-    one, else from x/|x|.  x.y/F(y) has exactly two critical points on the
-    sphere, and only the maximizer has x.y > 0, so a converged row with
-    x.y > 0 is the global maximum.  Rows that fail this certificate are
-    solved again from a coarse grid scan's best direction: a warm start can
-    speed the solve but never change its answer beyond roundoff.
+    The dual norm has no closed form.  Its unit ball W has the boundary
+    {DF(nu) : |nu| = 1}, so F0(x) = x.nu/F(nu) and DF0(x) = nu/F(nu) at the
+    nu where the ray from the origin through x leaves W.  One Newton kernel,
+    `_boundary_newton`, solves that exit and every other ray exit from
+    scale*W; its two fallbacks are a scan-seeded second pass for the dual
+    and the nested Newton of `MinkowskiNorm.exit_distance` for the rays.
     """
 
     family = "perturbed"
@@ -512,92 +503,88 @@ class PerturbedNorm(MinkowskiNorm):
         c += self.eps * np.einsum("imd,jmd->ijm", t, ht)
         return f, c
 
-    # dual evaluation
+    # the boundary solve: dual evaluation and ray exits
 
-    def _newton(self, x, y, maxit):
-        """Per-row Newton iteration for critical points of x.y / F(y) on the
-        unit sphere, in the tangent chart y -> (y + B c) / |y + B c|.
+    def _boundary_newton(self, dirs, offset, scale, s, nu, maxit):
+        """Joint Newton iteration for the exit of each ray offset + s*dir
+        from scale*W: solves R = scale*DF(nu) - offset - s*dir = 0 for s and
+        the unit normal nu there, one row of dirs at a time.
 
-        Returns the iterates and a mask of the converged rows.  A row stops
-        once its chart gradient is below _NEWTON_TOL * |x| after a step
-        shorter than _NEWTON_STEP_TOL; converged rows drop out of the
-        iteration.  phi is 0-homogeneous, so y.grad(phi) = 0 and the
-        projected Hessian B^T D^2phi B is the Riemannian one.
+        The boundary of scale*W is the Cahn-Hoffman image {scale*DF(nu) :
+        |nu| = 1}.  nu moves in the tangent chart nu -> (nu + B c)/|nu + B c|
+        of the orthonormal frame B = `_tangent_frame`(nu).  F is
+        1-homogeneous, so D^2F(nu) nu = 0 and D^2F(nu) B = B T with
+        T = `tangent_form`(nu, B); the step is then closed form:
+        ds = nu.R / nu.dir along the normal and c = T^-1 B^T(dir*ds - R)/scale
+        in the chart, capped at length 0.5.  Each row starts from (s, nu/|nu|);
+        rows with non-finite s are skipped.  A row stops once |ds| <=
+        1e-13*scale after a chart step shorter than _NEWTON_STEP_TOL, and
+        drops out when its step turns non-finite (nu.dir = 0 or det T = 0).
+
+        A line meets the strictly convex boundary at most twice and only the
+        exit has nu.dir > 0, so a converged row with nu.dir > 0 is the
+        largest root.  Returns (s, nu, ok), ok the mask of those rows.
         """
-        y = y.copy()
-        done = np.zeros(len(x), dtype=bool)
-        idx = np.arange(len(x))
-        xa, ya = x, y
-        xna = np.linalg.norm(x, axis=1)
-        step = np.full(len(x), np.inf)
-        for _ in range(maxit):
-            fy = self._value_batch(ya)
-            gy = self._grad_batch(ya)
-            num = np.einsum("ij,ij->i", xa, ya)
-            frame = _tangent_frame(ya)
-            xb = [np.einsum("ij,ij->i", xa, b) for b in frame]
-            gb = [np.einsum("ij,ij->i", gy, b) for b in frame]
-            gt = [(xbk - num * gbk / fy) / fy for xbk, gbk in zip(xb, gb)]
-            gnorm = np.sqrt(sum(g * g for g in gt))
-            conv = (gnorm < _NEWTON_TOL * xna) & (step < _NEWTON_STEP_TOL)
-            if np.any(conv):
-                y[idx[conv]] = ya[conv]
-                done[idx[conv]] = True
-                keep = ~conv
-                idx, xa, ya, xna = idx[keep], xa[keep], ya[keep], xna[keep]
+        s, nu = s.copy(), nu.copy()
+        ok = np.zeros(len(dirs), dtype=bool)
+        idx = np.flatnonzero(np.isfinite(s))
+        sa, th = s[idx], dirs[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            na = nu[idx] / np.linalg.norm(nu[idx], axis=1, keepdims=True)
+            for _ in range(maxit):
+                frame = _tangent_frame(na)
+                r = (scale * self._grad_batch(na) - offset[None, :]
+                     - sa[:, None] * th)
+                ds = np.einsum("ij,ij->i", na, r) / np.einsum("ij,ij->i", na, th)
+                v = th * ds[:, None] - r
+                bv = [np.einsum("ij,ij->i", v, b) / scale for b in frame]
+                _, t = self.tangent_form(na, frame)
+                if len(frame) == 1:
+                    c = [bv[0] / t[0, 0]]
+                else:
+                    det = t[0, 0] * t[1, 1] - t[0, 1] * t[0, 1]
+                    c = [(t[1, 1] * bv[0] - t[0, 1] * bv[1]) / det,
+                         (t[0, 0] * bv[1] - t[0, 1] * bv[0]) / det]
+                step = np.sqrt(sum(ck * ck for ck in c))
+                cap = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-300), 1.0)
+                sa = sa + ds
+                na = na + sum((cap * ck)[:, None] * b for ck, b in zip(c, frame))
+                na /= np.linalg.norm(na, axis=1, keepdims=True)
+                conv = (np.abs(ds) <= 1e-13 * scale) & (step < _NEWTON_STEP_TOL)
+                s[idx[conv]], nu[idx[conv]], ok[idx[conv]] = sa[conv], na[conv], True
+                keep = ~conv & np.isfinite(step) & np.isfinite(ds)
+                idx, sa, th, na = idx[keep], sa[keep], th[keep], na[keep]
                 if idx.size == 0:
                     break
-                fy, num = fy[keep], num[keep]
-                frame = frame[:, keep]
-                xb, gb, gt = ([v[keep] for v in vs] for vs in (xb, gb, gt))
-            _, bhb = self.tangent_form(ya, frame)
-            f2, f3 = fy * fy, 2.0 * num / (fy * fy * fy)
-
-            def h(k, m):   # entry (k, m) of B^T D^2phi B
-                return ((-(xb[k] * gb[m] + gb[k] * xb[m]) - num * bhb[k, m])
-                        / f2 + f3 * gb[k] * gb[m])
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if len(frame) == 1:
-                    c = [-gt[0] / h(0, 0)]
-                else:
-                    h00, h01, h11 = h(0, 0), h(0, 1), h(1, 1)
-                    det = h00 * h11 - h01 * h01
-                    c = [(h01 * gt[1] - h11 * gt[0]) / det,
-                         (h01 * gt[0] - h00 * gt[1]) / det]
-            step = np.sqrt(sum(ck * ck for ck in c))
-            if not np.all(np.isfinite(step)):
-                raise RuntimeError("dual Newton hit a singular Hessian; "
-                                   "the norm may be too close to degenerate")
-            cap = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-300), 1.0)
-            ya = ya + sum((cap * ck)[:, None] * b for ck, b in zip(c, frame))
-            ya /= np.linalg.norm(ya, axis=1, keepdims=True)
-        y[idx] = ya
-        return y, done
+        ok[ok] = np.einsum("ij,ij->i", nu[ok], dirs[ok]) > 0.0
+        return s, nu, ok
 
     def _dual_maximizer(self, x, start=None):
-        """Unit maximizers of y -> x.y / F(y), one per row of x.
+        """The unit normal nu of W where the ray through each row of x leaves
+        it: DF(nu) = s*x/|x| with s = 1/F0(x/|x|) > 0, so that F0(x) =
+        x.nu/F(nu) and DF0(x) = nu/F(nu).
 
-        Newton starts from the normalized `start` row (shape of x, nonzero
-        rows), or from x/|x| without one.  On the unit sphere phi = x.y/F(y)
-        has exactly two critical points when D^2(F^2/2) is positive definite
-        (the constructor checks it): grad phi = 0 means x = phi(y) DF(y),
-        and DF maps the sphere one-to-one onto {F0 = 1}.  The maximizer has
-        phi = F0(x) > 0 and the minimizer phi = -F0(-x) < 0, so a row that
-        converges with x.y > 0 is certified global.  Rows that fail the
-        certificate are re-seeded from the best grid-scan direction.
+        This is the ray exit from the origin (`_boundary_newton` with
+        offset 0, scale 1), started at s = 1 from the normalized `start` row
+        (shape of x, nonzero rows), or from x/|x| without one.  Rows that
+        fail the exit certificate are solved once more from the direction of
+        the grid scan that maximizes x.y/F(y); the start therefore changes
+        the result by roundoff only.  It never goes through `exit_distance`,
+        whose fallback calls the dual.
         """
-        y0 = x if start is None else start
-        y, ok = self._newton(x, y0 / np.linalg.norm(y0, axis=1, keepdims=True),
-                             _WARM_MAXIT)
-        redo = ~ok | (np.einsum("ij,ij->i", x, y) <= 0.0)
-        if np.any(redo):
-            xr = x[redo]
-            scores = xr @ self._scan_dirs.T
+        theta = x / np.linalg.norm(x, axis=1, keepdims=True)
+        origin, s0 = np.zeros(self.ambient_dim), np.ones(len(x))
+        _, y, ok = self._boundary_newton(theta, origin, 1.0, s0,
+                                         theta if start is None else start,
+                                         _FIRST_MAXIT)
+        if not np.all(ok):
+            redo = ~ok
+            scores = x[redo] @ self._scan_dirs.T
             scores /= self._scan_f   # in place: no second (rows, scan) array
-            yr, ok = self._newton(xr, self._scan_dirs[np.argmax(scores, axis=1)],
-                                  _NEWTON_MAXIT)
-            if not np.all(ok & (np.einsum("ij,ij->i", xr, yr) > 0.0)):
+            _, yr, ok = self._boundary_newton(
+                theta[redo], origin, 1.0, s0[redo],
+                self._scan_dirs[np.argmax(scores, axis=1)], _SCAN_MAXIT)
+            if not np.all(ok):
                 raise RuntimeError(
                     "dual Newton refinement did not converge; the perturbation "
                     "may leave too small a smoothness margin (reduce eps)")
@@ -623,31 +610,19 @@ class PerturbedNorm(MinkowskiNorm):
         g = y / self._value_batch(y)[:, None]
         return _restore(g, single, lead)
 
-    # ray exits
-
     def exit_distance(self, dirs, offset, scale, start=None):
         """Largest root s of F0(offset + s*dir) = scale along each row of
         dirs, with DF0 there: returns (s, g), s = -inf and g = NaN where the
         line misses the body.
 
-        The boundary of scale*W is the Cahn-Hoffman image {scale*DF(nu) :
-        |nu| = 1}, so each row solves R = scale*DF(nu) - offset - s*dir = 0
-        for (s, nu) by one Newton iteration, nu moved in `_newton`'s tangent
-        chart.  F is 1-homogeneous, so D^2F(nu) nu = 0 and D^2F(nu) B =
-        B T with T = `tangent_form`(nu, B); the step is then closed form:
-        ds = nu.R / nu.dir along the normal and c = T^-1 B^T(dir*ds - R)/scale
-        in the chart.  At the root DF0 = nu/F(nu).
-
+        Each row is solved by `_boundary_newton`; at its root DF0 = nu/F(nu).
         A row starts from `start = (s0, g0)` where both are finite, at
         (s0, g0/|g0|), since DF0 is parallel to the normal; otherwise from
-        its exit from the euclidean ball of radius scale.  A line meets the
-        strictly convex boundary at most twice and only the exit has
-        nu.dir > 0, so a converged row with nu.dir > 0 is the largest root.
-        Rows that fail this certificate (converged at the entry, singular,
-        still moving after _RAY_MAXIT steps, or missing the ball) are solved
-        by the nested Newton of `MinkowskiNorm.exit_distance`, from their
-        start rows: the start and the path change the result by roundoff
-        only.
+        its exit from the euclidean ball of radius scale.  Rows that fail
+        the exit certificate (converged at the entry, singular, still moving
+        after _FIRST_MAXIT steps, or missing the ball) are solved by the
+        nested Newton of `MinkowskiNorm.exit_distance`, from their start
+        rows: the start and the path change the result by roundoff only.
         """
         s = np.full(len(dirs), -np.inf)
         g = np.full(dirs.shape, np.nan)
@@ -657,38 +632,8 @@ class PerturbedNorm(MinkowskiNorm):
             s[warm], g[warm] = start[0][warm], start[1][warm]
         s[~warm], g[~warm] = _quadric_exit(dirs[~warm], offset, scale,
                                            np.eye(self.ambient_dim))
-        idx = np.flatnonzero(np.isfinite(s))
-        ok = np.zeros(len(dirs), dtype=bool)
-        sa, th = s[idx], dirs[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            na = g[idx] / np.linalg.norm(g[idx], axis=1, keepdims=True)
-            for _ in range(_RAY_MAXIT):
-                frame = _tangent_frame(na)
-                r = (scale * self._grad_batch(na) - offset[None, :]
-                     - sa[:, None] * th)
-                ds = np.einsum("ij,ij->i", na, r) / np.einsum("ij,ij->i", na, th)
-                v = th * ds[:, None] - r
-                bv = [np.einsum("ij,ij->i", v, b) / scale for b in frame]
-                _, t = self.tangent_form(na, frame)
-                if len(frame) == 1:
-                    c = [bv[0] / t[0, 0]]
-                else:
-                    det = t[0, 0] * t[1, 1] - t[0, 1] * t[0, 1]
-                    c = [(t[1, 1] * bv[0] - t[0, 1] * bv[1]) / det,
-                         (t[0, 0] * bv[1] - t[0, 1] * bv[0]) / det]
-                step = np.sqrt(sum(ck * ck for ck in c))
-                cap = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-300), 1.0)
-                sa = sa + ds
-                na = na + sum((cap * ck)[:, None] * b for ck, b in zip(c, frame))
-                na /= np.linalg.norm(na, axis=1, keepdims=True)
-                conv = (np.abs(ds) <= 1e-13 * scale) & (step < _NEWTON_STEP_TOL)
-                s[idx[conv]], g[idx[conv]], ok[idx[conv]] = sa[conv], na[conv], True
-                keep = ~conv & np.isfinite(step) & np.isfinite(ds)
-                idx, sa, th, na = idx[keep], sa[keep], th[keep], na[keep]
-                if idx.size == 0:
-                    break
-        ok[ok] = np.einsum("ij,ij->i", g[ok], dirs[ok]) > 0.0   # g = nu here
-        g[ok] /= self._value_batch(g[ok])[:, None]
+        s, g, ok = self._boundary_newton(dirs, offset, scale, s, g, _FIRST_MAXIT)
+        g[ok] /= self._value_batch(g[ok])[:, None]   # g = nu on these rows
         if not np.all(ok):
             rows = ~ok
             rest = None if start is None else (start[0][rows], start[1][rows])

@@ -288,11 +288,6 @@ class SphereGrid:
         v, _ = self.frame_derivatives(field)
         return np.einsum("in,ind->nd", v, self.frame)
 
-    def laplacian(self, field):
-        """Laplace-Beltrami operator applied to a scalar field."""
-        _, h = self.frame_derivatives(field)
-        return np.trace(h)
-
     def _build_dense(self):
         """Operators of the circle's per-node solve on m = min(N, _DENSE_NODES)
         nodes: the dense spectral second-derivative matrix there, and for
@@ -342,7 +337,7 @@ class SphereGrid:
         return np.fft.irfft(xk, n=n)
 
     def shifted_laplace_solve(self, field, a):
-        """Solve (I - a * laplacian) x = field for x, a >= 0.
+        """Solve (I - a * Delta) x = field for x, a >= 0.
 
         For a constant `a` the solve is exact for this grid's discrete
         Laplacian: a Fourier divide on the circle, a divide of each

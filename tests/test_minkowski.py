@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from wulff_lab import (
     EllipsoidNorm,
     EuclideanNorm,
+    MinkowskiNorm,
     PerturbedNorm,
     ProductHarmonic,
     SectoralHarmonic,
@@ -14,7 +15,7 @@ from wulff_lab import (
     norm_from_spec,
     verify_duality,
 )
-from wulff_lab.minkowski import _tangent_frame
+from wulff_lab.minkowski import _FIRST_MAXIT, _SCAN_MAXIT, _tangent_frame
 
 
 def _fd_grad(fn, x, h=1e-6):
@@ -265,9 +266,9 @@ def test_sectoral_harmonic_is_harmonic():
 @pytest.mark.parametrize("name", ["perturbed2", "perturbed3"])
 def test_perturbed_dual_grad_warm_start(name, request):
     # a start only seeds the Newton solve: exact, nearby and antipodal
-    # starts all give the cold answer; the antipodal one lies near the
-    # minimizer of x.y/F(y), fails the x.y > 0 certificate and is solved
-    # again from the grid scan's seed
+    # starts all give the cold answer; the antipodal one converges to the
+    # ray's entry point, fails the exit certificate and is solved again
+    # from the grid scan's seed
     norm = request.getfixturevalue(name)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((200, norm.ambient_dim))
@@ -343,6 +344,59 @@ def test_perturbed_dual_rows_are_independent(name, request):
     batch = norm.dual_value(x)
     single = np.array([norm.dual_value(row) for row in x])
     assert np.max(np.abs(batch - single) / batch) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["perturbed2", "perturbed3", "near_limit2"])
+def test_perturbed_dual_is_the_ray_exit_from_the_origin(name, request):
+    # the Wulff radius along theta is where the ray from the origin leaves
+    # W, and DF0 there is the dual gradient: at grid nodes and at random
+    # unit directions, the ray exit and the dual agree to roundoff
+    norm = request.getfixturevalue(name)
+    d = norm.ambient_dim
+    theta = np.random.default_rng(21).standard_normal((300, d))
+    theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+    theta = np.concatenate([make_grid(d - 1, 64 if d == 2 else 16).nodes,
+                            theta])
+    s, g = norm.exit_distance(theta, np.zeros(d), 1.0)
+    rho = norm.wulff_radius(theta)
+    grad = norm.dual_grad(theta)
+    assert np.max(np.abs(s - rho) / rho) <= 1e-14
+    assert np.max(np.linalg.norm(g - grad, axis=1)
+                  / np.linalg.norm(grad, axis=1)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["perturbed2", "perturbed3", "near_limit2"])
+def test_perturbed_dual_never_reaches_the_nested_ray_path(name, request,
+                                                          monkeypatch):
+    # the nested ray path calls the dual, so the dual must solve its
+    # boundary problem itself: cold, noisy and antipodal starts all give the
+    # cold answer without it, and the antipodal rows, which converge to the
+    # entry point and fail the exit certificate, take the scan re-seed
+    norm = request.getfixturevalue(name)
+
+    def nested(*args, **kwargs):
+        raise AssertionError("the dual reached the nested ray path")
+
+    monkeypatch.setattr(MinkowskiNorm, "exit_distance", nested)
+    passes = []
+    solve = norm._boundary_newton
+
+    def recording(dirs, offset, scale, s, nu, maxit):
+        passes.append((len(dirs), maxit))
+        return solve(dirs, offset, scale, s, nu, maxit)
+
+    monkeypatch.setattr(norm, "_boundary_newton", recording)
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((200, norm.ambient_dim))
+    cold = norm.dual_grad(x)
+    noisy = cold + 0.05 * rng.standard_normal(cold.shape)
+    for start in (cold, noisy, -cold):
+        passes.clear()
+        warm = norm.dual_grad(x, start=start)
+        err = np.linalg.norm(warm - cold, axis=1) / np.linalg.norm(cold, axis=1)
+        assert np.max(err) <= 1e-13
+    # from -cold every row lands on its entry point
+    assert passes == [(200, _FIRST_MAXIT), (200, _SCAN_MAXIT)]
 
 
 @pytest.mark.parametrize("d, harmonic", [

@@ -6,6 +6,11 @@ from wulff_lab.sphere_grid import legendre_table
 from wulff_lab.stability import full_deficit_report
 
 
+def _laplacian(grid, field):
+    # the Laplace-Beltrami operator: the trace of the frame Hessian
+    return np.trace(grid.frame_derivatives(field)[1])
+
+
 def test_unsupported_dimension():
     with pytest.raises(ValueError, match="unsupported dimension"):
         make_grid(3, 16)
@@ -127,7 +132,7 @@ def test_divergence_compatibility():
         x, y, z = g.nodes.T
         f = np.sin(2 * x) * z
         h = np.cos(y + z)
-        resid = abs(g.integrate(f * g.laplacian(h))
+        resid = abs(g.integrate(f * _laplacian(g, h))
                     + g.integrate(np.einsum("ij,ij->i",
                                             g.gradient(f), g.gradient(h))))
         assert resid < 1e-10
@@ -154,7 +159,7 @@ def test_laplacian_eigenfunction(grid2_32):
     # zonal harmonic of degree 2: Delta Y = -l(l+1) Y
     g = grid2_32
     y2 = 1.5 * g.nodes[:, 2] ** 2 - 0.5
-    assert np.max(np.abs(g.laplacian(y2) + 6.0 * y2)) < 1e-7
+    assert np.max(np.abs(_laplacian(g, y2) + 6.0 * y2)) < 1e-7
 
 
 def test_spectral_filter_identity_on_smooth(grid2_32):
@@ -202,7 +207,7 @@ def test_laplacian_of_spherical_harmonic(res):
     for l, m in [(1, 0), (2, 1), (top // 2, top // 3), (top, 0), (top, 5),
                  (top, top - 1), (top, top)]:
         y = np.repeat(p[m, l], grid.nlon) * np.cos(m * lon)
-        resid = np.max(np.abs(grid.laplacian(y) + l * (l + 1) * y))
+        resid = np.max(np.abs(_laplacian(grid, y) + l * (l + 1) * y))
         assert resid <= 1e-13 * top * (top + 1) * np.max(np.abs(y)), (l, m)
 
 
@@ -256,7 +261,7 @@ def test_shifted_laplace_solve_inverts(dim, res, a):
     x = grid.shifted_laplace_solve(f, a)
     target = grid.spectral_filter(f)
     lap_norm = (res // 2) ** 2 if dim == 1 else grid.curvature_symbol_bound
-    resid = np.max(np.abs(x - a * grid.laplacian(x) - target))
+    resid = np.max(np.abs(x - a * _laplacian(grid, x) - target))
     assert resid <= 1e-12 * (np.max(np.abs(target))
                              + a * lap_norm * np.max(np.abs(x)))
 
