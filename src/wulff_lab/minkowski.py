@@ -6,8 +6,8 @@ oracles; the euclidean norm is the identity ellipsoid, A = I, and shares
 their code.  The "perturbed" family has support function
 h = 1 + eps*Y on the unit sphere, with Y the restriction of a low-degree
 harmonic polynomial, and exercises the numerical path: its dual and its ray
-exits are solved by one Newton kernel on the Wulff boundary (see
-`PerturbedNorm`).
+exits are solved by one Newton kernel on the Wulff boundary, with one
+scan-seeded second pass (see `PerturbedNorm`).
 
 All evaluation methods are vectorized: `x` may be a single vector of shape
 (d,) or a batch of shape (..., d).
@@ -22,9 +22,10 @@ import numpy as np
 from .sphere_grid import SphereGrid, make_grid
 
 _NEWTON_STEP_TOL = 1e-8    # the chart step before a passing root test
-_FIRST_MAXIT = 10          # first pass, before a fallback
-_SCAN_MAXIT = 40           # the dual's scan-seeded second pass
+_FIRST_MAXIT = 10          # first pass, before the second
+_SCAN_MAXIT = 40           # the scan-seeded second pass
 _SCAN_RESOLUTION = {2: 512, 3: 24}   # scan grid per ambient dimension
+_MISS_SCAN = 64            # angles of the miss test's circle scan in 3-D
 
 
 def _as_batch(x, d):
@@ -169,9 +170,9 @@ def _quadric_exit(dirs, offset, scale, form):
 class MinkowskiNorm:
     """Base class: a convex 1-homogeneous norm, smooth away from the origin.
 
-    Subclasses implement `value`, `grad`, `hess`, `tangent_form`,
-    `dual_value`, `dual_grad`.  Instances are immutable value objects; all
-    methods are pure.
+    Subclasses implement `value`, `grad`, `tangent_form`, `dual_value`,
+    `dual_grad` and `exit_distance`.  Instances are immutable value objects;
+    all methods are pure.
 
     `tangent_form(nu, t)` is D^2F where the flow and the Newton solves read
     it: on the tangent plane of a unit normal.  It takes unit rows nu of
@@ -180,15 +181,13 @@ class MinkowskiNorm:
     form and without the d x d Hessian.  F is 1-homogeneous, so
     D^2F(nu) nu = 0 and C determines D^2F(nu) there.
 
-    `dual_grad(x, start)` accepts an optional guess of the answer with the
-    shape of `x` (typically the previous result along a path of nearby
-    points).  Closed-form families ignore it; numerical ones may use it to
-    seed their solver, never changing what is computed beyond roundoff.
-    `exit_distance(dirs, offset, scale, start)` takes the same kind of
-    optional start: the base class solves its rays by a Newton iteration
-    with one dual solve per step, the quadric families override it with a
-    closed form that ignores the start, and the perturbed family with its
-    boundary Newton kernel, which also solves its dual.
+    `exit_distance(dirs, offset, scale, start)` is the largest root s of
+    F0(offset + s*dir) = scale along each row of dirs, with DF0 there:
+    (s, g), s = -inf and g = NaN where the line misses scale*W.  `start =
+    (s0, g0)` is an optional earlier result along the same dirs, typically
+    for a nearby offset: the quadric families solve a quadratic and ignore
+    it, the perturbed family seeds its Newton kernel with it, which changes
+    the result by roundoff only.
     """
 
     family = "abstract"
@@ -200,16 +199,13 @@ class MinkowskiNorm:
     def grad(self, x):
         raise NotImplementedError
 
-    def hess(self, x):
-        raise NotImplementedError
-
     def tangent_form(self, nu, t):
         raise NotImplementedError
 
     def dual_value(self, x):
         raise NotImplementedError
 
-    def dual_grad(self, x, start=None):
+    def dual_grad(self, x):
         raise NotImplementedError
 
     def wulff_radius(self, directions):
@@ -217,79 +213,7 @@ class MinkowskiNorm:
         return 1.0 / self.dual_value(directions)
 
     def exit_distance(self, dirs, offset, scale, start=None):
-        """Largest root s of F0(offset + s*dir) = scale along each row of
-        dirs, with DF0 at each row's last Newton point: returns (s, g).
-
-        This is the nested numerical path: the quadric families override it
-        with the root of a quadratic, and the perturbed family with a joint
-        Newton solve on its Wulff boundary that calls this one only for the
-        rows its certificate rejects.  F0 is convex along every line, so a
-        Newton iteration started beyond the root, at max F(dir) * scale +
-        |offset| with slack (the Wulff radius 1/F0(dir) never exceeds
-        F(dir)), decreases monotonically onto it.
-        Each step makes one dual solve: F0 is 1-homogeneous, so
-        F0(x) = x.DF0(x), and DF0 is warm-started from the previous step's
-        gradient.  A row whose slope turns nonpositive has passed the
-        minimum of F0 on its line without a root: the line misses the body
-        and the row returns s = -inf (g = NaN).
-
-        `start = (s0, g0)` is an earlier result along the same dirs,
-        typically for a nearby offset.  Rows with finite s0 start Newton at
-        s0, their first dual solve seeded by g0.  By convexity, Newton from
-        any point of positive slope lands at or beyond the largest root
-        after one step and from there decreases monotonically onto it, as
-        from the far point; where the line has no root it descends until
-        its slope turns, as from the far point.  A row whose slope at s0 is
-        not positive may lie before the minimum of F0 on its line, so it
-        restarts from the far point.  The start therefore changes the result
-        by roundoff only.
-
-        After the first step every Newton step is positive in exact
-        arithmetic, so a row whose step is not has reached its root to
-        roundoff; it keeps stepping with the others but no longer holds the
-        iteration open.  This ends the solve on ill-conditioned roots, such
-        as rays nearly tangent to the body from an offset close to its
-        boundary, whose roundoff exceeds the 1e-13 step test.
-        """
-        far = 1.1 * (scale * float(np.max(self.value(dirs)))
-                     + np.linalg.norm(offset))
-        s_out = np.full(len(dirs), -np.inf)
-        g_out = np.full(dirs.shape, np.nan)
-        s = np.full(len(dirs), far)
-        g = warm = None
-        if start is not None:
-            warm = np.isfinite(start[0])
-            s[warm] = start[0][warm]
-            g = np.where(warm[:, None], start[1], offset[None, :] + far * dirs)
-        rows = np.arange(len(dirs))
-        moving = np.ones(len(dirs), dtype=bool)   # no step <= 0 after the first
-        for it in range(60):
-            x = offset[None, :] + s[:, None] * dirs
-            g = self.dual_grad(x, start=g)
-            slope = np.einsum("ij,ij->i", g, dirs)
-            if warm is not None:   # first step: restart warm rows of bad slope
-                back = warm & ~(slope > 0.0)
-                warm = None
-                if np.any(back):
-                    s[back] = far
-                    x[back] = offset[None, :] + far * dirs[back]
-                    g[back] = self.dual_grad(x[back])
-                    slope[back] = np.einsum("ij,ij->i", g[back], dirs[back])
-            hit = slope > 0.0
-            if not np.all(hit):
-                rows, s, dirs, x, g, slope, moving = (
-                    a[hit] for a in (rows, s, dirs, x, g, slope, moving))
-            ds = (np.einsum("ij,ij->i", x, g) - scale) / slope
-            s = s - ds
-            if it > 0:
-                moving &= ds > 0.0
-            if np.max(np.abs(ds[moving]), initial=0.0) < 1e-13 * scale:
-                break
-        else:
-            raise RuntimeError("radial re-graph of the Wulff shape did not converge")
-        s_out[rows] = s
-        g_out[rows] = g
-        return s_out, g_out
+        raise NotImplementedError
 
     def spec(self):
         raise NotImplementedError
@@ -346,16 +270,9 @@ class EllipsoidNorm(MinkowskiNorm):
     def grad(self, x):
         return self._grad(x, self.matrix)
 
-    def hess(self, x):
-        """(A - DF DF^T) / F."""
-        x, single, lead = _as_batch(x, self.ambient_dim)
-        _check_nonzero(x)
-        g, f = _quadric_grad(x, self.matrix)
-        h = self.matrix[None] - g[:, :, None] * g[:, None, :]
-        return _restore(h / f[:, None, None], single, lead)
-
     def tangent_form(self, nu, t):
-        """(T^T A T - (T^T DF)(DF^T T)) / F: `hess` between tangents."""
+        """(T^T A T - (T^T DF)(DF^T T)) / F: D^2F = (A - DF DF^T) / F
+        between tangents."""
         g, f = _quadric_grad(nu, self.matrix)
         tg = np.einsum("imd,md->im", t, g)
         c = np.einsum("imd,jmd->ijm", t, t @ self.matrix)
@@ -366,7 +283,7 @@ class EllipsoidNorm(MinkowskiNorm):
     def dual_value(self, x):
         return self._value(x, self.inverse)
 
-    def dual_grad(self, x, start=None):
+    def dual_grad(self, x):
         return self._grad(x, self.inverse)
 
     def exit_distance(self, dirs, offset, scale, start=None):
@@ -402,8 +319,10 @@ class PerturbedNorm(MinkowskiNorm):
     {DF(nu) : |nu| = 1}, so F0(x) = x.nu/F(nu) and DF0(x) = nu/F(nu) at the
     nu where the ray from the origin through x leaves W.  One Newton kernel,
     `_boundary_newton`, solves that exit and every other ray exit from
-    scale*W; its two fallbacks are a scan-seeded second pass for the dual
-    and the nested Newton of `MinkowskiNorm.exit_distance` for the rays.
+    scale*W.  Rows it cannot certify take one second pass, `_scan_pass`,
+    seeded from a grid scan; a ray's line is first tested against the
+    support function of scale*W (`_meets`), and a line that misses it
+    gets no second pass.
     """
 
     family = "perturbed"
@@ -419,18 +338,24 @@ class PerturbedNorm(MinkowskiNorm):
         scan = make_grid(ambient_dim - 1, _SCAN_RESOLUTION[ambient_dim])
         self._scan_dirs = scan.nodes
         self._scan_f = self._value_batch(scan.nodes)
-        self._validate(scan)
+        self._validate()
 
-    def _validate(self, scan):
+    def _validate(self):
         dirs = self._scan_dirs
         f = self._scan_f
         self.positivity = float(np.min(f))
         if self.positivity <= 0.0:
             raise ValueError("perturbation destroys positivity; reduce eps")
-        # D^2(F^2/2) = F D^2F + DF (x) DF must stay positive definite.
-        g = self._grad_batch(dirs)
-        h = self._hess_batch(dirs)
-        m = f[:, None, None] * h + g[:, :, None] * g[:, None, :]
+        # D^2(F^2/2) = F D^2F + DF (x) DF must stay positive definite.  In
+        # the orthonormal frame (nu, B) it is diag(0, F C) + h h^T with
+        # C = tangent_form(nu, B) and h = (F, B^T DF): D^2F nu = 0 and
+        # nu . DF = F.
+        frame = _tangent_frame(dirs)
+        _, c = self.tangent_form(dirs, frame)
+        h = np.concatenate([f[:, None], np.einsum(
+            "imd,md->mi", frame, self._grad_batch(dirs))], axis=1)
+        m = h[:, :, None] * h[:, None, :]
+        m[:, 1:, 1:] += f[:, None, None] * np.moveaxis(c, -1, 0)
         eigs = np.linalg.eigvalsh(m)
         self.convexity_margin = float(np.min(eigs))
         if self.convexity_margin <= 1e-10:
@@ -455,27 +380,6 @@ class PerturbedNorm(MinkowskiNorm):
                          + (1 - k) * p[:, None] * x / n[:, None] ** (k + 1))
         return g
 
-    def _hess_batch(self, x):
-        d = self.ambient_dim
-        n = np.linalg.norm(x, axis=-1)
-        u = x / n[:, None]
-        k = self.harmonic.degree
-        p = self.harmonic.value(x)
-        dp = self.harmonic.grad(x)
-        d2p = self.harmonic.hess(x)
-        eye = np.eye(d)[None]
-        h = (eye - u[:, :, None] * u[:, None, :]) / n[:, None, None]
-        nk1 = n ** (k + 1)
-        cross = dp[:, :, None] * x[:, None, :] + x[:, :, None] * dp[:, None, :]
-        h = h + self.eps * (
-            d2p / n[:, None, None] ** (k - 1)
-            + (1 - k) * cross / nk1[:, None, None]
-            + (1 - k) * p[:, None, None] * eye / nk1[:, None, None]
-            - (1 - k) * (k + 1) * p[:, None, None]
-            * x[:, :, None] * x[:, None, :] / n[:, None, None] ** (k + 3)
-        )
-        return h
-
     def value(self, x):
         x, single, lead = _as_batch(x, self.ambient_dim)
         return _restore(self._value_batch(x), single, lead)
@@ -485,16 +389,14 @@ class PerturbedNorm(MinkowskiNorm):
         _check_nonzero(x)
         return _restore(self._grad_batch(x), single, lead)
 
-    def hess(self, x):
-        x, single, lead = _as_batch(x, self.ambient_dim)
-        _check_nonzero(x)
-        return _restore(self._hess_batch(x), single, lead)
-
     def tangent_form(self, nu, t):
-        """(k - (k-1) F(nu)) g + eps T^T D^2p(nu) T with g_ij = t_i . t_j:
-        the terms of `_hess_batch` that carry nu vanish on tangent vectors,
-        and at |nu| = 1 the rest is (1 + (1-k) eps p) g + eps T^T D^2p T,
-        with eps p = F(nu) - 1."""
+        """(k - (k-1) F(nu)) g + eps T^T D^2p(nu) T with g_ij = t_i . t_j.
+
+        D^2F of F = |x| + eps p(x)/|x|^(k-1) is (I - u u^T)/|x| + eps
+        (D^2p/|x|^(k-1) + (1-k)(Dp x^T + x Dp^T + p I)/|x|^(k+1)
+        - (1-k)(k+1) p x x^T/|x|^(k+3)), u = x/|x|.  The terms that carry
+        nu vanish on tangent vectors, and at |nu| = 1 the rest is
+        (1 + (1-k) eps p) g + eps T^T D^2p T, with eps p = F(nu) - 1."""
         k = self.harmonic.degree
         f = self._value_batch(nu)
         ht = np.einsum("mde,ime->imd", self.harmonic.hess(nu), t)
@@ -559,36 +461,80 @@ class PerturbedNorm(MinkowskiNorm):
         ok[ok] = np.einsum("ij,ij->i", nu[ok], dirs[ok]) > 0.0
         return s, nu, ok
 
-    def _dual_maximizer(self, x, start=None):
+    def _scan_pass(self, dirs, offset, scale):
+        """`_boundary_newton` for _SCAN_MAXIT steps from a grid scan's seed,
+        on rays whose line meets scale*W: returns (s, nu) at their exits.
+
+        Each scan normal nu_j bounds scale*W by the half-space
+        nu_j . x <= scale*F(nu_j), so where nu_j . dir > 0 the exit lies at
+        or before s_j = (scale*F(nu_j) - offset . nu_j) / (nu_j . dir).  A row
+        starts from the nu_j of least s_j, at s_j (at offset 0 and scale 1
+        that nu_j maximizes dir . nu_j / F(nu_j)).  Raises RuntimeError if a
+        row still fails the exit certificate.
+        """
+        bound = dirs @ self._scan_dirs.T   # nu_j . dir, then s_j in place
+        ahead = bound > 0.0
+        np.divide(scale * self._scan_f - self._scan_dirs @ offset, bound,
+                  out=bound, where=ahead)
+        bound[~ahead] = np.inf
+        j = np.argmin(bound, axis=1)
+        s, nu, ok = self._boundary_newton(
+            dirs, offset, scale, bound[np.arange(len(dirs)), j],
+            self._scan_dirs[j], _SCAN_MAXIT)
+        if not np.all(ok):
+            raise RuntimeError(
+                "boundary Newton refinement did not converge; the perturbation "
+                "may leave too small a smoothness margin (reduce eps)")
+        return s, nu
+
+    def _meets(self, dirs, offset, scale):
+        """Mask of the rows whose line offset + s*dir meets scale*W.
+
+        scale*F is the support function of scale*W, so the line meets it iff
+        g(u) = scale*F(u) - u . offset > 0 for every unit u orthogonal to dir
+        (touching counts as a miss).  In the plane u = +-b, b the tangent of
+        dir.  In space u = cos(phi) b1 + sin(phi) b2 over the tangent frame:
+        the least g of a _MISS_SCAN-angle scan and of Newton steps in phi
+        from its minimum decides, with g'' = scale*C - g, C =
+        tangent_form(u, u')."""
+        frame = _tangent_frame(dirs)
+        if len(frame) == 1:
+            u = np.concatenate([frame[0], -frame[0]])
+            g = scale * self._value_batch(u) - u @ offset
+            return np.all(g.reshape(2, -1) > 0.0, axis=0)
+        phi = np.arange(_MISS_SCAN) * (2.0 * np.pi / _MISS_SCAN)
+        u = (np.cos(phi)[:, None, None] * frame[0]
+             + np.sin(phi)[:, None, None] * frame[1]).reshape(-1, 3)
+        g = (scale * self._value_batch(u) - u @ offset).reshape(_MISS_SCAN, -1)
+        low, phi = np.min(g, axis=0), phi[np.argmin(g, axis=0)]
+        for _ in range(_FIRST_MAXIT):
+            c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+            u, du = c * frame[0] + s * frame[1], c * frame[1] - s * frame[0]
+            f, c = self.tangent_form(u, du[None])
+            g = scale * f - u @ offset
+            low = np.minimum(low, g)
+            slope = (scale * np.einsum("ij,ij->i", self._grad_batch(u), du)
+                     - du @ offset)
+            curv = scale * c[0, 0] - g
+            phi = phi - slope / np.where(curv > 0.0, curv, np.inf)
+        return low > 0.0
+
+    def _dual_maximizer(self, x):
         """The unit normal nu of W where the ray through each row of x leaves
         it: DF(nu) = s*x/|x| with s = 1/F0(x/|x|) > 0, so that F0(x) =
         x.nu/F(nu) and DF0(x) = nu/F(nu).
 
         This is the ray exit from the origin (`_boundary_newton` with
-        offset 0, scale 1), started at s = 1 from the normalized `start` row
-        (shape of x, nonzero rows), or from x/|x| without one.  Rows that
-        fail the exit certificate are solved once more from the direction of
-        the grid scan that maximizes x.y/F(y); the start therefore changes
-        the result by roundoff only.  It never goes through `exit_distance`,
-        whose fallback calls the dual.
+        offset 0, scale 1), started at s = 1 from x/|x|.  Every ray from the
+        origin meets W, so the rows that fail the exit certificate go
+        straight to `_scan_pass`.
         """
         theta = x / np.linalg.norm(x, axis=1, keepdims=True)
-        origin, s0 = np.zeros(self.ambient_dim), np.ones(len(x))
-        _, y, ok = self._boundary_newton(theta, origin, 1.0, s0,
-                                         theta if start is None else start,
-                                         _FIRST_MAXIT)
+        origin = np.zeros(self.ambient_dim)
+        _, y, ok = self._boundary_newton(theta, origin, 1.0, np.ones(len(x)),
+                                         theta, _FIRST_MAXIT)
         if not np.all(ok):
-            redo = ~ok
-            scores = x[redo] @ self._scan_dirs.T
-            scores /= self._scan_f   # in place: no second (rows, scan) array
-            _, yr, ok = self._boundary_newton(
-                theta[redo], origin, 1.0, s0[redo],
-                self._scan_dirs[np.argmax(scores, axis=1)], _SCAN_MAXIT)
-            if not np.all(ok):
-                raise RuntimeError(
-                    "dual Newton refinement did not converge; the perturbation "
-                    "may leave too small a smoothness margin (reduce eps)")
-            y[redo] = yr
+            y[~ok] = self._scan_pass(theta[~ok], origin, 1.0)[1]
         return y
 
     def dual_value(self, x):
@@ -598,15 +544,10 @@ class PerturbedNorm(MinkowskiNorm):
         vals = np.einsum("ij,ij->i", x, y) / self._value_batch(y)
         return _restore(vals, single, lead)
 
-    def dual_grad(self, x, start=None):
+    def dual_grad(self, x):
         x, single, lead = _as_batch(x, self.ambient_dim)
         _check_nonzero(x)
-        if start is not None:
-            start = np.reshape(np.asarray(start, dtype=float), x.shape)
-            if not np.all(np.isfinite(start)):
-                raise ValueError("dual_grad start rows must be finite")
-            _check_nonzero(start)
-        y = self._dual_maximizer(x, start)
+        y = self._dual_maximizer(x)
         g = y / self._value_batch(y)[:, None]
         return _restore(g, single, lead)
 
@@ -620,9 +561,9 @@ class PerturbedNorm(MinkowskiNorm):
         (s0, g0/|g0|), since DF0 is parallel to the normal; otherwise from
         its exit from the euclidean ball of radius scale.  Rows that fail
         the exit certificate (converged at the entry, singular, still moving
-        after _FIRST_MAXIT steps, or missing the ball) are solved by the
-        nested Newton of `MinkowskiNorm.exit_distance`, from their start
-        rows: the start and the path change the result by roundoff only.
+        after _FIRST_MAXIT steps, or missing the ball) take the miss test
+        `_meets`, and those that meet the body `_scan_pass`: the start and
+        the path change the result by roundoff only.
         """
         s = np.full(len(dirs), -np.inf)
         g = np.full(dirs.shape, np.nan)
@@ -633,12 +574,13 @@ class PerturbedNorm(MinkowskiNorm):
         s[~warm], g[~warm] = _quadric_exit(dirs[~warm], offset, scale,
                                            np.eye(self.ambient_dim))
         s, g, ok = self._boundary_newton(dirs, offset, scale, s, g, _FIRST_MAXIT)
-        g[ok] /= self._value_batch(g[ok])[:, None]   # g = nu on these rows
         if not np.all(ok):
-            rows = ~ok
-            rest = None if start is None else (start[0][rows], start[1][rows])
-            s[rows], g[rows] = MinkowskiNorm.exit_distance(
-                self, dirs[rows], offset, scale, rest)
+            rows = np.flatnonzero(~ok)
+            s[rows], g[rows] = -np.inf, np.nan
+            rows = rows[self._meets(dirs[rows], offset, scale)]
+            s[rows], g[rows] = self._scan_pass(dirs[rows], offset, scale)
+            ok[rows] = True
+        g[ok] /= self._value_batch(g[ok])[:, None]   # g = nu on these rows
         return s, g
 
     def spec(self):

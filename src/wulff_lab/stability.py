@@ -111,9 +111,9 @@ def wulff_profile_about(norm, grid, scale, wulff_center, graph_center, *,
     Solves dual_value(graph_center + s*theta - wulff_center) = scale for
     the largest root s along every node direction (`norm.exit_distance`:
     closed form for the quadric norms; for the perturbed norm the Newton
-    kernel on the Wulff boundary that also solves its dual, with the nested
-    Newton on the dual as the fallback).  Raises ValueError unless every
-    root is positive, that is unless graph_center lies inside
+    kernel on the Wulff boundary that also solves its dual, with a miss
+    test on F alone and one scan-seeded second pass).  Raises ValueError
+    unless every root is positive, that is unless graph_center lies inside
     the shape.  The test is exact: a center on or outside the convex shape
     has a separating plane, and every ray pointing into the closed half-space
     away from the shape has its largest root <= 0 or none; every closed

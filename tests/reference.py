@@ -1,0 +1,91 @@
+"""Independent oracles for the norm kernels.
+
+The library solves ray exits from Wulff shapes with closed forms or with one
+Newton kernel on the Wulff boundary, and reads D^2F only on tangent planes.
+The solvers and formulas here take other routes to the same answers, so that
+tests can compare against them:
+
+- `nested_exit`: a monotone Newton iteration on the ray parameter with one
+  cold dual solve per step;
+- `full_hess`: the full d x d Hessian D^2F in closed form, for the
+  ellipsoid and perturbed families.
+"""
+
+import numpy as np
+
+from wulff_lab import EllipsoidNorm
+
+
+def nested_exit(norm, dirs, offset, scale):
+    """Largest root s of F0(offset + s*dir) = scale along each row of dirs,
+    with DF0 at each row's last Newton point: returns (s, g), s = -inf and
+    g = NaN where the line misses scale*W.
+
+    F0 is convex along every line, so a Newton iteration started beyond the
+    root, at max F(dir) * scale + |offset| with slack (the Wulff radius
+    1/F0(dir) never exceeds F(dir)), decreases monotonically onto it.  Each
+    step makes one dual solve: F0 is 1-homogeneous, so F0(x) = x.DF0(x).  A
+    row whose slope turns nonpositive has passed the minimum of F0 on its
+    line without a root: the line misses the body.
+
+    After the first step every Newton step is positive in exact arithmetic,
+    so a row whose step is not has reached its root to roundoff; it keeps
+    stepping with the others but no longer holds the iteration open.  This
+    ends the solve on ill-conditioned roots, such as rays nearly tangent to
+    the body from an offset close to its boundary, whose roundoff exceeds
+    the 1e-13 step test.
+    """
+    far = 1.1 * (scale * float(np.max(norm.value(dirs)))
+                 + np.linalg.norm(offset))
+    s_out = np.full(len(dirs), -np.inf)
+    g_out = np.full(dirs.shape, np.nan)
+    s = np.full(len(dirs), far)
+    rows = np.arange(len(dirs))
+    moving = np.ones(len(dirs), dtype=bool)   # no step <= 0 after the first
+    for it in range(60):
+        x = offset[None, :] + s[:, None] * dirs
+        g = norm.dual_grad(x)
+        slope = np.einsum("ij,ij->i", g, dirs)
+        hit = slope > 0.0
+        if not np.all(hit):
+            rows, s, dirs, x, g, slope, moving = (
+                a[hit] for a in (rows, s, dirs, x, g, slope, moving))
+        ds = (np.einsum("ij,ij->i", x, g) - scale) / slope
+        s = s - ds
+        if it > 0:
+            moving &= ds > 0.0
+        if np.max(np.abs(ds[moving]), initial=0.0) < 1e-13 * scale:
+            break
+    else:
+        raise RuntimeError("nested ray Newton did not converge")
+    s_out[rows] = s
+    g_out[rows] = g
+    return s_out, g_out
+
+
+def full_hess(norm, x):
+    """D^2F at the nonzero rows x, shape (m, d, d), for an ellipsoid or a
+    perturbed norm."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(norm, EllipsoidNorm):
+        # (A - DF DF^T) / F
+        g = norm.grad(x)
+        h = norm.matrix[None] - g[:, :, None] * g[:, None, :]
+        return h / norm.value(x)[:, None, None]
+    # perturbed: F = |x| + eps p(x)/|x|^(k-1), p the harmonic polynomial
+    eye = np.eye(norm.ambient_dim)[None]
+    n = np.linalg.norm(x, axis=-1)
+    u = x / n[:, None]
+    k = norm.harmonic.degree
+    p = norm.harmonic.value(x)
+    dp = norm.harmonic.grad(x)
+    d2p = norm.harmonic.hess(x)
+    h = (eye - u[:, :, None] * u[:, None, :]) / n[:, None, None]
+    nk1 = n ** (k + 1)
+    cross = dp[:, :, None] * x[:, None, :] + x[:, :, None] * dp[:, None, :]
+    return h + norm.eps * (
+        d2p / n[:, None, None] ** (k - 1)
+        + (1 - k) * cross / nk1[:, None, None]
+        + (1 - k) * p[:, None, None] * eye / nk1[:, None, None]
+        - (1 - k) * (k + 1) * p[:, None, None]
+        * x[:, :, None] * x[:, None, :] / n[:, None, None] ** (k + 3))

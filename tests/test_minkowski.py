@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from wulff_lab import (
     EllipsoidNorm,
     EuclideanNorm,
-    MinkowskiNorm,
     PerturbedNorm,
     ProductHarmonic,
     SectoralHarmonic,
@@ -15,7 +14,10 @@ from wulff_lab import (
     norm_from_spec,
     verify_duality,
 )
-from wulff_lab.minkowski import _FIRST_MAXIT, _SCAN_MAXIT, _tangent_frame
+from wulff_lab import minkowski
+from wulff_lab.minkowski import _SCAN_MAXIT, _tangent_frame
+
+from reference import full_hess
 
 
 def _fd_grad(fn, x, h=1e-6):
@@ -45,8 +47,10 @@ def test_euclidean_norm_matches_textbook_formulas(d):
     u = x / n[:, None]
     assert np.max(np.abs(norm.value(x) - n) / n) < 1e-15
     assert np.max(np.linalg.norm(norm.grad(x) - u, axis=1)) < 1e-15
-    hess = (np.eye(d)[None] - u[:, :, None] * u[:, None, :]) / n[:, None, None]
-    assert np.max(np.abs(norm.hess(x) - hess) * n[:, None, None]) < 1e-15
+    # D^2F(u) = I - u u^T is the identity on the tangent frame at unit u
+    f, c = norm.tangent_form(u, _tangent_frame(u))
+    assert np.max(np.abs(f - 1.0)) < 1e-15
+    assert np.max(np.abs(c - np.eye(d - 1)[:, :, None])) < 1e-15
     np.testing.assert_allclose(norm.dual_value(x), norm.value(x), rtol=1e-15)
     np.testing.assert_allclose(norm.dual_grad(x), norm.grad(x), rtol=1e-15,
                                atol=1e-15)
@@ -97,10 +101,12 @@ def test_ellipsoid_validation():
 
 
 def test_hessian_annihilates_argument(euclid2, ellipse2, perturbed2):
+    # the reference Hessians obey D^2F(x) x = 0, on which `tangent_form`
+    # rests
     rng = np.random.default_rng(11)
     x = rng.standard_normal((50, 2)) + 0.1
     for norm in (euclid2, ellipse2, perturbed2):
-        hx = np.einsum("ijk,ik->ij", norm.hess(x), x)
+        hx = np.einsum("ijk,ik->ij", full_hess(norm, x), x)
         assert np.max(np.abs(hx)) < 1e-10
 
 
@@ -263,49 +269,6 @@ def test_sectoral_harmonic_is_harmonic():
     assert np.max(np.abs(lap)) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["perturbed2", "perturbed3"])
-def test_perturbed_dual_grad_warm_start(name, request):
-    # a start only seeds the Newton solve: exact, nearby and antipodal
-    # starts all give the cold answer; the antipodal one converges to the
-    # ray's entry point, fails the exit certificate and is solved again
-    # from the grid scan's seed
-    norm = request.getfixturevalue(name)
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((200, norm.ambient_dim))
-    cold = norm.dual_grad(x)
-    noise = 0.05 * rng.standard_normal(cold.shape)
-    for start in (cold, cold + noise, -cold):
-        warm = norm.dual_grad(x, start=start)
-        err = np.linalg.norm(warm - cold, axis=1) / np.linalg.norm(cold, axis=1)
-        assert np.max(err) <= 1e-13
-    single = norm.dual_grad(x[0], start=-cold[0])
-    assert np.linalg.norm(single - cold[0]) <= 1e-13 * np.linalg.norm(cold[0])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["perturbed2", "perturbed3"])
-def test_perturbed_dual_grad_rejects_non_finite_start(name, bad, request):
-    # a bad seed is the caller's error, not a degenerate norm: it is
-    # rejected before any Newton step, batched or single
-    norm = request.getfixturevalue(name)
-    x = np.random.default_rng(7).standard_normal((4, norm.ambient_dim))
-    start = norm.dual_grad(x)
-    start[2, 0] = bad
-    with pytest.raises(ValueError, match="start"):
-        norm.dual_grad(x, start=start)
-    with pytest.raises(ValueError, match="start"):
-        norm.dual_grad(x[2], start=start[2])
-
-
-@pytest.mark.parametrize("name", ["euclid2", "euclid3", "ellipse2", "ellipse3"])
-def test_closed_form_dual_grad_ignores_start(name, request):
-    norm = request.getfixturevalue(name)
-    x = np.random.default_rng(6).standard_normal((50, norm.ambient_dim))
-    cold = norm.dual_grad(x)
-    for start in (cold, -cold, x):
-        assert np.array_equal(norm.dual_grad(x, start=start), cold)
-
-
 @pytest.fixture(scope="module")
 def near_limit2():
     # sectoral degree 3 stays convex for eps < 1/8
@@ -366,18 +329,14 @@ def test_perturbed_dual_is_the_ray_exit_from_the_origin(name, request):
 
 
 @pytest.mark.parametrize("name", ["perturbed2", "perturbed3", "near_limit2"])
-def test_perturbed_dual_never_reaches_the_nested_ray_path(name, request,
-                                                          monkeypatch):
-    # the nested ray path calls the dual, so the dual must solve its
-    # boundary problem itself: cold, noisy and antipodal starts all give the
-    # cold answer without it, and the antipodal rows, which converge to the
-    # entry point and fail the exit certificate, take the scan re-seed
+def test_perturbed_dual_scan_pass_matches_cold_dual(name, request,
+                                                    monkeypatch):
+    # with a one-step first pass no dual row passes the exit certificate:
+    # every row takes the scan-seeded second pass once and lands on the
+    # answer of the full first pass
     norm = request.getfixturevalue(name)
-
-    def nested(*args, **kwargs):
-        raise AssertionError("the dual reached the nested ray path")
-
-    monkeypatch.setattr(MinkowskiNorm, "exit_distance", nested)
+    x = np.random.default_rng(22).standard_normal((200, norm.ambient_dim))
+    cold = norm.dual_grad(x)
     passes = []
     solve = norm._boundary_newton
 
@@ -386,17 +345,23 @@ def test_perturbed_dual_never_reaches_the_nested_ray_path(name, request,
         return solve(dirs, offset, scale, s, nu, maxit)
 
     monkeypatch.setattr(norm, "_boundary_newton", recording)
-    rng = np.random.default_rng(22)
-    x = rng.standard_normal((200, norm.ambient_dim))
-    cold = norm.dual_grad(x)
-    noisy = cold + 0.05 * rng.standard_normal(cold.shape)
-    for start in (cold, noisy, -cold):
-        passes.clear()
-        warm = norm.dual_grad(x, start=start)
-        err = np.linalg.norm(warm - cold, axis=1) / np.linalg.norm(cold, axis=1)
-        assert np.max(err) <= 1e-13
-    # from -cold every row lands on its entry point
-    assert passes == [(200, _FIRST_MAXIT), (200, _SCAN_MAXIT)]
+    monkeypatch.setattr(minkowski, "_FIRST_MAXIT", 1)
+    scanned = norm.dual_grad(x)
+    assert passes == [(200, 1), (200, _SCAN_MAXIT)]
+    err = np.linalg.norm(scanned - cold, axis=1) / np.linalg.norm(cold, axis=1)
+    assert np.max(err) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["perturbed2", "perturbed3", "near_limit2"])
+def test_perturbed_convexity_margin_matches_full_hessian(name, request):
+    # the margin, read off the tangent form in the frame (nu, B), is the
+    # least eigenvalue of D^2(F^2/2) = F D^2F + DF DF^T on the scan
+    norm = request.getfixturevalue(name)
+    nu = norm._scan_dirs
+    g = norm.grad(nu)
+    m = (norm.value(nu)[:, None, None] * full_hess(norm, nu)
+         + g[:, :, None] * g[:, None, :])
+    assert abs(norm.convexity_margin - np.min(np.linalg.eigvalsh(m))) <= 1e-12
 
 
 @pytest.mark.parametrize("d, harmonic", [
@@ -413,7 +378,7 @@ def test_tangent_hess_matches_full_hessian(d, harmonic):
     y /= np.linalg.norm(y, axis=1, keepdims=True)
     frame = _tangent_frame(y)
     b = np.stack(frame, axis=-1)
-    full = np.swapaxes(b, 1, 2) @ norm._hess_batch(y) @ b
+    full = np.swapaxes(b, 1, 2) @ full_hess(norm, y) @ b
     f, block = norm.tangent_form(y, frame)
     assert np.max(np.abs(np.moveaxis(block, -1, 0) - full)) <= 1e-13
     assert np.array_equal(f, norm._value_batch(y))
@@ -423,7 +388,7 @@ def test_tangent_hess_matches_full_hessian(d, harmonic):
                                   "euclid3", "tilted3", "perturbed3"])
 def test_tangent_form_matches_full_hessian(name, request):
     # at unit nu and tangents of any length and angle, t_i . nu = 0, the
-    # closed form is t_i . hess(nu) t_j, relative to |t_i| |t_j| max|hess|;
+    # closed form is t_i . D^2F(nu) t_j, relative to |t_i| |t_j| max|D^2F|;
     # the tangents are combinations of an orthonormal frame, which keeps
     # t_i . nu at roundoff relative to |t_i| (a projection does not)
     norm = request.getfixturevalue(name)
@@ -435,7 +400,7 @@ def test_tangent_form_matches_full_hessian(name, request):
         rng.uniform(-2.0, 2.0, (d - 1, 300, 1)))
     t = np.einsum("imj,jmd->imd", coef, _tangent_frame(nu))
     f, c = norm.tangent_form(nu, t)
-    hess = norm.hess(nu)
+    hess = full_hess(norm, nu)
     full = np.einsum("imd,mde,jme->ijm", t, hess, t)
     size = np.linalg.norm(t, axis=2)
     scale = size[:, None] * size[None] * np.max(np.abs(hess), axis=(1, 2))

@@ -30,15 +30,15 @@ from wulff_lab import (
     wulff_q_value,
     wulff_surface,
 )
-from wulff_lab import EllipsoidNorm, MinkowskiNorm, PerturbedNorm, stability
+from wulff_lab import EllipsoidNorm, PerturbedNorm, stability
+from wulff_lab.minkowski import _FIRST_MAXIT, _SCAN_MAXIT
 from wulff_lab.stability import (
     _cloud_min_dists,
     _interp_radial,
     _symmetric_difference,
 )
 
-# the Newton ray solve, which the quadric norms override with a closed form
-newton_exit = MinkowskiNorm.exit_distance
+from reference import nested_exit
 
 
 def test_deficit_zero_on_translated_wulff(grid512, ellipse2):
@@ -618,6 +618,43 @@ def test_asymmetry_index_off_center_search_is_deterministic(grid512, euclid2,
     assert first.method == "radial"
 
 
+@pytest.mark.parametrize("name, dim, res", [("perturbed2", 1, 512),
+                                             ("perturbed3", 2, 16)])
+def test_asymmetry_index_off_center_search_is_deterministic_perturbed(
+        name, dim, res, request, monkeypatch):
+    # the perturbed twin: W graphed about a point at F0 = 0.96 of its rim.
+    # Probes that leave the star center outside the body solve s_in along
+    # lines that miss it, so rows reach the miss test; the search matches
+    # the reference ray solve and repeats bit for bit
+    norm = request.getfixturevalue(name)
+    grid = make_grid(dim, res)
+    e1 = np.eye(dim + 1)[0]
+    p0 = 0.96 * e1 / norm.dual_value(-e1)
+    surface = StarSurface(grid, wulff_profile_about(norm, grid, 1.0, p0,
+                                                    np.zeros(dim + 1)))
+    tested = []
+    meets = norm._meets
+
+    def recording(dirs, offset, scale):
+        tested.append(len(dirs))
+        return meets(dirs, offset, scale)
+
+    monkeypatch.setattr(norm, "_meets", recording)
+    first = asymmetry_index(surface, norm)
+    assert len(tested) > 0
+    second = asymmetry_index(surface, norm)
+    assert first.alpha == second.alpha
+    assert np.array_equal(first.center, second.center)
+
+    def reference(dirs, offset, scale, start=None):
+        return nested_exit(norm, dirs, offset, scale)
+
+    monkeypatch.setattr(norm, "exit_distance", reference)
+    ref = asymmetry_index(surface, norm)
+    assert abs(first.alpha - ref.alpha) <= 1e-11
+    np.testing.assert_allclose(first.center, ref.center, rtol=0.0, atol=1e-7)
+
+
 def _inside_offset(norm, rng, scale, frac):
     # a random offset at F0 = frac * scale
     u = rng.standard_normal(norm.ambient_dim)
@@ -625,9 +662,9 @@ def _inside_offset(norm, rng, scale, frac):
 
 
 def _warm_starts(norm, dirs, prev, scale):
-    # the Newton roots at `prev`, with rows of a miss (-inf) and rows whose
-    # warm point lies far behind the offset, where the slope is negative
-    s0, g0 = newton_exit(norm, dirs, prev, scale)
+    # the roots at `prev`, with rows of a miss (-inf) and rows whose warm
+    # point lies far behind the offset
+    s0, g0 = nested_exit(norm, dirs, prev, scale)
     assert np.all(np.isfinite(s0))
     s0, g0 = s0.copy(), g0.copy()
     s0[::5], g0[::5] = -np.inf, np.nan
@@ -640,7 +677,7 @@ def _warm_starts(norm, dirs, prev, scale):
     ("euclid3", 2), ("ellipse3", 2), ("perturbed3", 2),
 ])
 def test_exit_distance_warm_start_matches_cold(name, dim, request):
-    # a start may speed the Newton ray solve but never changes its roots
+    # a start may speed the ray solve but never changes its roots
     norm = request.getfixturevalue(name)
     dirs = make_grid(dim, 64 if dim == 1 else 12).nodes
     rng = np.random.default_rng(dim)
@@ -652,9 +689,9 @@ def test_exit_distance_warm_start_matches_cold(name, dim, request):
         jump = _inside_offset(norm, rng, scale, rng.uniform(0.0, 0.9))
         s0, g0 = _warm_starts(norm, dirs, prev, scale)
         for offset in (near, jump):
-            cold, g_cold = newton_exit(norm, dirs, offset, scale)
-            warm, g_warm = newton_exit(norm, dirs, offset, scale,
-                                       start=(s0, g0))
+            cold, g_cold = norm.exit_distance(dirs, offset, scale)
+            warm, g_warm = norm.exit_distance(dirs, offset, scale,
+                                              start=(s0, g0))
             assert np.all(np.isfinite(warm))
             assert np.max(np.abs(warm - cold)) <= tol
             exact = norm.dual_grad(offset[None, :] + warm[:, None] * dirs)
@@ -667,27 +704,24 @@ def test_exit_distance_warm_start_matches_cold(name, dim, request):
     ("euclid3", 2), ("ellipse3", 2), ("tilted3", 2),
 ])
 def test_newton_exit_distance_matches_quadric_closed_form(name, dim, request):
-    # the quadric norms solve their rays in closed form; the Newton path they
-    # no longer run is pinned against it, cold and warm-started
+    # the reference nested Newton solve, the oracle of the perturbed ray
+    # exits, against the closed form of the quadric norms
     norm = request.getfixturevalue(name)
     dirs = make_grid(dim, 64 if dim == 1 else 12).nodes
     rng = np.random.default_rng(10 + dim)
     scale = 1.3
     for _ in range(3):
-        prev = _inside_offset(norm, rng, scale, rng.uniform(0.0, 0.9))
-        start = _warm_starts(norm, dirs, prev, scale)
         offset = _inside_offset(norm, rng, scale, rng.uniform(0.0, 0.9))
         exact, g_exact = norm.exit_distance(dirs, offset, scale)
         assert np.all(exact > 0.0)
-        for warm in (None, start):
-            s, g = newton_exit(norm, dirs, offset, scale, start=warm)
-            assert np.max(np.abs(s - exact)) <= 1e-13 * scale
-            assert np.max(np.abs(g - g_exact)) <= 1e-10
+        s, g = nested_exit(norm, dirs, offset, scale)
+        assert np.max(np.abs(s - exact)) <= 1e-13 * scale
+        assert np.max(np.abs(g - g_exact)) <= 1e-10
     # outside the body: the same rays miss, and the hits have equal roots
     for frac in (1.2, 2.0, 4.0):
         offset = _inside_offset(norm, rng, scale, frac)
         exact, g_exact = norm.exit_distance(dirs, offset, scale)
-        s, _ = newton_exit(norm, dirs, offset, scale)
+        s, _ = nested_exit(norm, dirs, offset, scale)
         miss = np.isinf(exact)
         assert 0 < np.sum(miss) < len(dirs)
         assert np.array_equal(np.isinf(s), miss)
@@ -702,20 +736,23 @@ def test_exit_distance_warm_start_keeps_misses(euclid2, perturbed2):
     scale = 1.0
     for norm in (euclid2, perturbed2):
         prev = np.array([1.6, 0.3])
-        start = newton_exit(norm, dirs, prev, scale)
+        start = norm.exit_distance(dirs, prev, scale)
         for offset in (prev + np.array([0.01, -0.02]), np.array([-1.4, 0.9])):
-            cold, _ = newton_exit(norm, dirs, offset, scale)
-            warm, _ = newton_exit(norm, dirs, offset, scale, start=start)
+            cold, _ = norm.exit_distance(dirs, offset, scale)
+            warm, _ = norm.exit_distance(dirs, offset, scale, start=start)
+            nested, _ = nested_exit(norm, dirs, offset, scale)
             assert 0 < np.sum(np.isinf(cold)) < len(dirs)
+            assert np.array_equal(np.isinf(cold), np.isinf(nested))
             assert np.array_equal(np.isinf(warm), np.isinf(cold))
             hit = np.isfinite(cold)
             assert np.max(np.abs(warm[hit] - cold[hit])) <= 1e-13 * scale
 
 
-def test_asymmetry_warm_rays_save_dual_solves(monkeypatch):
+def test_asymmetry_warm_rays_save_newton_steps(monkeypatch):
     # the deficits benchmark's perturbed zonal surface at res 16: seeding
-    # each evaluation's ray solve with the last one's roots and gradients
-    # saves dual solves without moving the result beyond roundoff
+    # each evaluation's ray solve with the last one's roots and normals
+    # saves Newton steps, one `tangent_form` call each, without moving the
+    # result beyond roundoff
     norm = norm_from_spec({"family": "perturbed", "dim": 2, "epsilon": 0.1,
                            "harmonic": {"kind": "product"}})
     grid = make_grid(2, 16)
@@ -723,23 +760,24 @@ def test_asymmetry_warm_rays_save_dual_solves(monkeypatch):
         {"kind": "zonal", "k": 2, "delta": 0.0802},
         {"kind": "zonal", "k": 3, "delta": 0.0451}])
     calls = []
-    dual_grad = norm.dual_grad
+    tangent_form = norm.tangent_form
 
-    def counting(x, start=None):
-        calls.append(len(x))
-        return dual_grad(x, start)
+    def counting(nu, t):
+        calls.append(len(nu))
+        return tangent_form(nu, t)
 
-    monkeypatch.setattr(norm, "dual_grad", counting)
+    monkeypatch.setattr(norm, "tangent_form", counting)
     warm = asymmetry_index(surface, norm)
     n_warm = len(calls)
+    exit_distance = norm.exit_distance
 
     def cold_exit(dirs, offset, scale, start=None):
-        return newton_exit(norm, dirs, offset, scale)
+        return exit_distance(dirs, offset, scale)
 
     monkeypatch.setattr(norm, "exit_distance", cold_exit)
     calls.clear()
     cold = asymmetry_index(surface, norm)
-    assert n_warm <= 0.8 * len(calls)
+    assert n_warm <= 0.5 * len(calls)   # 388 against 889
     assert abs(warm.alpha - cold.alpha) <= 1e-11
     np.testing.assert_allclose(warm.center, cold.center, rtol=0.0, atol=1e-7)
     assert warm.converged and cold.converged
@@ -755,27 +793,28 @@ def test_asymmetry_warm_rays_save_dual_solves(monkeypatch):
                  id="sectoral2-512"),
 ])
 def test_perturbed_exit_distance_matches_nested_newton(spec, res):
-    # the joint Newton solve on the Wulff boundary against the nested path
-    # it replaced, cold and warm-started, inside and outside the body
+    # the joint Newton solve on the Wulff boundary against the reference
+    # nested solve, cold and warm-started, inside the body, near its
+    # boundary and outside it
     norm = norm_from_spec(spec)
     dim = spec["dim"]
     dirs = make_grid(dim, res).nodes
     rng = np.random.default_rng(40 + res)
     scale = 1.3
-    for frac in (0.0, 0.3, 0.6, 0.95):
+    for frac in (0.0, 0.3, 0.6, 0.95, 0.999):
         prev = _inside_offset(norm, rng, scale, rng.uniform(0.0, 0.95))
         start = _warm_starts(norm, dirs, prev, scale)
         offset = _inside_offset(norm, rng, scale, frac)
-        nested, _ = newton_exit(norm, dirs, offset, scale)
+        nested, _ = nested_exit(norm, dirs, offset, scale)
         for warm in (None, start):
             s, g = norm.exit_distance(dirs, offset, scale, start=warm)
             assert np.max(np.abs(s - nested)) <= 1e-13 * scale
             exact = norm.dual_grad(offset[None, :] + s[:, None] * dirs)
             assert np.max(np.abs(g - exact)) <= 1e-10
     # outside the body: the same rays miss, and the hits have equal roots
-    for frac in (1.2, 2.0, 4.0):
+    for frac in (1.001, 1.2, 2.0, 4.0):
         offset = _inside_offset(norm, rng, scale, frac)
-        nested, _ = newton_exit(norm, dirs, offset, scale)
+        nested, _ = nested_exit(norm, dirs, offset, scale)
         s, g = norm.exit_distance(dirs, offset, scale)
         miss = np.isinf(nested)
         assert 0 < np.sum(miss) < len(dirs)
@@ -785,29 +824,63 @@ def test_perturbed_exit_distance_matches_nested_newton(spec, res):
 
 
 @pytest.mark.parametrize("name, dim", [("perturbed2", 1), ("perturbed3", 2)])
-def test_perturbed_exit_distance_certificate_sends_entries_to_nested(
+def test_perturbed_exit_distance_certificate_sends_entries_to_scan_pass(
         name, dim, request, monkeypatch):
     # warm-started at the entry point s0 = -s_out(-theta) with DF0 there,
     # every row is a root of the joint system with nu.theta < 0: the
-    # certificate rejects it, and the nested path finds the exit
+    # certificate rejects it, and the scan-seeded pass finds the exit
     norm = request.getfixturevalue(name)
     dirs = make_grid(dim, 64 if dim == 1 else 12).nodes
     rng = np.random.default_rng(50 + dim)
     scale = 1.3
     offset = _inside_offset(norm, rng, scale, 0.5)
-    back, g_back = newton_exit(norm, -dirs, offset, scale)
+    back, g_back = nested_exit(norm, -dirs, offset, scale)
     assert np.all(np.einsum("ij,ij->i", g_back, dirs) < 0.0)
-    exit_s, _ = newton_exit(norm, dirs, offset, scale)
-    rows = []
+    exit_s, _ = nested_exit(norm, dirs, offset, scale)
+    passes = []
+    solve = norm._boundary_newton
 
-    def nested(self, dirs, *args, **kw):
-        rows.append(len(dirs))
-        return newton_exit(self, dirs, *args, **kw)
+    def recording(dirs, offset, scale, s, nu, maxit):
+        passes.append((len(dirs), maxit))
+        return solve(dirs, offset, scale, s, nu, maxit)
 
-    monkeypatch.setattr(MinkowskiNorm, "exit_distance", nested)
+    monkeypatch.setattr(norm, "_boundary_newton", recording)
     s, _ = norm.exit_distance(dirs, offset, scale, start=(-back, g_back))
-    assert rows == [len(dirs)]
+    assert passes == [(len(dirs), _FIRST_MAXIT), (len(dirs), _SCAN_MAXIT)]
     assert np.max(np.abs(s - exit_s)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param({"family": "perturbed", "dim": 1, "epsilon": 0.1},
+                 id="perturbed2"),
+    pytest.param({"family": "perturbed", "dim": 1, "epsilon": 0.124},
+                 id="near-limit2"),
+])
+def test_perturbed_exit_distance_misses_match_projection_interval(spec):
+    # in the plane the line o + s*theta meets scale*W iff u.o lies in
+    # [-scale*F(-u), scale*F(u)], the projection of scale*W on the normal
+    # u of theta: on dense directions, with some lines close to tangent,
+    # the misses are exactly those, and the hits have the reference roots
+    norm = norm_from_spec(spec)
+    theta = make_grid(1, 4096).nodes
+    u = np.column_stack([-theta[:, 1], theta[:, 0]])
+    rng = np.random.default_rng(61)
+    scale = 1.3
+    closest = np.inf   # the least margin of a hit: how near tangent it is
+    for frac in (1.001, 1.05, 1.2, 2.0, 4.0):
+        offset = _inside_offset(norm, rng, scale, frac)
+        proj = u @ offset
+        margin = np.minimum(scale * norm.value(u) - proj,
+                            scale * norm.value(-u) + proj)
+        s, g = norm.exit_distance(theta, offset, scale)
+        assert 0 < np.sum(margin <= 0.0) < len(theta)
+        assert np.array_equal(np.isinf(s), margin <= 0.0)
+        assert np.all(np.isnan(g[margin <= 0.0]))
+        hit = margin > 0.0
+        nested, _ = nested_exit(norm, theta[hit], offset, scale)
+        assert np.max(np.abs(s[hit] - nested)) <= 1e-13 * scale
+        closest = min(closest, np.min(margin[hit]))
+    assert closest <= 1e-4 * scale
 
 
 @pytest.mark.parametrize("spec, res, harmonics", [
@@ -822,7 +895,8 @@ def test_perturbed_exit_distance_certificate_sends_entries_to_nested(
 def test_asymmetry_search_makes_no_dual_ray_solves(spec, res, harmonics,
                                                    monkeypatch):
     # every ray of the translation search passes the joint solve's
-    # certificate: the Wulff construction is the only dual solve
+    # certificate: the Wulff construction is the only dual solve, and no
+    # row takes the miss test or the second pass
     norm = norm_from_spec(spec)
     surface = fourier_surface(make_grid(spec["dim"], res), 1.0, harmonics)
     calls = []
@@ -836,10 +910,11 @@ def test_asymmetry_search_makes_no_dual_ray_solves(spec, res, harmonics,
     monkeypatch.setattr(norm, "dual_value", counting(norm.dual_value))
     monkeypatch.setattr(norm, "dual_grad", counting(norm.dual_grad))
 
-    def nested(*args, **kw):
-        raise AssertionError("a ray reached the nested Newton path")
+    def second_pass(*args, **kw):
+        raise AssertionError("a ray failed the first pass")
 
-    monkeypatch.setattr(MinkowskiNorm, "exit_distance", nested)
+    monkeypatch.setattr(norm, "_meets", second_pass)
+    monkeypatch.setattr(norm, "_scan_pass", second_pass)
     res = asymmetry_index(surface, norm)
     assert res.converged and res.alpha > 0.0
     assert len(calls) <= 1
