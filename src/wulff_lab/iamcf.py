@@ -7,9 +7,9 @@ for a radial graph r(theta, t) about a fixed center reduces to
 
 Time stepping is a two-stage IMEX trapezoid on the rescaled field
 u = exp(-t/n) r (see `step`): the stiff part c*Delta u is solved implicitly,
-with c each node's linearized diffusion coefficient on circles (on the
-lowest modes of a fine circle, see `step`) and their maximum on spheres, so
-the step size is set by an embedded error estimate rather than a parabolic
+with c each node's linearized diffusion coefficient (the grid's solve takes
+their maximum where it cannot take them node by node, see `step`), so the
+step size is set by an embedded error estimate rather than a parabolic
 bound.  A rescaled Wulff shape is an exact fixed point of the step.  The
 companion "modified" trajectory -- the surface rescaled by exp(-t/n) and
 recentered toward a chosen point P -- is obtained by bookkeeping on the
@@ -72,9 +72,9 @@ def _diffusion_bound(surface, cache):
     """Per-node bound on the second-derivative coefficient of the linearized
     radial operator, measured against unit chart wavenumbers.
 
-    `step` uses it node by node on circles and its maximum on spheres as
-    the implicit stabilizer; `stable_dt` uses its maximum.  It must
-    dominate the true coefficient at every node: see `step`."""
+    `step` hands it to the grid's shifted Laplace solve as the implicit
+    stabilizer; `stable_dt` uses its maximum.  It must dominate the true
+    coefficient at every node: see `step`."""
     return cache.f_normal * cache.norm_hess_max / (
         cache.aniso_mean_curv ** 2 * surface.r ** 2)
 
@@ -111,11 +111,11 @@ def step(surface, norm, dt, cache=None):
     second line is (I - dt/2 c Delta)^-1 [u + dt/2 (g(u) + g(u1))
     - dt/2 c Delta u1].
 
-    On circles c = diag(D_i), each node's own `_diffusion_bound` D_i; the
-    grid solves that exactly up to 64 nodes, and on a finer circle for the
-    modes below 32 only, with max_i D_i above them (see
-    `SphereGrid.shifted_laplace_solve`).  On spheres the spectral solve takes
-    one constant, so c = max_i D_i.  Where D varies from node to node, a
+    c = diag(D_i), each node's own `_diffusion_bound` D_i, is handed to
+    the grid's solve as it is, and the grid decides what it solves with
+    (see `SphereGrid.shifted_laplace_solve`): D itself on circles of up to
+    64 nodes, D on the modes below 32 and max_i D_i above them on a finer
+    circle, and max_i D_i on spheres.  Where D varies from node to node, a
     constant c adds a splitting error of order c k^2 dt that the error
     estimate below reads as the flow's, and the step shrinks.  c must
     dominate D at every node: in the stiff limit a mode's amplification is
@@ -137,8 +137,6 @@ def step(surface, norm, dt, cache=None):
     if cache is None:
         cache = geometry(surface, norm)
     c = _diffusion_bound(surface, cache)
-    if n > 1:
-        c = float(np.max(c))
     u = surface.r
     g0 = radial_speed(surface, norm, cache) - u / n
     u1 = grid.spectral_filter(

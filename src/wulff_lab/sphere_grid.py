@@ -8,13 +8,10 @@ expansion up to degree L = nlat - 1, which the grid's quadrature transforms
 exactly: an FFT in longitude, then orthonormal associated Legendre functions
 in latitude (see `legendre_table`).
 
-Both grids also solve the shifted Laplace equation (I - a*Delta) x = f
-exactly for their own discrete Laplacian and a constant `a`: a Fourier
-divide on the circle, a divide by 1 + a l(l+1) on the sphere.  On the circle
-`a` may also vary from node to node: the system (I - diag(a) Delta) is
-solved by dense LU on at most _DENSE_NODES nodes, exactly on a circle that
-small, and on a finer one for its lowest modes only, with max(a) taken above
-them (see `SphereGrid.shifted_laplace_solve`).
+The grid is the only module that knows its expansion.  Other modules read a
+field through `frame_derivatives`, `interpolate` (the expansion summed in
+any direction) and `shifted_laplace_solve`, (I - a*Delta) x = f with `a` a
+scalar or one value per node, never solved below a node's own.
 """
 
 from __future__ import annotations
@@ -178,11 +175,11 @@ class SphereGrid:
 
     # ------------------------------------------------------------- reductions
 
-    def _check_field(self, field):
+    def _check_field(self, field, name="field"):
         field = np.asarray(field, dtype=float)
         if field.shape != (self.n_nodes,):
             raise ValueError(
-                f"field length {field.shape} does not match node count {self.n_nodes}")
+                f"{name} length {field.shape} does not match node count {self.n_nodes}")
         return field
 
     def integrate(self, field):
@@ -221,34 +218,56 @@ class SphereGrid:
         rows = np.fft.irfft(np.swapaxes(spectra, -1, -2), n=self.nlon, axis=-1)
         return rows.reshape(rows.shape[:-2] + (-1,))
 
-    def harmonic_coefficients(self, field):
-        """Spherical-harmonic coefficients A[m, l] of a dim=2 field, m, l =
-        0..nlat-1, complex, in the units of numpy's rfft along longitude:
-        the projection of the field on degrees l <= nlat - 1 is
-        Re sum_m s_m sum_l A[m, l] P_l^m(cos colat) exp(i m lon) / nlon,
-        with s_0 = 1, s_m = 2 otherwise, and P from `legendre_table`."""
-        return self._analysis(field).view(np.complex128)[..., 0]
+    def interpolate(self, field, dirs):
+        """Values of a node field in the directions `dirs` (rows of any
+        nonzero length), summed from the grid's own expansion, so a
+        band-limited field is reproduced exactly: Re sum_m c_m z^m by
+        Horner's rule, z = exp(i*angle) on the circle with c_m the rfft over
+        N, doubled below the Nyquist mode; z = exp(i*longitude) on the
+        sphere with c_m the harmonic coefficients (doubled for m > 0) times
+        P_l^m(cos colatitude), accumulated degree by degree over
+        l <= nlat - 1, so no table over all degrees and directions is held.
+        """
+        field = self._check_field(field)
+        dirs = np.asarray(dirs, dtype=float)
+        if self.dim == 1:
+            coeff = np.fft.rfft(field) / self.n_nodes
+            coeff[1:] *= 2.0
+            if self.n_nodes % 2 == 0:
+                coeff[-1] *= 0.5   # the Nyquist mode is not doubled
+        else:
+            harmonic = self._analysis(field).view(np.complex128)[..., 0] / self.nlon
+            harmonic[1:] *= 2.0
+            mu = dirs[:, 2] / np.linalg.norm(dirs, axis=1)
+            coeff = np.zeros((self.nlat, len(dirs)), dtype=complex)
+            for l, p in enumerate(legendre_degrees(mu, self.nlat - 1)):
+                coeff[:l + 1] += harmonic[:l + 1, l, None] * p
+        z = np.exp(1j * np.arctan2(dirs[:, 1], dirs[:, 0]))
+        acc = np.full(len(z), coeff[-1])
+        for c in coeff[-2::-1]:
+            acc *= z
+            acc += c
+        return acc.real
 
     # ------------------------------------------------------------ derivatives
 
-    def angle_derivatives(self, field):
-        """First and second derivative in the angle parameter (dim=1 only)."""
-        if self.dim != 1:
-            raise ValueError("angle_derivatives is defined for dim=1 grids")
-        field = self._check_field(field)
-        d1, d2 = np.fft.irfft(np.fft.rfft(field) * self._d12, n=self.n_nodes)
-        return d1, d2
+    def frame_derivatives(self, field):
+        """Gradient components v[i] and covariant Hessian h[i, j] of a scalar
+        field in the orthonormal frame e_i = frame[i], each an (n_nodes,)
+        field: the grid's one derivative method.
 
-    def latlon_derivatives(self, field):
-        """Chart partials (f_t, f_p, f_tt, f_tp, f_pp) in colatitude/longitude (dim=2).
-
-        Exact derivatives of the field's projection on degrees l <= nlat - 1:
-        f_t through the colatitude derivatives of the Legendre functions,
+        On the circle v = f' and h = f'', by the spectral (FFT) symbols.  On
+        the sphere they are exact derivatives of the field's projection on
+        degrees l <= nlat - 1, built from the round chart's partials: f_t
+        through the colatitude derivatives of the Legendre functions,
         longitude derivatives as i m, and f_tt from the diagonal Laplacian,
-        f_tt = Delta f - cot f_t - f_pp / sin^2.
+        f_tt = Delta f - cot f_t - f_pp / sin^2.  Then v = (f_t, f_p / sin) and
+        h = [[f_tt, (f_tp - cot f_p) / sin], [., f_pp / sin^2 + cot f_t]].
         """
-        if self.dim != 2:
-            raise ValueError("latlon_derivatives is defined for dim=2 grids")
+        if self.dim == 1:
+            d1, d2 = np.fft.irfft(np.fft.rfft(self._check_field(field))
+                                  * self._d12, n=self.n_nodes)
+            return d1[None], d2[None, None]
         coeff = self._analysis(field)
         lap = coeff * self._lap_symbol[None, :, None]
         f, f_lap = self._synthesis(self._leg, np.concatenate([coeff, lap], -1))
@@ -259,23 +278,8 @@ class SphereGrid:
         st = np.repeat(self.sin_colat, self.nlon)
         ct = np.repeat(self.cos_colat, self.nlon)
         f_tt = f_lap - (ct / st) * f_t - f_pp / st ** 2
-        return f_t, f_p, f_tt, f_tp, f_pp
-
-    def frame_derivatives(self, field):
-        """Gradient components v[i] and covariant Hessian h[i, j] of a scalar
-        field in the orthonormal frame e_i = frame[i], each an (n_nodes,)
-        field.
-
-        On the circle v = f' and h = f''.  On the sphere the round chart's
-        partials give v = (f_t, f_p / sin) and
-        h = [[f_tt, (f_tp - cot f_p) / sin], [., f_pp / sin^2 + cot f_t]].
-        """
-        if self.dim == 1:
-            d1, d2 = self.angle_derivatives(field)
-            return d1[None], d2[None, None]
-        f_t, f_p, f_tt, f_tp, f_pp = self.latlon_derivatives(field)
-        inv_sin = 1.0 / np.repeat(self.sin_colat, self.nlon)
-        cot = np.repeat(self.cos_colat, self.nlon) * inv_sin
+        inv_sin = 1.0 / st
+        cot = ct * inv_sin
         h_tp = (f_tp - cot * f_p) * inv_sin
         h = np.array([[f_tt, h_tp], [h_tp, f_pp * inv_sin ** 2 + cot * f_t]])
         return np.array([f_t, f_p * inv_sin]), h
@@ -337,28 +341,30 @@ class SphereGrid:
         return np.fft.irfft(xk, n=n)
 
     def shifted_laplace_solve(self, field, a):
-        """Solve (I - a * Delta) x = field for x, a >= 0.
+        """Solve (I - a * Delta) x = field for x, with a >= 0 a scalar or an
+        (n_nodes,) array; the coefficient solved with is never below a
+        node's own.
 
-        For a constant `a` the solve is exact for this grid's discrete
-        Laplacian: a Fourier divide on the circle, a divide of each
-        spherical-harmonic coefficient by 1 + a l(l+1) on the sphere, whose
-        result is band-limited to l <= nlat - 1 like every other field the
-        sphere grid returns.
+        A scalar `a` is solved exactly for this grid's discrete Laplacian: a
+        Fourier divide on the circle, a divide of each spherical-harmonic
+        coefficient by 1 + a l(l+1) on the sphere, whose result is
+        band-limited to l <= nlat - 1 like every other field the sphere grid
+        returns.  The sphere, one constant per solve, takes max(a).
 
-        On the circle `a` may also be a per-node array.  On up to
-        _DENSE_NODES nodes the system (I - diag(a) Delta) is then solved
+        A circle of up to _DENSE_NODES nodes solves (I - diag(a) Delta)
         exactly, by dense LU.  On a finer circle the modes below
         _DENSE_NODES / 2 take that dense solve on _DENSE_NODES nodes, each
         carrying the largest coefficient of the grid nodes nearest it, and
-        the modes above divide by 1 + max(a) k^2; so the coefficient never
-        falls below a node's own, and a solve costs one fixed-size LU plus
-        O(N log N).
+        the modes above divide by 1 + max(a) k^2; a solve costs one
+        fixed-size LU plus O(N log N).
         """
         field = self._check_field(field)
+        if np.ndim(a) != 0:
+            a = self._check_field(a, "coefficient")
+            if self.dim == 2:
+                a = np.max(a)
         if self.dim == 1:
             return self._circle_solve(field, a)
-        if np.ndim(a) != 0:
-            raise ValueError("the sphere solve takes a constant coefficient")
         coeff = self._analysis(field) / (1.0 - a * self._lap_symbol)[None, :, None]
         return self._to_nodes(self._synthesis(self._leg, coeff)[0])
 
@@ -369,7 +375,7 @@ class SphereGrid:
         Identity on dim=1 grids.
         """
         if self.dim == 1:
-            return np.asarray(field, dtype=float)
+            return self._check_field(field)
         return self._to_nodes(self._synthesis(self._leg, self._analysis(field))[0])
 
 

@@ -25,7 +25,7 @@ from .hypersurface import (
     wulff_q_value,
 )
 from .minkowski import make_wulff
-from .sphere_grid import legendre_degrees, make_grid
+from .sphere_grid import make_grid
 
 
 def _wulff(norm, grid, wulff=None):
@@ -193,51 +193,6 @@ def _symmetric_difference(surface, norm, scale, center, *, warm=None):
     return surface.grid.integrate(ray)
 
 
-def _radial_coefficients(surface):
-    """The grid's expansion of the radial field, as `_interp_radial` sums
-    it: trigonometric coefficients c_k on the circle, harmonic coefficients
-    A[m, l] (doubled for m > 0, in units of one node field) on the sphere."""
-    grid = surface.grid
-    if grid.dim == 1:
-        coeff = np.fft.rfft(surface.r) / grid.n_nodes
-        coeff[1:] *= 2.0
-        if grid.n_nodes % 2 == 0:
-            coeff[-1] *= 0.5   # the Nyquist mode is not doubled
-        return coeff
-    harmonic = grid.harmonic_coefficients(surface.r) / grid.nlon
-    harmonic[1:] *= 2.0
-    return harmonic
-
-
-def _interp_radial(surface, dirs, coeff=None):
-    """Evaluate the radial field in arbitrary directions.
-
-    Both dimensions sum the grid's own expansion of the field, so a
-    band-limited field is reproduced exactly: on the circle the
-    trigonometric interpolant Re sum_k c_k z^k in z = exp(i*angle), on the
-    sphere Re sum_m c_m z^m in z = exp(i*longitude), with c_m the sum over
-    degrees l <= nlat - 1 of the harmonic coefficients times
-    P_l^m(cos colatitude).  The powers of z are summed by Horner's rule, and
-    the c_m accumulate degree by degree, so no Legendre table over all
-    degrees and directions is held.  `coeff` is the field's
-    `_radial_coefficients`, computed here when not given.
-    """
-    grid = surface.grid
-    if coeff is None:
-        coeff = _radial_coefficients(surface)
-    if grid.dim == 2:
-        mu = dirs[:, 2] / np.linalg.norm(dirs, axis=1)
-        harmonic, coeff = coeff, np.zeros((grid.nlat, len(dirs)), dtype=complex)
-        for l, p in enumerate(legendre_degrees(mu, grid.nlat - 1)):
-            coeff[:l + 1] += harmonic[:l + 1, l, None] * p
-    z = np.exp(1j * np.arctan2(dirs[:, 1], dirs[:, 0]))
-    acc = np.full(len(z), coeff[-1])
-    for c in coeff[-2::-1]:
-        acc *= z
-        acc += c
-    return acc.real
-
-
 _ASYMMETRY_XATOL, _ASYMMETRY_MAX_ITER = 1e-8, 400   # Nelder-Mead stop rule
 
 
@@ -323,7 +278,7 @@ def hausdorff_to_wulff(surface, norm, wulff=None):
     a = grid.mean(surface.r / w.rho)
     a_vol = (volume(surface) / w.volume) ** (1.0 / (grid.dim + 1.0))
     fine = make_grid(grid.dim, _HAUSDORFF_OVERSAMPLE * grid.resolution)
-    radii = (_interp_radial(surface, fine.nodes),
+    radii = (grid.interpolate(surface.r, fine.nodes),
              a * norm.wulff_radius(fine.nodes))
     clouds = []
     for r in radii:
@@ -361,8 +316,8 @@ def _regraph_radial(surface, point):
     """Radial field of the surface re-graphed about an interior point.
 
     Solves f(s) = |o + s*theta| - r((o + s*theta)/|o + s*theta|) = 0, with
-    o = point - C, along every node direction on the interpolated radial
-    field (its expansion computed once).  The surface must be star-shaped
+    o = point - C, along every node direction, with r read between the
+    nodes by `SphereGrid.interpolate`.  The surface must be star-shaped
     about the point (`gap_integral` checks it), so each ray crosses it once
     and the root is unique: f(0) < 0 < f(max r + |o|).  Each ray keeps that
     bracket and takes Illinois (modified regula falsi) steps inside it,
@@ -374,12 +329,11 @@ def _regraph_radial(surface, point):
     offset = np.asarray(point, dtype=float) - surface.center
     if np.linalg.norm(offset) == 0.0:
         return surface.r
-    coeff = _radial_coefficients(surface)
 
     def excess(s, dirs):
         y = offset[None, :] + s[:, None] * dirs
         dist = np.linalg.norm(y, axis=1)
-        return dist - _interp_radial(surface, y / dist[:, None], coeff)
+        return dist - grid.interpolate(surface.r, y / dist[:, None])
 
     dirs = grid.nodes
     reach = np.max(surface.r) + np.linalg.norm(offset) + 1e-9

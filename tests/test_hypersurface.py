@@ -74,7 +74,7 @@ def test_normal_matches_embedding_normal(grid512, grid2_32, euclid2, euclid3):
     # curve: rotate the tangent; surface: cross product of chart tangents
     s = fourier_surface(grid512, 1.0, [{"k": 2, "delta": 0.2}])
     cache = geometry(s, euclid2)
-    rt, _ = grid512.angle_derivatives(s.r)
+    (rt,), _ = grid512.frame_derivatives(s.r)
     tangent = rt[:, None] * grid512.nodes + s.r[:, None] * grid512.frame[0]
     rot = np.column_stack([tangent[:, 1], -tangent[:, 0]])
     rot /= np.linalg.norm(rot, axis=1, keepdims=True)
@@ -82,10 +82,11 @@ def test_normal_matches_embedding_normal(grid512, grid2_32, euclid2, euclid3):
 
     s2 = fourier_surface(grid2_32, 1.0, [{"kind": "product", "delta": 0.15}])
     cache2 = geometry(s2, euclid3)
-    r_t, r_p, _, _, _ = grid2_32.latlon_derivatives(s2.r)
-    st = np.repeat(grid2_32.sin_colat, grid2_32.nlon)
+    # the frame's second component is r_p / sin, so t2 is the longitude
+    # tangent over sin > 0, which leaves the normalized cross product as it is
+    (r_t, r_p), _ = grid2_32.frame_derivatives(s2.r)
     t1 = r_t[:, None] * grid2_32.nodes + s2.r[:, None] * grid2_32.frame[0]
-    t2 = r_p[:, None] * grid2_32.nodes + (s2.r * st)[:, None] * grid2_32.frame[1]
+    t2 = r_p[:, None] * grid2_32.nodes + s2.r[:, None] * grid2_32.frame[1]
     cr = np.cross(t1, t2)
     cr /= np.linalg.norm(cr, axis=1, keepdims=True)
     assert np.max(np.linalg.norm(cache2.normal - cr, axis=1)) < 1e-10

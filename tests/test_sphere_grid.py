@@ -282,7 +282,7 @@ def test_circle_solve_inverts_per_node_coefficient(res, scale):
     a = _smooth_coefficient(grid, scale)
     f = np.random.default_rng(res).standard_normal(res)
     x = grid.shifted_laplace_solve(f, a)
-    _, d2 = grid.angle_derivatives(x)
+    d2 = _laplacian(grid, x)
     resid = np.max(np.abs(x - a * d2 - f))
     assert resid <= 1e-12 * (np.max(np.abs(f))
                              + np.max(a) * (res // 2) ** 2 * np.max(np.abs(x)))
@@ -361,8 +361,90 @@ def test_deficit_report_builds_no_dense_operator():
     assert grid._dense is None
 
 
-def test_sphere_solve_rejects_per_node_coefficient():
-    grid = make_grid(2, 8)
-    with pytest.raises(ValueError, match="constant coefficient"):
-        grid.shifted_laplace_solve(np.ones(grid.n_nodes),
-                                   np.ones(grid.n_nodes))
+def test_sphere_solve_takes_max_of_per_node_coefficient():
+    # the spectral solve takes one constant, the largest per-node value, so
+    # the per-node solve is the scalar solve at max(a) bit for bit
+    for res in (8, 16, 32):
+        grid = make_grid(2, res)
+        rng = np.random.default_rng(res)
+        f = rng.standard_normal(grid.n_nodes)
+        a = rng.uniform(1e-3, 1.0, grid.n_nodes)
+        np.testing.assert_array_equal(grid.shifted_laplace_solve(f, a),
+                                      grid.shifted_laplace_solve(f, np.max(a)))
+
+
+@pytest.mark.parametrize("dim, res", [(1, 64), (1, 256), (2, 8)])
+@pytest.mark.parametrize("shape", ["one", "half", "longer", "column"])
+def test_shifted_laplace_solve_rejects_coefficient_of_wrong_shape(dim, res,
+                                                                   shape):
+    # a coefficient is a scalar or one value per node, on both grids; a
+    # length-1 array does not broadcast
+    grid = make_grid(dim, res)
+    n = grid.n_nodes
+    a = np.ones({"one": 1, "half": n // 2, "longer": n + 1,
+                 "column": (n, 1)}[shape])
+    with pytest.raises(ValueError, match="coefficient length"):
+        grid.shifted_laplace_solve(np.ones(n), a)
+
+
+@pytest.mark.parametrize("dim, res", [(1, 64), (2, 8)])
+def test_spectral_filter_rejects_field_of_wrong_length(dim, res):
+    # on the circle the filter is the identity, but it checks its input
+    # like every other grid method
+    grid = make_grid(dim, res)
+    with pytest.raises(ValueError, match="field length"):
+        grid.spectral_filter(np.ones(5))
+
+
+def _dense_interp(field, dirs):
+    # the explicit phase-matrix form of the trigonometric interpolant
+    n_nodes = len(field)
+    coeff = np.fft.rfft(field) / n_nodes
+    t = np.arctan2(dirs[:, 1], dirs[:, 0])
+    phase = np.exp(1j * np.outer(t, np.arange(len(coeff))))
+    scale = np.ones(len(coeff))
+    scale[1:] = 2.0
+    if n_nodes % 2 == 0:
+        scale[-1] = 1.0
+    return (phase @ (coeff * scale)).real
+
+
+@pytest.mark.parametrize("dim, n_nodes", [
+    *(pytest.param(1, n, id=str(n)) for n in (64, 65, 512, 511)),
+    *(pytest.param(2, n, id=f"sphere-{n}") for n in (16, 32))])
+def test_interpolate_reproduces_band_limited_field(dim, n_nodes):
+    rng = np.random.default_rng(n_nodes)
+    if dim == 2:
+        # powers (e . x)^l of linear forms, one of every degree l <= nlat - 1
+        e = rng.standard_normal((n_nodes, 3))
+        e /= np.linalg.norm(e, axis=1)[:, None]
+        c = 0.1 * rng.uniform(-1.0, 1.0, n_nodes)
+
+        def field(x):
+            x = x / np.linalg.norm(x, axis=1)[:, None]
+            return 1.0 + (x @ e.T) ** np.arange(n_nodes) @ c
+
+        grid = make_grid(2, n_nodes)
+        dirs = rng.uniform(0.5, 2.0, (4 * grid.n_nodes, 1)) \
+            * rng.standard_normal((4 * grid.n_nodes, 3))
+        assert np.max(np.abs(grid.interpolate(field(grid.nodes), dirs)
+                             - field(dirs))) <= 1e-12
+        return
+    # every mode below Nyquist, plus the Nyquist cosine for even N
+    k = np.arange(1, (n_nodes - 1) // 2 + 1)
+    a, b = 0.1 * rng.standard_normal((2, len(k))) / k
+    nyquist = 0.01 if n_nodes % 2 == 0 else 0.0
+
+    def field(t):
+        kt = np.outer(t, k)
+        return (1.0 + np.cos(kt) @ a + np.sin(kt) @ b
+                + nyquist * np.cos(0.5 * n_nodes * t))
+
+    grid = make_grid(1, n_nodes)
+    t = rng.uniform(-np.pi, np.pi, 4 * n_nodes)
+    dirs = rng.uniform(0.5, 2.0, len(t))[:, None] * np.column_stack(
+        [np.cos(t), np.sin(t)])
+    values = field(grid.angles)
+    got = grid.interpolate(values, dirs)
+    assert np.max(np.abs(got - field(t))) <= 1e-13
+    assert np.max(np.abs(got - _dense_interp(values, dirs))) <= 1e-14

@@ -32,9 +32,9 @@ from wulff_lab import (
 )
 from wulff_lab import EllipsoidNorm, PerturbedNorm, stability
 from wulff_lab.minkowski import _FIRST_MAXIT, _SCAN_MAXIT
+from wulff_lab.sphere_grid import SphereGrid
 from wulff_lab.stability import (
     _cloud_min_dists,
-    _interp_radial,
     _symmetric_difference,
 )
 
@@ -279,19 +279,21 @@ def test_regraph_radial_interpolates_a_few_times(res, ellipse3, monkeypatch):
                                     {"kind": "zonal", "k": 3, "delta": 0.045}])
     c = np.array([0.1, 0.0, 0.05])
     calls = []
+    interpolate = SphereGrid.interpolate
 
-    def counting(surface, dirs, *rest):
+    def counting(self, field, dirs):
         calls.append(len(dirs))
-        return _interp_radial(surface, dirs, *rest)
+        return interpolate(self, field, dirs)
 
-    monkeypatch.setattr(stability, "_interp_radial", counting)
+    monkeypatch.setattr(SphereGrid, "interpolate", counting)
     gap = gap_integral(s, ellipse3, c)
     assert len(calls) <= 16
     assert gap.identity_residual < (1e-6 if res == 16 else 1e-12)
     r_c = stability._regraph_radial(s, c)
     y = c[None, :] + r_c[:, None] * grid.nodes
     dist = np.linalg.norm(y, axis=1)
-    assert np.max(np.abs(dist - _interp_radial(s, y / dist[:, None]))) <= 1e-14
+    assert np.max(np.abs(dist - grid.interpolate(s.r, y / dist[:, None]))) \
+        <= 1e-14
 
 
 @pytest.mark.parametrize("center", [[2.0, 0.0], [0.9, 0.0]],
@@ -918,58 +920,3 @@ def test_asymmetry_search_makes_no_dual_ray_solves(spec, res, harmonics,
     res = asymmetry_index(surface, norm)
     assert res.converged and res.alpha > 0.0
     assert len(calls) <= 1
-
-
-def _dense_interp(surface, dirs):
-    # the explicit phase-matrix form of the trigonometric interpolant
-    n_nodes = surface.grid.n_nodes
-    coeff = np.fft.rfft(surface.r) / n_nodes
-    t = np.arctan2(dirs[:, 1], dirs[:, 0])
-    phase = np.exp(1j * np.outer(t, np.arange(len(coeff))))
-    scale = np.ones(len(coeff))
-    scale[1:] = 2.0
-    if n_nodes % 2 == 0:
-        scale[-1] = 1.0
-    return (phase @ (coeff * scale)).real
-
-
-@pytest.mark.parametrize("dim, n_nodes", [
-    *(pytest.param(1, n, id=str(n)) for n in (64, 65, 512, 511)),
-    *(pytest.param(2, n, id=f"sphere-{n}") for n in (16, 32))])
-def test_interp_radial_reproduces_band_limited_field(dim, n_nodes):
-    rng = np.random.default_rng(n_nodes)
-    if dim == 2:
-        # powers (e . x)^l of linear forms, one of every degree l <= nlat - 1
-        e = rng.standard_normal((n_nodes, 3))
-        e /= np.linalg.norm(e, axis=1)[:, None]
-        c = 0.1 * rng.uniform(-1.0, 1.0, n_nodes)
-
-        def field(x):
-            x = x / np.linalg.norm(x, axis=1)[:, None]
-            return 1.0 + (x @ e.T) ** np.arange(n_nodes) @ c
-
-        grid = make_grid(2, n_nodes)
-        surface = StarSurface(grid, field(grid.nodes))
-        dirs = rng.uniform(0.5, 2.0, (4 * grid.n_nodes, 1)) \
-            * rng.standard_normal((4 * grid.n_nodes, 3))
-        assert np.max(np.abs(_interp_radial(surface, dirs)
-                             - field(dirs))) <= 1e-12
-        return
-    # every mode below Nyquist, plus the Nyquist cosine for even N
-    k = np.arange(1, (n_nodes - 1) // 2 + 1)
-    a, b = 0.1 * rng.standard_normal((2, len(k))) / k
-    nyquist = 0.01 if n_nodes % 2 == 0 else 0.0
-
-    def field(t):
-        kt = np.outer(t, k)
-        return (1.0 + np.cos(kt) @ a + np.sin(kt) @ b
-                + nyquist * np.cos(0.5 * n_nodes * t))
-
-    grid = make_grid(1, n_nodes)
-    surface = StarSurface(grid, field(grid.angles))
-    t = rng.uniform(-np.pi, np.pi, 4 * n_nodes)
-    dirs = rng.uniform(0.5, 2.0, len(t))[:, None] * np.column_stack(
-        [np.cos(t), np.sin(t)])
-    got = _interp_radial(surface, dirs)
-    assert np.max(np.abs(got - field(t))) <= 1e-13
-    assert np.max(np.abs(got - _dense_interp(surface, dirs))) <= 1e-14
