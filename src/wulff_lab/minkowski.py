@@ -571,8 +571,9 @@ class PerturbedNorm(MinkowskiNorm):
         if start is not None:
             warm = np.isfinite(start[0]) & np.all(np.isfinite(start[1]), axis=1)
             s[warm], g[warm] = start[0][warm], start[1][warm]
-        s[~warm], g[~warm] = _quadric_exit(dirs[~warm], offset, scale,
-                                           np.eye(self.ambient_dim))
+        if not np.all(warm):
+            s[~warm], g[~warm] = _quadric_exit(dirs[~warm], offset, scale,
+                                               np.eye(self.ambient_dim))
         s, g, ok = self._boundary_newton(dirs, offset, scale, s, g, _FIRST_MAXIT)
         if not np.all(ok):
             rows = np.flatnonzero(~ok)

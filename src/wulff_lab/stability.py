@@ -143,6 +143,12 @@ def wulff_profile_about(norm, grid, scale, wulff_center, graph_center, *,
 
 @dataclass
 class AsymmetryResult:
+    """The asymmetry index `alpha`, reached at the Wulff shape
+    center + scale*W.  `converged` is True only when the search certified
+    center as a first-order minimum of the nodal objective (see
+    `asymmetry_index`); it is False when the certificate failed or the
+    Nelder-Mead fallback ran.  `method` is always "radial"."""
+
     alpha: float
     center: np.ndarray
     scale: float
@@ -193,35 +199,256 @@ def _symmetric_difference(surface, norm, scale, center, *, warm=None):
     return surface.grid.integrate(ray)
 
 
-_ASYMMETRY_XATOL, _ASYMMETRY_MAX_ITER = 1e-8, 400   # Nelder-Mead stop rule
+# The search runs from the barycenter and from its offsets by
+# +-_START_OFFSET * scale along each axis and keeps the lowest value: the
+# nodal objective has ripple minima about 5e-3 apart in the center.
+_START_OFFSET = 0.02
+_GN_MAX_ITER = 50        # Gauss-Newton steps per start; 4 to 10 in practice
+_GN_MIN_STEP = 1e-3      # shortest fraction of a step tried by backtracking
+_GN_DECREASE = 0.25      # accepted share of the model's predicted decrease
+_ZERO_TOL = 1e-12        # residuals below this, times max R, count as zero
+_MAX_PIVOTS = 500        # vertex pivots per linearized problem; 0 to 10 seen
+_FALLBACK_XATOL, _FALLBACK_MAX_ITER = 1e-8, 400   # Nelder-Mead, times scale
+
+
+def _first_vertex(b, jac):
+    """n+1 rows for a first vertex of sum_j w_j |b_j - jac_j . d|: the rows
+    of least |b_j| / |jac_j| whose normalized gradients keep a distance of
+    at least 0.5 from the span of those already taken."""
+    unit = jac / np.linalg.norm(jac, axis=1, keepdims=True)
+    order = np.argsort(np.abs(b) / np.linalg.norm(jac, axis=1), kind="stable")
+    z = []
+    rest = unit[order]
+    for _ in range(jac.shape[1]):
+        j = int(np.argmax(np.linalg.norm(rest, axis=1) > 0.5))
+        q = rest[j] / np.linalg.norm(rest[j])
+        z.append(int(order[j]))
+        rest = rest - np.outer(rest @ q, q)
+    return np.array(z)
+
+
+def _l1_vertex(b, jac, w, z, tol):
+    """Exact minimizer d of sum_j w_j |b_j - jac_j . d| by vertex descent.
+
+    A vertex is d with the residuals e = b - jac d zero on n+1 rows z of
+    invertible jac_z.  Every other row carries a sign sigma_j, sign(e_j)
+    where |e_j| > tol; a row at zero keeps the sign it was given.  The dual
+    y_j = w_j sigma_j off z, with y_z solving jac^T y = 0, certifies the
+    vertex optimal when |y_k| <= w_k on z.  Otherwise the row k of z with
+    the largest |y_k|/w_k leaves it along the edge jac_z d' = -sign(y_k) e_k,
+    on which the misfit falls at rate |y_k| - w_k.  The step goes to the
+    weighted median of the breakpoints of the rows it moves toward zero:
+    each adds 2 w_j |jac_j . d'| to the slope, and the row where the slope
+    turns nonnegative enters z.  A step that moves no residual by more than
+    tol (a degenerate vertex) makes the next choice by Bland's rule, the
+    least row index both for the row that leaves and among tied breakpoints,
+    so the descent cannot cycle.  z starts from the given rows when jac_z is
+    well conditioned, else from `_first_vertex`.
+
+    Returns (d, z, sigma, optimal); optimal is False only if _MAX_PIVOTS
+    pivots did not reach a certified vertex.
+    """
+    if z is None or abs(np.linalg.det(jac[z])) <= 1e-8 * np.prod(
+            np.linalg.norm(jac[z], axis=1)):
+        z = _first_vertex(b, jac)
+    z = z.copy()
+    sigma = np.where(b < 0.0, -1.0, 1.0)
+    bland = False
+    for _ in range(_MAX_PIVOTS):
+        inv = np.linalg.inv(jac[z])
+        d = inv @ b[z]
+        e = b - jac @ d
+        e[z] = 0.0
+        sigma = np.where(np.abs(e) > tol, np.sign(e), sigma)
+        y = w * sigma
+        y[z] = 0.0
+        yz = -(jac.T @ y) @ inv
+        excess = np.abs(yz) - w[z]
+        out = excess > 1e-12 * w[z]
+        if not np.any(out):
+            return d, z, sigma, True
+        if bland:
+            pos = int(np.flatnonzero(out)[np.argmin(z[out])])
+        else:
+            pos = int(np.argmax(excess / w[z]))
+        k = z[pos]
+        edge = -np.sign(yz[pos]) * inv[:, pos]
+        move = jac @ edge
+        move[z] = 0.0   # no breakpoint on z: k leaves zero, the rest stay
+        cross = np.flatnonzero(sigma * move > 0.0)
+        t = np.maximum(e[cross] / move[cross], 0.0)
+        order = np.argsort(t, kind="stable")   # ties keep the least row first
+        cross = cross[order]
+        slope = -excess[pos] + np.cumsum(2.0 * w[cross] * np.abs(move[cross]))
+        if not (slope.size and slope[-1] >= 0.0):
+            break   # the misfit is bounded below: only roundoff gets here
+        at = int(np.argmax(slope >= 0.0))
+        sigma[cross[:at]] *= -1.0
+        sigma[k] = np.sign(yz[pos])
+        z[pos] = cross[at]
+        bland = abs(e[cross[at]]) <= tol
+    return d, z, sigma, False
+
+
+def _certified(b, jac, w, z, sigma, tol):
+    """True if the center is a first-order minimum of the nodal misfit
+    sum_j w_j |b_j| over Gauss-Newton steps: the dual y of the vertex
+    (y_j = w_j sigma_j off z, jac^T y = 0) has |y_j| <= w_j, its rows z have
+    |b_j| <= tol, and y_j = w_j sign(b_j) on every other row with |b_j| > tol.
+    Then 0 is a subgradient of the linearized misfit
+    sum_j w_j |b_j - jac_j . d| at d = 0: it falls along no direction, and
+    along no edge of the vertex in particular."""
+    y = w * sigma
+    y[z] = 0.0
+    y[z] = -(jac.T @ y) @ np.linalg.inv(jac[z])
+    big = np.abs(b) > tol
+    big[z] = False
+    return bool(np.all(np.abs(y) <= w * (1.0 + 1e-9))
+                and np.all(np.abs(b[z]) <= tol)
+                and np.all(sigma[big] == np.sign(b[big]))
+                and np.all(np.abs(jac.T @ y) <= 1e-9 * (np.abs(jac).T @ w)))
+
+
+class _LeftBody(Exception):
+    """An iterate of the asymmetry search left the star center on or
+    outside the translated body."""
 
 
 def asymmetry_index(surface, norm, wulff=None):
     """Volume-normalized minimal symmetric difference to a volume-matched
-    translated rescaled Wulff shape.  The translation is found by Nelder-Mead
-    started at the barycenter; every evaluation is the deterministic ray
-    integral of `_symmetric_difference`, so `method` is always "radial".
-    Each evaluation's ray solve starts from the previous one's roots, which
-    moves the value by roundoff only and keeps repeated calls bit-identical.
+    translated rescaled Wulff shape, found by Gauss-Newton on the L1 misfit.
+
+    While the star center C lies inside the translated body p + scale*W,
+    the objective is the weighted nodal sum
+    alpha(p) = sum_j w_j |R_j - S_j(p)| / ((n+1)|Omega|), R = r^(n+1),
+    S = s_out^(n+1) (`_symmetric_difference`).  Each evaluation is one
+    `wulff_profile_about` call, whose DF0 at the exits gives the Jacobian
+    dS_j/dp = (n+1) s_j^n DF0_j / (DF0_j . theta_j) with no further solve.
+    A step minimizes the linearized misfit sum_j w_j |b_j - J_j d|,
+    b = R - S, exactly at a vertex (`_l1_vertex`, warm-started from the
+    last step's vertex); it is backtracked until the true value falls by at
+    least _GN_DECREASE of the predicted decrease.  A run stops when
+    `_certified` holds: the center is then a first-order minimum of the
+    nodal objective.  Runs start at the barycenter and at its offsets by
+    +-_START_OFFSET*scale along each axis; a run whose step leads onto the
+    vertex of an earlier run's certified end stops there, and the lowest
+    value wins.  `converged` is True exactly when that value carries the
+    certificate.
+
+    Each evaluation's ray solve starts from the last one's roots and DF0,
+    moved to their first-order exits from the new center: the roots by
+    DF0.dp / (DF0.theta), DF0 by a per-ray secant model of D^2F0.  A start
+    changes the value by roundoff only, and repeated calls are
+    bit-identical.
+
+    Nelder-Mead on the exact `_symmetric_difference` takes over, from the
+    lowest center evaluated and with a simplex of edge _START_OFFSET*scale,
+    when an iterate leaves C on or outside the body, where the sum above no
+    longer holds, and when the lowest value is not certified: a run that
+    alternates between two vertices has its minimum between them, where
+    the nodal objective is smooth along a face rather than kinked.
+    `converged` is then False.  `method` is always "radial".
     """
-    w = _wulff(norm, surface.grid, wulff)
+    grid = surface.grid
+    w = _wulff(norm, grid, wulff)
     vol = volume(surface)
-    n = surface.grid.dim
+    n = grid.dim
     scale = (vol / w.volume) ** (1.0 / (n + 1.0))
-
+    big_r = surface.r ** (n + 1)
+    tol = _ZERO_TOL * float(np.max(big_r))
     warm = {}   # the last evaluation's ray solution
+    last = []   # (value, center) of every evaluation; warm holds the last's
+    # the exit point's last move dx and DF0's change dg on every ray: the
+    # warm DF0 moves by a model of D^2F0 that is the unit ball's curvature
+    # 1/scale except along dx, where it reproduces dg
+    secant = [np.zeros((grid.n_nodes, n + 1)), np.zeros((grid.n_nodes, n + 1))]
 
-    def objective(p):
-        return _symmetric_difference(surface, norm, scale, p, warm=warm) / vol
+    def misfit(res):
+        return grid.integrate(np.abs(res) / (n + 1)) / vol
 
-    from scipy.optimize import minimize
+    def evaluate(p):
+        if last:   # move the last rays to their first-order exits from p
+            s0, g0 = warm["rays"]
+            dp = p - last[-1][1]
+            ds = (g0 @ dp) / np.einsum("ij,ij->i", g0, grid.nodes)
+            step = ds[:, None] * grid.nodes - dp
+            dx, dg = secant
+            length = np.maximum(np.einsum("ij,ij->i", dx, dx), 1e-300)
+            along = np.einsum("ij,ij->i", dx, step) / length
+            warm["rays"] = (s0 + ds, g0 + step / scale
+                            + (dg - dx / scale) * along[:, None])
+        try:
+            s = wulff_profile_about(norm, grid, scale, p, surface.center,
+                                    warm=warm)
+        except ValueError:
+            raise _LeftBody from None
+        g = warm["rays"][1]
+        if last:
+            secant[:] = [(s - s0)[:, None] * grid.nodes - dp, g - g0]
+        b = big_r - s ** (n + 1)
+        slope = np.einsum("ij,ij->i", g, grid.nodes)
+        jac = ((n + 1) * s ** n / slope)[:, None] * g
+        last.append((misfit(b), p))
+        return last[-1][0], b, jac
+
+    ends = {}   # vertex rows of each certified end -> its center
+
+    def gauss_newton(p, z):
+        f, b, jac = evaluate(p)
+        seen = []   # the vertex rows of each step, without repeats
+        for _ in range(_GN_MAX_ITER):
+            d, z, sigma, optimal = _l1_vertex(b, jac, grid.weights, z, tol)
+            rows = frozenset(z.tolist())
+            if optimal and _certified(b, jac, grid.weights, z, sigma, tol):
+                ends[rows] = p
+                return f, p, True, z
+            end = ends.get(rows)
+            if end is not None and (np.max(np.abs(p + d - end))
+                                    <= np.max(np.abs(d))):
+                return np.inf, p, False, z   # bound for a certified end
+            pred = f - misfit(b - jac @ d)
+            if not seen or rows != seen[-1]:
+                seen.append(rows)
+            if not (optimal and pred > 0.0) or (
+                    len(seen) > 3 and seen[-4:-2] == seen[-2:]):
+                break   # stalled, or alternating between two vertices
+            t = 1.0
+            while t >= _GN_MIN_STEP:
+                q = p + t * d
+                fq, bq, jq = evaluate(q)
+                if fq <= f - _GN_DECREASE * t * pred:
+                    break
+                t *= 0.5
+            else:
+                break   # the true value does not fall along the step
+            p, f, b, jac = q, fq, bq, jq
+        return f, p, False, z
+
     start = _barycenter(surface)
-    res = minimize(objective, start, method="Nelder-Mead",
-                   options={"xatol": _ASYMMETRY_XATOL, "fatol": 1e-12,
-                            "maxiter": _ASYMMETRY_MAX_ITER})
-    return AsymmetryResult(alpha=float(res.fun),
-                           center=np.asarray(res.x, dtype=float),
-                           scale=float(scale), converged=bool(res.success))
+    offsets = _START_OFFSET * scale * np.eye(n + 1)
+    best, z = (np.inf, start, False), None
+    try:
+        for p in [start] + [start + sign * e for e in offsets
+                            for sign in (1.0, -1.0)]:
+            f, p, ok, z = gauss_newton(p, z)
+            if f < best[0]:
+                best = (f, p, ok)
+    except _LeftBody:
+        best = (np.inf, start, False)
+    if not best[2]:
+        from scipy.optimize import minimize
+        p = min(last, key=lambda v: v[0])[1] if last else start
+        res = minimize(
+            lambda q: _symmetric_difference(surface, norm, scale, q,
+                                            warm=warm) / vol,
+            p, method="Nelder-Mead",
+            options={"initial_simplex": np.vstack([p, p + offsets]),
+                     "xatol": _FALLBACK_XATOL * scale, "fatol": 1e-12,
+                     "maxiter": _FALLBACK_MAX_ITER})
+        best = (res.fun, res.x, False)
+    return AsymmetryResult(alpha=float(best[0]),
+                           center=np.asarray(best[1], dtype=float),
+                           scale=float(scale), converged=bool(best[2]))
 
 
 # --------------------------------------------------------------------------

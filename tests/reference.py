@@ -8,12 +8,15 @@ tests can compare against them:
 - `nested_exit`: a monotone Newton iteration on the ray parameter with one
   cold dual solve per step;
 - `full_hess`: the full d x d Hessian D^2F in closed form, for the
-  ellipsoid and perturbed families.
+  ellipsoid and perturbed families;
+- `asymmetry_reference`: the asymmetry index by Nelder-Mead on the exact
+  symmetric difference, from several starts with a scale-aware simplex.
 """
 
 import numpy as np
 
-from wulff_lab import EllipsoidNorm
+from wulff_lab import EllipsoidNorm, make_wulff, volume
+from wulff_lab.stability import _barycenter, _symmetric_difference
 
 
 def nested_exit(norm, dirs, offset, scale):
@@ -89,3 +92,39 @@ def full_hess(norm, x):
         + (1 - k) * p[:, None, None] * eye / nk1[:, None, None]
         - (1 - k) * (k + 1) * p[:, None, None]
         * x[:, :, None] * x[:, None, :] / n[:, None, None] ** (k + 3))
+
+
+def asymmetry_reference(surface, norm, offset=0.02, xatol=1e-10):
+    """(alpha, center) of the least volume-normalized symmetric difference
+    to a translated, volume-matched Wulff shape, by Nelder-Mead.
+
+    The objective is `_symmetric_difference`, which also holds where the
+    star center leaves the body.  One search starts at the barycenter and
+    one at each of its offsets by +-offset*scale along an axis, each from a
+    simplex of edge offset*scale, and stops once the simplex is within
+    xatol*scale; the lowest value wins.  The nodal objective has ripple
+    minima about 5e-3 apart in the center, so a single start can stop in
+    the wrong one.
+    """
+    from scipy.optimize import minimize
+    grid = surface.grid
+    n = grid.dim
+    vol = volume(surface)
+    scale = (vol / make_wulff(norm, grid).volume) ** (1.0 / (n + 1.0))
+    warm = {}
+
+    def objective(p):
+        return _symmetric_difference(surface, norm, scale, p, warm=warm) / vol
+
+    base = _barycenter(surface)
+    edges = offset * scale * np.eye(n + 1)
+    best = None
+    for start in [base] + [base + sign * e for e in edges for sign in (1, -1)]:
+        res = minimize(objective, start, method="Nelder-Mead",
+                       options={"initial_simplex": np.vstack([start,
+                                                              start + edges]),
+                                "xatol": xatol * scale, "fatol": 1e-15,
+                                "maxiter": 4000, "maxfev": 8000})
+        if best is None or res.fun < best.fun:
+            best = res
+    return float(best.fun), best.x

@@ -30,15 +30,17 @@ from wulff_lab import (
     wulff_q_value,
     wulff_surface,
 )
-from wulff_lab import EllipsoidNorm, PerturbedNorm, stability
+from wulff_lab import EllipsoidNorm, PerturbedNorm, minkowski, stability
 from wulff_lab.minkowski import _FIRST_MAXIT, _SCAN_MAXIT
 from wulff_lab.sphere_grid import SphereGrid
 from wulff_lab.stability import (
+    _certified,
     _cloud_min_dists,
+    _l1_vertex,
     _symmetric_difference,
 )
 
-from reference import nested_exit
+from reference import asymmetry_reference, nested_exit
 
 
 def test_deficit_zero_on_translated_wulff(grid512, ellipse2):
@@ -598,8 +600,11 @@ def test_symmetric_difference_continuous_across_switch(grid256, euclid2,
 
 def test_asymmetry_index_off_center_search_is_deterministic(grid512, euclid2,
                                                             monkeypatch):
-    # a disk graphed about a point near its rim: Nelder-Mead probes centers
-    # that leave the star center outside the translated disk
+    # a disk graphed about a point near its rim: the search certifies the
+    # disk's center and repeats bit for bit.  From starts 0.1*scale away one
+    # start leaves the star center outside the translated disk, and
+    # Nelder-Mead takes over: it probes centers outside too, through the
+    # exterior branch of the symmetric difference, and certifies nothing
     p0 = np.array([0.96, 0.0])
     r = wulff_profile_about(euclid2, grid512, 1.0, p0, np.zeros(2))
     surface = StarSurface(grid512, r)
@@ -610,14 +615,18 @@ def test_asymmetry_index_off_center_search_is_deterministic(grid512, euclid2,
         return _symmetric_difference(surface, norm, scale, center, *rest, **kw)
 
     monkeypatch.setattr(stability, "_symmetric_difference", recording)
-    first = asymmetry_index(surface, euclid2)
-    assert max(probes) >= 1.0
-    second = asymmetry_index(surface, euclid2)
-    assert first.alpha == second.alpha
-    assert np.array_equal(first.center, second.center)
-    assert first.alpha < 1e-8
-    np.testing.assert_allclose(first.center, p0, atol=1e-5)
-    assert first.method == "radial"
+    for offset in (stability._START_OFFSET, 0.1):
+        monkeypatch.setattr(stability, "_START_OFFSET", offset)
+        probes.clear()
+        first = asymmetry_index(surface, euclid2)
+        assert first.converged == (offset < 0.1)
+        assert (max(probes, default=0.0) >= 1.0) == (offset == 0.1)
+        second = asymmetry_index(surface, euclid2)
+        assert first.alpha == second.alpha
+        assert np.array_equal(first.center, second.center)
+        assert first.alpha < 1e-8
+        np.testing.assert_allclose(first.center, p0, atol=1e-5)
+        assert first.method == "radial"
 
 
 @pytest.mark.parametrize("name, dim, res", [("perturbed2", 1, 512),
@@ -625,9 +634,11 @@ def test_asymmetry_index_off_center_search_is_deterministic(grid512, euclid2,
 def test_asymmetry_index_off_center_search_is_deterministic_perturbed(
         name, dim, res, request, monkeypatch):
     # the perturbed twin: W graphed about a point at F0 = 0.96 of its rim.
-    # Probes that leave the star center outside the body solve s_in along
-    # lines that miss it, so rows reach the miss test; the search matches
-    # the reference ray solve and repeats bit for bit
+    # The search repeats bit for bit and matches the reference ray solve,
+    # both on the certified path and, from starts 0.1*scale away, on the
+    # Nelder-Mead fallback; there probes that leave the star center outside
+    # the body solve s_in along lines that miss it, so rows reach the miss
+    # test
     norm = request.getfixturevalue(name)
     grid = make_grid(dim, res)
     e1 = np.eye(dim + 1)[0]
@@ -641,20 +652,165 @@ def test_asymmetry_index_off_center_search_is_deterministic_perturbed(
         tested.append(len(dirs))
         return meets(dirs, offset, scale)
 
-    monkeypatch.setattr(norm, "_meets", recording)
-    first = asymmetry_index(surface, norm)
-    assert len(tested) > 0
-    second = asymmetry_index(surface, norm)
-    assert first.alpha == second.alpha
-    assert np.array_equal(first.center, second.center)
-
     def reference(dirs, offset, scale, start=None):
         return nested_exit(norm, dirs, offset, scale)
 
-    monkeypatch.setattr(norm, "exit_distance", reference)
-    ref = asymmetry_index(surface, norm)
-    assert abs(first.alpha - ref.alpha) <= 1e-11
-    np.testing.assert_allclose(first.center, ref.center, rtol=0.0, atol=1e-7)
+    monkeypatch.setattr(norm, "_meets", recording)
+    for offset in (stability._START_OFFSET, 0.1):
+        monkeypatch.setattr(stability, "_START_OFFSET", offset)
+        tested.clear()
+        first = asymmetry_index(surface, norm)
+        assert first.converged == (offset < 0.1)
+        assert (len(tested) > 0) == (offset == 0.1)
+        second = asymmetry_index(surface, norm)
+        assert first.alpha == second.alpha
+        assert np.array_equal(first.center, second.center)
+        with monkeypatch.context() as m:
+            m.setattr(norm, "exit_distance", reference)
+            ref = asymmetry_index(surface, norm)
+        assert ref.converged == first.converged
+        assert abs(first.alpha - ref.alpha) <= 1e-11
+        np.testing.assert_allclose(first.center, ref.center, rtol=0.0,
+                                   atol=1e-7)
+
+
+_ZONAL23 = {   # the deficits benchmark's zonal amplitudes at seeds 1-3
+    1: (0.08038188730948831, 0.04505101380514788),
+    2: (0.0800282756838634, 0.04501697439903178),
+    3: (0.08018497758327404, 0.04512078400771924),
+}
+_DEFICITS_NORMS = {
+    "perturbed": {"family": "perturbed", "dim": 2, "epsilon": 0.1,
+                  "harmonic": {"kind": "product"}},
+    "ellipsoid": {"family": "ellipsoid", "matrix": [[4.0, 0.0, 0.0],
+                                                    [0.0, 2.25, 0.0],
+                                                    [0.0, 0.0, 1.0]]},
+    # tilted: the zonal surface's barycenter lies on its axis, and the
+    # least value off it
+    "tilted": {"family": "ellipsoid",
+               "matrix": [[4.0, 0.0, 1.0], [0.0, 2.25, 0.0], [1.0, 0.0, 1.0]]},
+}
+# the deficits benchmark's euclidean sweep at seed 1
+_SWEEP_PHASE, _SWEEP_SCALE = 5.324583204732311, 0.9853745697644961
+
+
+def _zonal23(seed):
+    a2, a3 = _ZONAL23[seed]
+    return fourier_surface(make_grid(2, 16), 1.0, [
+        {"kind": "zonal", "k": 2, "delta": a2},
+        {"kind": "zonal", "k": 3, "delta": a3}])
+
+
+def _asymmetry_case(case):
+    kind, arg = case
+    if kind == "sweep":
+        surface = fourier_surface(make_grid(1, 512), 1.0, [
+            {"k": 1, "delta": _SWEEP_SCALE * arg, "phase": _SWEEP_PHASE}])
+        return surface, norm_from_spec({"family": "euclidean", "dim": 1})
+    return _zonal23(arg), norm_from_spec(_DEFICITS_NORMS[kind])
+
+
+@pytest.mark.parametrize("case", [
+    *[(kind, seed) for seed in (1, 2, 3) for kind in ("perturbed", "ellipsoid")],
+    *[("sweep", d) for d in (0.05, 0.1, 0.2, 0.4)],
+    ("tilted", 1),
+], ids=lambda case: f"{case[0]}-{case[1]}")
+def test_asymmetry_index_matches_multistart_reference(case):
+    # the certified Gauss-Newton search against Nelder-Mead on the exact
+    # symmetric difference from 7 starts, on every search of the deficits
+    # benchmark at seeds 1-3 (one sweep) and on the tilted example
+    surface, norm = _asymmetry_case(case)
+    res = asymmetry_index(surface, norm)
+    alpha, center = asymmetry_reference(surface, norm)
+    assert res.converged
+    assert abs(res.alpha - alpha) <= 1e-10 * alpha
+    assert np.max(np.abs(res.center - center)) <= 1e-8 * res.scale
+
+
+def test_asymmetry_index_leaves_the_axis_of_a_zonal_surface():
+    # the seed-1 zonal surface under the tilted ellipsoid norm: its
+    # barycenter has x, y ~ 1e-17, and a search that stays on the axis
+    # stops at 0.6466989; the least value lies at x = -0.0246
+    surface, norm = _asymmetry_case(("tilted", 1))
+    res = asymmetry_index(surface, norm)
+    assert res.converged
+    assert round(res.alpha, 6) == 0.646330
+    assert res.center[0] == pytest.approx(-0.0246, abs=1e-4)
+
+
+def test_asymmetry_index_falls_back_where_no_vertex_is_certified(
+        monkeypatch):
+    # under an anisotropic norm the least value can lie between two kinks
+    # of the nodal objective, where it is smooth along a face: Gauss-Newton
+    # alternates between the vertices on either side and certifies none,
+    # and Nelder-Mead finds the minimum, flagged as not converged
+    surface = fourier_surface(make_grid(1, 64), 1.0, [
+        {"k": 1, "delta": 0.15, "phase": 0.4},
+        {"k": 4, "delta": 0.1, "phase": 0.4}])
+    norm = EllipsoidNorm(np.diag([4.0, 1.0]))
+    alphas = []
+    certified = stability._certified
+
+    def recording(b, jac, w, z, sigma, tol):
+        alphas.append(np.sum(w * np.abs(b)) / (2.0 * volume(surface)))
+        return certified(b, jac, w, z, sigma, tol)
+
+    monkeypatch.setattr(stability, "_certified", recording)
+    res = asymmetry_index(surface, norm)
+    alpha, center = asymmetry_reference(surface, norm)
+    assert not res.converged
+    assert min(alphas) > alpha * (1.0 + 1e-7)   # Gauss-Newton stopped short
+    assert abs(res.alpha - alpha) <= 1e-10 * alpha
+    assert np.max(np.abs(res.center - center)) <= 1e-6 * res.scale
+
+
+def _l1_linear_program(b, jac, w):
+    # min sum w |b - jac d| as the linear program min w.(u + v) subject to
+    # jac d + u - v = b, u, v >= 0
+    from scipy.optimize import linprog
+    rows, m = jac.shape
+    eye = np.eye(rows)
+    res = linprog(np.concatenate([np.zeros(m), w, w]),
+                  A_eq=np.hstack([jac, eye, -eye]), b_eq=b,
+                  bounds=[(None, None)] * m + [(0.0, None)] * (2 * rows),
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize("kind", ["random", "exact", "degenerate"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_l1_vertex_matches_linear_program(kind, m):
+    # the vertex descent reaches the linear program's optimum and certifies
+    # it, also where every residual vanishes at the optimum ("exact") and
+    # where rows come in identical pairs, with ties at every breakpoint,
+    # and half of them vanish there ("degenerate"); the start rows do not
+    # matter
+    rng = np.random.default_rng(m)
+    rows = 60
+    jac = rng.standard_normal((rows, m))
+    w = rng.uniform(0.5, 1.5, rows)
+    d0 = rng.standard_normal(m)
+    noise = rng.standard_normal(rows)
+    if kind == "exact":
+        noise[:] = 0.0
+    elif kind == "degenerate":
+        jac = np.repeat(jac[:rows // 2], 2, axis=0)
+        w = np.repeat(w[:rows // 2], 2)
+        noise[::2] = 0.0
+        noise[1::4] = 0.0
+    b = jac @ d0 + 0.3 * noise
+    tol = 1e-12 * np.max(np.abs(b))
+    best = _l1_linear_program(b, jac, w)
+    for start in (None, np.argsort(-np.abs(noise), kind="stable")[:m]):
+        d, z, sigma, optimal = _l1_vertex(b, jac, w, start, tol)
+        assert optimal
+        res = b - jac @ d
+        assert np.sum(w * np.abs(res)) <= best + 1e-10 * (1.0 + best)
+        assert _certified(res, jac, w, z, sigma, tol)
+        assert not _certified(res - jac @ (0.01 * d0), jac, w, z, sigma, tol)
+        if kind == "exact":
+            np.testing.assert_allclose(d, d0, rtol=0.0, atol=1e-12)
 
 
 def _inside_offset(norm, rng, scale, frac):
@@ -750,11 +906,38 @@ def test_exit_distance_warm_start_keeps_misses(euclid2, perturbed2):
             assert np.max(np.abs(warm[hit] - cold[hit])) <= 1e-13 * scale
 
 
+def test_perturbed_exit_distance_starts_only_cold_rows_at_the_ball(
+        perturbed3, monkeypatch):
+    # the euclidean ball's exit seeds only the rows without a finite start:
+    # with every row warm it is not solved at all
+    dirs = make_grid(2, 8).nodes
+    offset, scale = np.array([0.1, -0.05, 0.02]), 1.2
+    start = perturbed3.exit_distance(dirs, offset, scale)
+    calls = []
+    quadric_exit = minkowski._quadric_exit
+
+    def counting(rows, *args):
+        calls.append(len(rows))
+        return quadric_exit(rows, *args)
+
+    monkeypatch.setattr(minkowski, "_quadric_exit", counting)
+    moved = offset + 1e-3
+    warm = perturbed3.exit_distance(dirs, moved, scale, start)
+    assert calls == []
+    s0 = start[0].copy()
+    s0[:3] = -np.inf
+    partial = perturbed3.exit_distance(dirs, moved, scale, (s0, start[1]))
+    assert calls == [3]
+    cold = perturbed3.exit_distance(dirs, moved, scale)
+    for s, _ in (warm, partial):
+        assert np.max(np.abs(s - cold[0])) <= 1e-13 * scale
+
+
 def test_asymmetry_warm_rays_save_newton_steps(monkeypatch):
     # the deficits benchmark's perturbed zonal surface at res 16: seeding
-    # each evaluation's ray solve with the last one's roots and normals
-    # saves Newton steps, one `tangent_form` call each, without moving the
-    # result beyond roundoff
+    # each evaluation's ray solve with the last one's roots and normals,
+    # moved to their predicted exits, saves Newton steps, one
+    # `tangent_form` call each, without moving the result beyond roundoff
     norm = norm_from_spec({"family": "perturbed", "dim": 2, "epsilon": 0.1,
                            "harmonic": {"kind": "product"}})
     grid = make_grid(2, 16)
@@ -779,7 +962,7 @@ def test_asymmetry_warm_rays_save_newton_steps(monkeypatch):
     monkeypatch.setattr(norm, "exit_distance", cold_exit)
     calls.clear()
     cold = asymmetry_index(surface, norm)
-    assert n_warm <= 0.5 * len(calls)   # 388 against 889
+    assert n_warm <= 0.5 * len(calls)   # 79 against 169
     assert abs(warm.alpha - cold.alpha) <= 1e-11
     np.testing.assert_allclose(warm.center, cold.center, rtol=0.0, atol=1e-7)
     assert warm.converged and cold.converged
