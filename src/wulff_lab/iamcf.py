@@ -177,6 +177,8 @@ class FlowConfig:
             raise ValueError("t_end must be positive")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
         if self.center is None:
             self.center = np.zeros(self.surface.grid.dim + 1)
         else:

@@ -185,13 +185,15 @@ class MinkowskiNorm:
     F0(offset + s*dir) = scale along each row of dirs, with DF0 there:
     (s, g), s = -inf and g = NaN where the line misses scale*W.  `start =
     (s0, g0)` is an optional earlier result along the same dirs, typically
-    for a nearby offset: the quadric families solve a quadratic and ignore
-    it, the perturbed family seeds its Newton kernel with it, which changes
-    the result by roundoff only.
+    for a nearby offset.  `exit_reads_start` says whether the family reads
+    it: the quadric families solve a quadratic and ignore it, the perturbed
+    family seeds its Newton kernel with it, which changes the result by
+    roundoff only.
     """
 
     family = "abstract"
     ambient_dim = None
+    exit_reads_start = False
 
     def value(self, x):
         raise NotImplementedError
@@ -326,6 +328,7 @@ class PerturbedNorm(MinkowskiNorm):
     """
 
     family = "perturbed"
+    exit_reads_start = True
 
     def __init__(self, ambient_dim, eps, harmonic=None):
         if ambient_dim not in (2, 3):

@@ -10,8 +10,9 @@ in latitude (see `legendre_table`).
 
 The grid is the only module that knows its expansion.  Other modules read a
 field through `frame_derivatives`, `interpolate` (the expansion summed in
-any direction) and `shifted_laplace_solve`, (I - a*Delta) x = f with `a` a
-scalar or one value per node, never solved below a node's own.
+any direction), `resample` (the same at the nodes of a finer grid, by one
+zero-padded transform) and `shifted_laplace_solve`, (I - a*Delta) x = f with
+`a` a scalar or one value per node, never solved below a node's own.
 """
 
 from __future__ import annotations
@@ -58,20 +59,20 @@ def legendre_table(mu, lmax):
     [m, l, j], zero where l < m; lmax >= 1.  dP comes from the functions of
     orders m -/+ 1 of the same degree,
         dP_l^m = (sqrt((l+m)(l-m+1)) P_l^(m-1) - sqrt((l+m+1)(l-m)) P_l^(m+1)) / 2,
-    with P_l^(-1) = -P_l^1, so it needs no division by sin(colatitude).
+    with P_l^(-1) = -P_l^1, so it needs no division by sin(colatitude); it is
+    filled one order at a time, so the two tables are all that is held.
     """
     p = np.zeros((lmax + 1, lmax + 1, np.size(mu)))
     for l, row in enumerate(legendre_degrees(mu, lmax)):
         p[:l + 1, l] = row
-    m = np.arange(lmax + 1)[:, None, None]
-    l = np.arange(lmax + 1)[None, :, None]
-    below = np.empty_like(p)
-    below[1:] = p[:-1]
-    below[0] = -p[1]
-    above = np.zeros_like(p)
-    above[:-1] = p[1:]
-    dp = 0.5 * (np.sqrt(np.maximum((l + m) * (l - m + 1), 0)) * below
-                - np.sqrt(np.maximum((l + m + 1) * (l - m), 0)) * above)
+    l = np.arange(lmax + 1)[:, None]
+    dp = np.empty_like(p)
+    for m in range(lmax + 1):
+        dp[m] = np.sqrt(np.maximum((l + m) * (l - m + 1), 0)) * (
+            p[m - 1] if m else -p[1])
+        if m < lmax:
+            dp[m] -= np.sqrt(np.maximum((l + m + 1) * (l - m), 0)) * p[m + 1]
+        dp[m] *= 0.5
     return p, dp
 
 
@@ -80,9 +81,10 @@ class SphereGrid:
 
     Immutable after construction; all operations are pure.  Reductions are
     performed in a fixed node order so repeated runs are bit-identical.  The
-    dense second-derivative matrix of a per-node solve on the circle is built
-    on the first call that needs it and kept on the grid; the sphere's
-    Legendre table is built with the grid.
+    grid holds what its transforms read, built with it: on the circle the
+    derivative symbols and the operators of the per-node solve, on the
+    sphere the Legendre table P and its colatitude derivative dP (views of
+    `legendre_table`'s arrays) and the Gauss weights.
 
     Attributes
     ----------
@@ -124,7 +126,17 @@ class SphereGrid:
         self._mk2 = -(k ** 2)
         # symbols of the first and second derivative, one row each
         self._d12 = np.array([ik, self._mk2])
-        self._dense = None
+        # operators of the per-node solve on m = min(N, _DENSE_NODES) nodes:
+        # the dense spectral second-derivative matrix there, circulant with
+        # column j the symbol -k^2 transformed back to the m nodes and rolled
+        # to node j, and for each grid node the index of the nearest m node
+        m = min(n, _DENSE_NODES)
+        col = np.fft.irfft(-np.fft.rfftfreq(m, d=1.0 / m) ** 2, n=m)
+        idx = np.arange(m)
+        self._dense = (col[(idx[:, None] - idx[None, :]) % m],
+                       np.rint(np.arange(n) * (m / n)).astype(np.intp) % m)
+        for arr in self._dense:
+            arr.setflags(write=False)
         # Largest magnitude of the discrete second-derivative symbol.
         self.curvature_symbol_bound = (n / 2.0) ** 2
 
@@ -165,9 +177,9 @@ class SphereGrid:
         self.frame = xyz[1:].transpose(0, 2, 1)
         self.weights = np.repeat(glw * (2.0 * np.pi / nlon), nlon)
 
+        self._glw = glw
         self._leg = p.transpose(0, 2, 1)        # [m, j, l], synthesis
         self._leg_dcolat = dp.transpose(0, 2, 1)
-        self._leg_analysis = p * glw             # [m, l, j]
         l = np.arange(lmax + 1)
         self._lap_symbol = -(l * (l + 1.0))
         self._im = 1j * l                        # i m for orders 0..L
@@ -199,12 +211,14 @@ class SphereGrid:
 
     def _analysis(self, field):
         """Coefficients [m, l, (re, im)] of a dim=2 field in the units of
-        numpy's rfft along longitude: one Gauss-weighted Legendre matmul per
-        order m, all orders in one batched call."""
+        numpy's rfft along longitude: the longitude spectra times the Gauss
+        weights, then one Legendre matmul per order m, all orders in one
+        batched call."""
         fk = np.fft.rfft(self._check_field(field).reshape(self.nlat, self.nlon),
                          axis=1)
-        fk = np.ascontiguousarray(fk[:, :self.nlat].T)
-        return self._leg_analysis @ fk.view(np.float64).reshape(
+        fk = np.ascontiguousarray(fk[:, :self.nlat].T)   # [m, j]
+        fk *= self._glw
+        return np.swapaxes(self._leg, 1, 2) @ fk.view(np.float64).reshape(
             self.nlat, self.nlat, 2)
 
     def _synthesis(self, table, coeff):
@@ -249,6 +263,31 @@ class SphereGrid:
             acc += c
         return acc.real
 
+    def resample(self, field, finer):
+        """Values of a node field at the nodes of `finer`, a grid of the same
+        dimension and no lower resolution: what `interpolate` returns there,
+        by one transform of each grid, since the zero-padded expansion is
+        exact on the finer grid.  On the circle the rfft is zero-padded to
+        the finer length, the coarse Nyquist coefficient halved as
+        `interpolate` leaves it undoubled; on the sphere the harmonic
+        coefficients are synthesized with the finer grid's own Legendre
+        functions for l, m <= nlat - 1.
+        """
+        field = self._check_field(field)
+        if finer.dim != self.dim or finer.resolution < self.resolution:
+            raise ValueError(
+                f"cannot resample a dim-{self.dim} grid of resolution "
+                f"{self.resolution} on a dim-{finer.dim} grid of resolution "
+                f"{finer.resolution}")
+        if self.dim == 1:
+            coeff = np.fft.rfft(field) * (finer.n_nodes / self.n_nodes)
+            if self.n_nodes % 2 == 0 and finer.n_nodes > self.n_nodes:
+                coeff[-1] *= 0.5
+            return np.fft.irfft(coeff, n=finer.n_nodes)
+        coeff = self._analysis(field) * (finer.nlon / self.nlon)
+        table = finer._leg[:self.nlat, :, :self.nlat]
+        return finer._to_nodes(finer._synthesis(table, coeff)[0])
+
     # ------------------------------------------------------------ derivatives
 
     def frame_derivatives(self, field):
@@ -292,32 +331,11 @@ class SphereGrid:
         v, _ = self.frame_derivatives(field)
         return np.einsum("in,ind->nd", v, self.frame)
 
-    def _build_dense(self):
-        """Operators of the circle's per-node solve on m = min(N, _DENSE_NODES)
-        nodes: the dense spectral second-derivative matrix there, and for
-        each grid node the index of the nearest of the m nodes.
-
-        The matrix is circulant: column j is the symbol -k^2 transformed
-        back to the m nodes and rolled to node j.
-        """
-        n = self.n_nodes
-        m = min(n, _DENSE_NODES)
-        k = np.fft.rfftfreq(m, d=1.0 / m)
-        col = np.fft.irfft(-(k ** 2), n=m)
-        idx = np.arange(m)
-        d2 = col[(idx[:, None] - idx[None, :]) % m]
-        d2.setflags(write=False)
-        nearest = np.rint(np.arange(n) * (m / n)).astype(np.intp) % m
-        nearest.setflags(write=False)
-        return d2, nearest
-
     def _circle_solve(self, field, a):
         n = self.n_nodes
         if np.ndim(a) == 0:
             return np.fft.irfft(np.fft.rfft(field) / (1.0 - a * self._mk2),
                                 n=n)
-        if self._dense is None:
-            self._dense = self._build_dense()
         d2, nearest = self._dense
         m = d2.shape[0]
         if m == n:

@@ -122,13 +122,15 @@ def wulff_profile_about(norm, grid, scale, wulff_center, graph_center, *,
 
     `warm` is an optional dict that carries the ray solution from one call
     to the next on the same norm, grid and scale: its "rays" entry, when
-    present, seeds the solve, and is replaced by this call's solution
-    (s, DF0), also when the call raises.
+    present and the norm's `exit_reads_start`, seeds the solve, and is
+    replaced by this call's solution (s, DF0), also when the call raises.
     """
     wulff_center = np.asarray(wulff_center, dtype=float)
     graph_center = np.asarray(graph_center, dtype=float)
+    start = (warm.get("rays") if warm is not None and norm.exit_reads_start
+             else None)
     rays = norm.exit_distance(grid.nodes, graph_center - wulff_center, scale,
-                              None if warm is None else warm.get("rays"))
+                              start)
     if warm is not None:
         warm["rays"] = rays
     if not np.min(rays[0]) > 0.0:
@@ -335,7 +337,8 @@ def asymmetry_index(surface, norm, wulff=None):
     value wins.  `converged` is True exactly when that value carries the
     certificate.
 
-    Each evaluation's ray solve starts from the last one's roots and DF0,
+    Under a norm whose `exit_distance` reads a start (`exit_reads_start`),
+    each evaluation's ray solve starts from the last one's roots and DF0,
     moved to their first-order exits from the new center: the roots by
     DF0.dp / (DF0.theta), DF0 by a per-ray secant model of D^2F0.  A start
     changes the value by roundoff only, and repeated calls are
@@ -367,7 +370,8 @@ def asymmetry_index(surface, norm, wulff=None):
         return grid.integrate(np.abs(res) / (n + 1)) / vol
 
     def evaluate(p):
-        if last:   # move the last rays to their first-order exits from p
+        predict = bool(last) and norm.exit_reads_start
+        if predict:   # move the last rays to their first-order exits from p
             s0, g0 = warm["rays"]
             dp = p - last[-1][1]
             ds = (g0 @ dp) / np.einsum("ij,ij->i", g0, grid.nodes)
@@ -383,7 +387,7 @@ def asymmetry_index(surface, norm, wulff=None):
         except ValueError:
             raise _LeftBody from None
         g = warm["rays"][1]
-        if last:
+        if predict:
             secant[:] = [(s - s0)[:, None] * grid.nodes - dp, g - g0]
         b = big_r - s ** (n + 1)
         slope = np.einsum("ij,ij->i", g, grid.nodes)
@@ -493,11 +497,12 @@ def hausdorff_to_wulff(surface, norm, wulff=None):
     the sup-norm radial gap and the two-sided Hausdorff distance to it.
 
     Both surfaces are sampled along the directions of a grid of twice the
-    resolution: the surface through its interpolated radial field, the Wulff
-    shape exactly.  A radial graph R has the outward normal along
-    R*theta - grad R.  Each directed distance is the largest distance from a
-    sample to the tangent plane at its nearest sample on the other surface,
-    which errs by O(curvature * spacing^2) however small the distance is.
+    resolution: the surface through its radial field's expansion, exact
+    there (`SphereGrid.resample`), the Wulff shape exactly.  A radial graph
+    R has the outward normal along R*theta - grad R.  Each directed distance
+    is the largest distance from a sample to the tangent plane at its
+    nearest sample on the other surface, which errs by
+    O(curvature * spacing^2) however small the distance is.
     The radial gap is read on the same samples, so hausdorff <= sup_norm.
     """
     grid = surface.grid
@@ -505,7 +510,7 @@ def hausdorff_to_wulff(surface, norm, wulff=None):
     a = grid.mean(surface.r / w.rho)
     a_vol = (volume(surface) / w.volume) ** (1.0 / (grid.dim + 1.0))
     fine = make_grid(grid.dim, _HAUSDORFF_OVERSAMPLE * grid.resolution)
-    radii = (grid.interpolate(surface.r, fine.nodes),
+    radii = (grid.resample(surface.r, fine),
              a * norm.wulff_radius(fine.nodes))
     clouds = []
     for r in radii:

@@ -415,6 +415,23 @@ def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("flow, key", [
+    ({"max_steps": 0}, "max_steps"), ({"max_steps": -3}, "max_steps"),
+    ({"t_end": 0.0}, "t_end"), ({"cfl": 1.5}, "cfl")],
+    ids=["max-steps-0", "max-steps-negative", "t-end-0", "cfl-above-1"])
+def test_bad_flow_setting_is_input_error_before_stepping(tmp_path, capsys,
+                                                        flow, key):
+    # FlowConfig rejects these before the first step: one error line, exit
+    # 1, and no output file
+    cfg = _write_config(tmp_path, "cfg.json",
+                        {**_FLOW, "flow": {**_FLOW["flow"], **flow}})
+    out = tmp_path / "out"
+    assert run("flow", cfg, out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_circle_harmonic_degree_is_k(tmp_path):
     # `degree` names the wavenumber on the circle as on the sphere: a k = 3
     # bump is far from every translate of the disk, a k = 1 one is not

@@ -87,6 +87,9 @@ def test_flow_config_validation(grid256, euclid2):
         FlowConfig(norm=euclid2, surface=s, t_end=-1.0)
     with pytest.raises(ValueError, match="cfl"):
         FlowConfig(norm=euclid2, surface=s, t_end=1.0, cfl=1.5)
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="max_steps"):
+            FlowConfig(norm=euclid2, surface=s, t_end=1.0, max_steps=steps)
 
 
 def test_flow_rejects_inadmissible_surface(grid256, euclid2):

@@ -968,6 +968,37 @@ def test_asymmetry_warm_rays_save_newton_steps(monkeypatch):
     assert warm.converged and cold.converged
 
 
+@pytest.mark.parametrize("spec, warm", [
+    ({"family": "euclidean", "dim": 2}, False),
+    ({"family": "ellipsoid", "matrix": [[4, 0, 1], [0, 2.25, 0], [1, 0, 1]]},
+     False),
+    ({"family": "perturbed", "dim": 2, "epsilon": 0.1,
+      "harmonic": {"kind": "product"}}, True),
+], ids=["euclid3", "tilted3", "perturbed3"])
+def test_asymmetry_hands_a_start_only_to_a_norm_that_reads_it(
+        monkeypatch, spec, warm):
+    # the quadric families solve their ray exits in closed form, so their
+    # search predicts no warm start and hands exit_distance none; the
+    # perturbed family's search hands one to every evaluation but the first
+    norm = norm_from_spec(spec)
+    assert norm.exit_reads_start is warm
+    surface = fourier_surface(make_grid(2, 12), 1.0, [
+        {"kind": "zonal", "k": 2, "delta": 0.08},
+        {"kind": "zonal", "k": 3, "delta": 0.045}])
+    starts = []
+    exit_distance = norm.exit_distance
+
+    def recording(dirs, offset, scale, start=None):
+        starts.append(start)
+        return exit_distance(dirs, offset, scale, start)
+
+    monkeypatch.setattr(norm, "exit_distance", recording)
+    result = asymmetry_index(surface, norm)
+    assert result.converged and len(starts) > 1
+    assert starts[0] is None
+    assert all((s is not None) is warm for s in starts[1:])
+
+
 @pytest.mark.parametrize("spec, res", [
     pytest.param({"family": "perturbed", "dim": 1, "epsilon": 0.1}, 64,
                  id="perturbed2"),
