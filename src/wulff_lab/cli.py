@@ -235,15 +235,18 @@ def _task_verify_identities(cfg, norm, grid, tol, out_dir, seed):
     return results, checks
 
 
-def _task_flow(cfg, norm, surface, tol, out_dir, seed):
+def _flow_config(cfg, norm, surface):
     flow_cfg = _settings(cfg, "flow", _FLOW_DEFAULTS)
-    config = FlowConfig(
+    return FlowConfig(
         norm=norm, surface=surface,
         t_end=float(flow_cfg["t_end"]),
         cfl=float(flow_cfg["cfl"]),
         max_steps=int(flow_cfg["max_steps"]),
         center=cfg.get("center"),
         cadence=float(flow_cfg["cadence"]))
+
+
+def _task_flow(cfg, norm, config, tol, out_dir, seed):
     trace, final = run_flow(config)
     trace.write_csv(Path(out_dir) / "trace.csv")
     mono = monotonicity_report(trace)
@@ -337,11 +340,12 @@ def _task_convergence(cfg, norm, dim, tol, out_dir, seed):
 
 
 # each task and what it acts on, built by `run` before anything is written:
-# the config's grid, its surface on that grid, or only the grid dimension
-# (convergence builds one grid per resolution)
+# the config's grid, its surface on that grid, the FlowConfig of that
+# surface, or only the grid dimension (convergence builds one grid per
+# resolution)
 _TASK_FN = {
     "verify-identities": (_task_verify_identities, "grid"),
-    "flow": (_task_flow, "surface"),
+    "flow": (_task_flow, "flow"),
     "deficits": (_task_deficits, "surface"),
     "stability-sweep": (_task_stability_sweep, "grid"),
     "convergence": (_task_convergence, "dim"),
@@ -398,8 +402,10 @@ def run(task, config_path, out_dir=None, seed=None):
         target = dim
         if acts_on != "dim":
             target = make_grid(**grid_cfg)
-        if acts_on == "surface":
+        if acts_on in ("surface", "flow"):
             target = surface_from_spec(_section(cfg, "surface"), target, norm)
+        if acts_on == "flow":
+            target = _flow_config(cfg, norm, target)
         out_dir.mkdir(parents=True, exist_ok=True)
         results, checks = task_fn(
             cfg, norm, target,

@@ -3,10 +3,13 @@
 A surface is a positive radial field r over a SphereGrid together with a
 star center P, embedding node theta to P + r(theta)*theta.  `geometry`
 produces the pointwise quantities the flow and the functionals read (unit
-normal, area measures, F at the normal, the anisotropic mean curvature H_F
-and the largest tangential eigenvalue of D^2F); the integral functionals
-(volume, anisotropic perimeter, weighted momenta, the scale-invariant
-quotient Q) are thin quadratures over that cache.
+normal, the area factor sqrt(r^2 + |grad r|^2), area measures, F at the
+normal, the anisotropic mean curvature H_F and the largest tangential
+eigenvalue of D^2F), each once, and without inverting the metric: the
+norm's tangent form is taken on the grid frame projected to the tangent
+plane; the integral functionals (volume, anisotropic perimeter, weighted
+momenta, the scale-invariant quotient Q) are thin quadratures over that
+cache.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ class StarSurface:
         r = np.asarray(self.r, dtype=float).copy()
         if r.shape != (self.grid.n_nodes,):
             raise ValueError("radial field length does not match the grid")
-        if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
+        if not (r.min() > 0.0 and r.max() < np.inf):
             raise ValueError("radial field must be finite and positive")
         c = (np.zeros(self.grid.dim + 1) if self.center is None
              else np.asarray(self.center, dtype=float).copy())
@@ -64,12 +67,14 @@ class GeometryCache:
 
     `aniso_mean_curv` is H_F = tr(D^2F(normal) o d(normal)) and
     `norm_hess_max` the largest eigenvalue of D^2F(normal) on the tangent
-    plane.  `area_w` and `aniso_area_w` already include the quadrature
-    weights, so integrals over the surface are plain sums against them.
+    plane.  `sq` is the area factor sqrt(r^2 + |grad r|^2), which the
+    flow's radial speed reads.  `area_w` and `aniso_area_w` already include
+    the quadrature weights, so integrals over the surface are plain sums
+    against them.
     """
 
     normal: np.ndarray = field(repr=False)
-    grad_r: np.ndarray = field(repr=False)
+    sq: np.ndarray = field(repr=False)            # sqrt(r^2 + |grad r|^2)
     area_w: np.ndarray = field(repr=False)        # measure weights d(mu)
     f_normal: np.ndarray = field(repr=False)      # F(normal)
     aniso_area_w: np.ndarray = field(repr=False)  # F(normal) d(mu)
@@ -87,12 +92,21 @@ def geometry(surface, norm):
     In the grid's orthonormal frame e_i, with v and h the gradient and
     covariant Hessian of r there, the chart tangents are
     t_i = v_i theta + r e_i, the metric is g = r^2 I + v v^T and the second
-    fundamental form b = (r^2 I + 2 v v^T - r h) / sqrt(r^2 + |v|^2); with
-    C_ij = t_i . D^2F(normal) t_j, H_F = tr(g^-1 C g^-1 b).  F(normal) and
-    C come from the norm's `tangent_form`, in closed form: the d x d
-    Hessian is never built.  The same formulas serve the circle (one
-    tangent) and the sphere (two); the small matrices are held node-last,
-    [i, j, node], so every product runs along node rows.
+    fundamental form b = (r^2 I + 2 v v^T - r h) / sq, sq = sqrt(r^2 + |v|^2).
+    H_F = tr(g^-1 C g^-1 b) with C_ij = t_i . D^2F(normal) t_j, but neither
+    g^-1 nor the t_i is formed: the projected frame P e_i = e_i
+    + (v_i / sq) normal lies in the tangent plane with P e_i . t_k = r
+    delta_ik, so P e_i = r g^-1 t_i and the norm's `tangent_form` on it
+    gives C~ = r^2 g^-1 C g^-1 directly.  Then
+
+        H_F = (r^2 tr C~ + 2 v^T C~ v - r sum_ij C~_ij h_ij) / (r^2 sq).
+
+    M = g^-1 C = C~ + (C~ v) v^T / r^2 has the top eigenvalue
+    `norm_hess_max` and the trace tr C~ + v^T C~ v / r^2, so the numerator
+    is read as r^2 tr M + v^T C~ v - r sum_ij C~_ij h_ij.  The same
+    formulas serve the circle (one tangent) and the sphere (two); the small
+    matrices are held node-last, [i, j, node], so every product runs along
+    node rows.
     """
     grid = surface.grid
     if norm.ambient_dim != grid.dim + 1:
@@ -100,22 +114,19 @@ def geometry(surface, norm):
     r = surface.r
     v, h = grid.frame_derivatives(r)
     r2 = r * r
-    w2 = r2 + np.einsum("in,in->n", v, v)
-    sq = np.sqrt(w2)
+    sq = np.sqrt(r2 + np.einsum("in,in->n", v, v))
     grad_r = np.einsum("in,ind->nd", v, grid.frame)
     normal = (r[:, None] * grid.nodes - grad_r) / sq[:, None]
 
-    eye = np.eye(grid.dim)[:, :, None]
-    vv = v[:, None] * v[None, :]
-    # Sherman-Morrison inverse of the metric
-    g_inv = (eye - vv / w2) / r2
-    b = (r2 * eye + 2.0 * vv - r * h) / sq
-    t = v[:, None] * grid.nodes.T + r * grid.frame.transpose(0, 2, 1)
-    f_nu, c = norm.tangent_form(normal, t.transpose(0, 2, 1))
-
-    # H_F = tr(M S) with M = g^-1 C and S = g^-1 b the shape operator
-    m = np.einsum("ijn,jkn->ikn", g_inv, c)
-    hf = np.einsum("ijn,jkn,kin->n", m, g_inv, b)
+    # C~ = r^2 g^-1 C g^-1, from the projected frame, and M = g^-1 C
+    pe = grid.frame + (v / sq)[:, :, None] * normal
+    f_nu, c = norm.tangent_form(normal, pe)
+    cv = np.einsum("ijn,jn->in", c, v)
+    m = c + cv[:, None] * (v / r2)[None]
+    tr_m = m.trace()
+    # r^2 tr M = r^2 tr C~ + v^T C~ v
+    hf = (r2 * tr_m + np.einsum("in,in->n", v, cv)
+          - r * np.einsum("ijn,ijn->n", c, h)) / (r2 * sq)
     if not np.isfinite(hf).all():
         raise ValueError("non-finite mean curvature; the surface is under-resolved")
 
@@ -124,11 +135,11 @@ def geometry(surface, norm):
     # clip only absorbs rounding
     disc = sum(((m[i, i] - m[j, j]) / 2.0) ** 2 + m[i, j] * m[j, i]
                for i, j in combinations(range(grid.dim), 2))
-    hess_max = np.trace(m) / grid.dim + np.sqrt(np.maximum(disc, 0.0))
+    hess_max = tr_m / grid.dim + np.sqrt(np.maximum(disc, 0.0))
 
     area_w = r ** (grid.dim - 1) * sq * grid.weights
     return GeometryCache(
-        normal=normal, grad_r=grad_r, area_w=area_w,
+        normal=normal, sq=sq, area_w=area_w,
         f_normal=f_nu, aniso_area_w=f_nu * area_w,
         norm_hess_max=hess_max, aniso_mean_curv=hf)
 

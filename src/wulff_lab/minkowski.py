@@ -94,16 +94,18 @@ class SectoralHarmonic:
         g[..., 1] = -dz.imag
         return g
 
-    def hess(self, x):
+    def hess_apply(self, x, t):
+        """D^2p(x) t for rows x (m, d) and vectors t (k, m, d): with
+        d2 = k(k-1) z^(k-2), the Hessian is [[Re d2, -Im d2], [-Im d2,
+        -Re d2]] in the first two coordinates and zero elsewhere."""
         k = self.degree
         z = x[..., 0] + 1j * x[..., 1]
         d2 = k * (k - 1) * z ** (k - 2)
-        h = np.zeros(x.shape + (x.shape[-1],))
-        h[..., 0, 0] = d2.real
-        h[..., 0, 1] = -d2.imag
-        h[..., 1, 0] = -d2.imag
-        h[..., 1, 1] = -d2.real
-        return h
+        re, im = d2.real, d2.imag
+        out = np.zeros_like(t)
+        out[..., 0] = re * t[..., 0] - im * t[..., 1]
+        out[..., 1] = -im * t[..., 0] - re * t[..., 1]
+        return out
 
 
 class ProductHarmonic:
@@ -122,12 +124,15 @@ class ProductHarmonic:
         g[..., 2] = x[..., 0] * x[..., 1]
         return self._scale * g
 
-    def hess(self, x):
-        h = np.zeros(x.shape + (3,))
-        h[..., 0, 1] = h[..., 1, 0] = x[..., 2]
-        h[..., 0, 2] = h[..., 2, 0] = x[..., 1]
-        h[..., 1, 2] = h[..., 2, 1] = x[..., 0]
-        return self._scale * h
+    def hess_apply(self, x, t):
+        """D^2p(x) t for rows x (m, 3) and vectors t (k, m, 3): D^2p holds
+        3 sqrt(3) x_k at (i, j) for {i, j, k} = {0, 1, 2}, zero diagonal."""
+        sx = self._scale * x
+        out = np.empty_like(t)
+        out[..., 0] = sx[..., 2] * t[..., 1] + sx[..., 1] * t[..., 2]
+        out[..., 1] = sx[..., 2] * t[..., 0] + sx[..., 0] * t[..., 2]
+        out[..., 2] = sx[..., 1] * t[..., 0] + sx[..., 0] * t[..., 1]
+        return out
 
 
 def _quadric_grad(x, form):
@@ -399,10 +404,12 @@ class PerturbedNorm(MinkowskiNorm):
         (D^2p/|x|^(k-1) + (1-k)(Dp x^T + x Dp^T + p I)/|x|^(k+1)
         - (1-k)(k+1) p x x^T/|x|^(k+3)), u = x/|x|.  The terms that carry
         nu vanish on tangent vectors, and at |nu| = 1 the rest is
-        (1 + (1-k) eps p) g + eps T^T D^2p T, with eps p = F(nu) - 1."""
+        (1 + (1-k) eps p) g + eps T^T D^2p T, with eps p = F(nu) - 1.
+        D^2p(nu) T is the harmonic's closed-form `hess_apply`, so no d x d
+        Hessian is built."""
         k = self.harmonic.degree
         f = self._value_batch(nu)
-        ht = np.einsum("mde,ime->imd", self.harmonic.hess(nu), t)
+        ht = self.harmonic.hess_apply(nu, t)
         c = np.einsum("imd,jmd->ijm", t, t)
         c *= k - (k - 1) * f
         c += self.eps * np.einsum("imd,jmd->ijm", t, ht)

@@ -84,7 +84,8 @@ class SphereGrid:
     grid holds what its transforms read, built with it: on the circle the
     derivative symbols and the operators of the per-node solve, on the
     sphere the Legendre table P and its colatitude derivative dP (views of
-    `legendre_table`'s arrays) and the Gauss weights.
+    `legendre_table`'s arrays), the Gauss weights and the per-ring chart
+    factors of `frame_derivatives`.
 
     Attributes
     ----------
@@ -183,6 +184,12 @@ class SphereGrid:
         l = np.arange(lmax + 1)
         self._lap_symbol = -(l * (l + 1.0))
         self._im = 1j * l                        # i m for orders 0..L
+        # per-ring chart factors of frame_derivatives, one row per
+        # latitude: cos/sin, sin^2, 1/sin, cot = cos (1/sin), (1/sin)^2
+        inv_sin = 1.0 / st
+        self._ring = (ct / st, st ** 2, inv_sin, ct * inv_sin, inv_sin ** 2)
+        for arr in self._ring:
+            arr.setflags(write=False)
         self.curvature_symbol_bound = float(lmax * (lmax + 1))
 
     # ------------------------------------------------------------- reductions
@@ -301,7 +308,9 @@ class SphereGrid:
         through the colatitude derivatives of the Legendre functions,
         longitude derivatives as i m, and f_tt from the diagonal Laplacian,
         f_tt = Delta f - cot f_t - f_pp / sin^2.  Then v = (f_t, f_p / sin) and
-        h = [[f_tt, (f_tp - cot f_p) / sin], [., f_pp / sin^2 + cot f_t]].
+        h = [[f_tt, (f_tp - cot f_p) / sin], [., f_pp / sin^2 + cot f_t]],
+        with the colatitude factors built once per latitude ring by the grid
+        and broadcast over the ring's longitudes.
         """
         if self.dim == 1:
             d1, d2 = np.fft.irfft(np.fft.rfft(self._check_field(field))
@@ -313,15 +322,20 @@ class SphereGrid:
         (d_t,) = self._synthesis(self._leg_dcolat, coeff)
         im = self._im[:, None]
         f_t, f_p, f_pp, f_tp, f_lap = self._to_nodes(
-            np.stack([d_t, im * f, im * im * f, im * d_t, f_lap]))
-        st = np.repeat(self.sin_colat, self.nlon)
-        ct = np.repeat(self.cos_colat, self.nlon)
-        f_tt = f_lap - (ct / st) * f_t - f_pp / st ** 2
-        inv_sin = 1.0 / st
-        cot = ct * inv_sin
-        h_tp = (f_tp - cot * f_p) * inv_sin
-        h = np.array([[f_tt, h_tp], [h_tp, f_pp * inv_sin ** 2 + cot * f_t]])
-        return np.array([f_t, f_p * inv_sin]), h
+            np.stack([d_t, im * f, im * im * f, im * d_t, f_lap])).reshape(
+                5, self.nlat, self.nlon)
+        ct_st, st2, inv_sin, cot, inv_sin2 = self._ring
+        v = np.empty((2, self.nlat, self.nlon))
+        h = np.empty((2, 2, self.nlat, self.nlon))
+        v[0] = f_t
+        np.multiply(f_p, inv_sin, out=v[1])
+        # f_tt = f_lap - cot f_t - f_pp / sin^2
+        np.subtract(f_lap, ct_st * f_t, out=h[0, 0])
+        h[0, 0] -= f_pp / st2
+        np.multiply(f_tp - cot * f_p, inv_sin, out=h[0, 1])
+        h[1, 0] = h[0, 1]
+        np.add(f_pp * inv_sin2, cot * f_t, out=h[1, 1])
+        return v.reshape(2, -1), h.reshape(2, 2, -1)
 
     def gradient(self, field):
         """Tangential gradient of a scalar field, in ambient coordinates.

@@ -8,14 +8,21 @@ tests can compare against them:
 - `nested_exit`: a monotone Newton iteration on the ray parameter with one
   cold dual solve per step;
 - `full_hess`: the full d x d Hessian D^2F in closed form, for the
-  ellipsoid and perturbed families;
+  ellipsoid and perturbed families, and `harmonic_hess`, the d x d Hessian
+  of a harmonic polynomial;
+- `metric_geometry`: H_F and the top tangential eigenvalue of D^2F through
+  the chart tangents, the Sherman-Morrison inverse metric and the second
+  fundamental form;
 - `asymmetry_reference`: the asymmetry index by Nelder-Mead on the exact
   symmetric difference, from several starts with a scale-aware simplex.
 """
 
+from itertools import combinations
+
 import numpy as np
 
 from wulff_lab import EllipsoidNorm, make_wulff, volume
+from wulff_lab.minkowski import SectoralHarmonic
 from wulff_lab.stability import _barycenter, _symmetric_difference
 
 
@@ -66,6 +73,52 @@ def nested_exit(norm, dirs, offset, scale):
     return s_out, g_out
 
 
+def harmonic_hess(harmonic, x):
+    """D^2p at the rows x, shape (m, d, d), for a sectoral or the product
+    harmonic."""
+    x = np.asarray(x, dtype=float)
+    h = np.zeros(x.shape + (x.shape[-1],))
+    if isinstance(harmonic, SectoralHarmonic):
+        k = harmonic.degree
+        z = x[..., 0] + 1j * x[..., 1]
+        d2 = k * (k - 1) * z ** (k - 2)
+        h[..., 0, 0] = d2.real
+        h[..., 0, 1] = -d2.imag
+        h[..., 1, 0] = -d2.imag
+        h[..., 1, 1] = -d2.real
+        return h
+    h[..., 0, 1] = h[..., 1, 0] = x[..., 2]
+    h[..., 0, 2] = h[..., 2, 0] = x[..., 1]
+    h[..., 1, 2] = h[..., 2, 1] = x[..., 0]
+    return harmonic._scale * h
+
+
+def metric_geometry(surface, norm):
+    """(H_F, top tangential eigenvalue of D^2F) of a surface, by the metric
+    route: chart tangents t_i = v_i theta + r e_i, C_ij = t_i . D^2F t_j,
+    g^-1 by Sherman-Morrison, b = (r^2 I + 2 v v^T - r h) / sqrt(r^2 + |v|^2),
+    H_F = tr(g^-1 C g^-1 b) and the top eigenvalue of g^-1 C."""
+    grid = surface.grid
+    r = surface.r
+    v, h = grid.frame_derivatives(r)
+    r2 = r * r
+    w2 = r2 + np.einsum("in,in->n", v, v)
+    sq = np.sqrt(w2)
+    grad_r = np.einsum("in,ind->nd", v, grid.frame)
+    normal = (r[:, None] * grid.nodes - grad_r) / sq[:, None]
+    eye = np.eye(grid.dim)[:, :, None]
+    vv = v[:, None] * v[None, :]
+    g_inv = (eye - vv / w2) / r2
+    b = (r2 * eye + 2.0 * vv - r * h) / sq
+    t = v[:, None] * grid.nodes.T + r * grid.frame.transpose(0, 2, 1)
+    _, c = norm.tangent_form(normal, t.transpose(0, 2, 1))
+    m = np.einsum("ijn,jkn->ikn", g_inv, c)
+    hf = np.einsum("ijn,jkn,kin->n", m, g_inv, b)
+    disc = sum(((m[i, i] - m[j, j]) / 2.0) ** 2 + m[i, j] * m[j, i]
+               for i, j in combinations(range(grid.dim), 2))
+    return hf, np.trace(m) / grid.dim + np.sqrt(np.maximum(disc, 0.0))
+
+
 def full_hess(norm, x):
     """D^2F at the nonzero rows x, shape (m, d, d), for an ellipsoid or a
     perturbed norm."""
@@ -82,7 +135,7 @@ def full_hess(norm, x):
     k = norm.harmonic.degree
     p = norm.harmonic.value(x)
     dp = norm.harmonic.grad(x)
-    d2p = norm.harmonic.hess(x)
+    d2p = harmonic_hess(norm.harmonic, x)
     h = (eye - u[:, :, None] * u[:, None, :]) / n[:, None, None]
     nk1 = n ** (k + 1)
     cross = dp[:, :, None] * x[:, None, :] + x[:, :, None] * dp[:, None, :]

@@ -18,7 +18,7 @@ from wulff_lab import (
     wulff_surface,
 )
 
-from reference import full_hess
+from reference import full_hess, metric_geometry
 
 
 def test_star_surface_validation(grid256):
@@ -126,7 +126,8 @@ def test_mean_curvature_is_first_variation_of_perimeter(request, grid_name,
     x = grid.nodes
     phi = 1.0 + 0.4 * x[:, 0] - 0.3 * x[:, 0] * x[:, 1] + 0.2 * x[:, -1] ** 2
     cache = geometry(s, norm)
-    sq = np.sqrt(s.r ** 2 + np.einsum("ij,ij->i", cache.grad_r, cache.grad_r))
+    grad = grid.gradient(s.r)
+    sq = np.sqrt(s.r ** 2 + np.einsum("ij,ij->i", grad, grad))
     predicted = np.sum(cache.aniso_mean_curv * phi * s.r / sq * cache.area_w)
     eps = 1e-4
     fd = (aniso_perimeter(StarSurface(grid, s.r + eps * phi), norm)
@@ -145,6 +146,33 @@ def test_norm_hess_max_is_top_hessian_eigenvalue(request, grid_name,
     cache = geometry(_asymmetric_surface(grid), norm)
     top = np.linalg.eigvalsh(full_hess(norm, cache.normal))[:, -1]
     np.testing.assert_allclose(cache.norm_hess_max, top, rtol=1e-12)
+
+
+_METRIC_CASES = ([(1, res, name) for res in (64, 512)
+                  for name in ("euclid2", "ellipse2", "perturbed2")]
+                 + [(2, res, name) for res in (16, 32)
+                    for name in ("euclid3", "ellipse3", "tilted3",
+                                 "perturbed3")])
+
+
+@pytest.mark.parametrize("dim, res, norm_name", _METRIC_CASES)
+def test_geometry_matches_metric_formula(request, dim, res, norm_name):
+    # oracle: H_F = tr(g^-1 C g^-1 b) and the top eigenvalue of g^-1 C
+    # through the chart tangents and the inverse metric, which `geometry`
+    # never forms; the area factor against the ambient gradient
+    grid = make_grid(dim, res)
+    norm = request.getfixturevalue(norm_name)
+    s = _asymmetric_surface(grid)
+    s = StarSurface(grid, s.r, 0.1 * np.arange(1.0, dim + 2.0))
+    cache = geometry(s, norm)
+    hf, hess_max = metric_geometry(s, norm)
+    np.testing.assert_allclose(cache.aniso_mean_curv, hf, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(cache.norm_hess_max, hess_max, rtol=1e-13,
+                               atol=0)
+    grad = grid.gradient(s.r)
+    np.testing.assert_allclose(
+        cache.sq, np.sqrt(s.r ** 2 + np.einsum("ij,ij->i", grad, grad)),
+        rtol=1e-14, atol=0)
 
 
 def test_volume_examples(grid512, grid2_32, ellipse2):

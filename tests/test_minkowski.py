@@ -17,7 +17,7 @@ from wulff_lab import (
 from wulff_lab import minkowski
 from wulff_lab.minkowski import _SCAN_MAXIT, _tangent_frame
 
-from reference import full_hess
+from reference import full_hess, harmonic_hess
 
 
 def _fd_grad(fn, x, h=1e-6):
@@ -265,8 +265,46 @@ def test_sectoral_harmonic_is_harmonic():
     h = SectoralHarmonic(4)
     rng = np.random.default_rng(6)
     x = rng.standard_normal((30, 2))
-    lap = np.einsum("ijj->i", h.hess(x))
+    lap = np.einsum("ijj->i", harmonic_hess(h, x))
     assert np.max(np.abs(lap)) < 1e-12
+
+
+_HARMONICS = [(2, SectoralHarmonic(2)), (2, SectoralHarmonic(3)),
+              (3, SectoralHarmonic(2)), (3, ProductHarmonic())]
+_HARMONIC_IDS = ["sectoral2-2d", "sectoral3-2d", "sectoral2-3d",
+                 "product-3d"]
+
+
+@pytest.mark.parametrize("m", [1, 64, 2048])
+@pytest.mark.parametrize("d, harmonic", _HARMONICS, ids=_HARMONIC_IDS)
+def test_hess_apply_is_the_hessian_contraction(d, harmonic, m):
+    # the closed form adds the same products in the same order as the
+    # contraction of the d x d Hessian, so it is bit for bit the same
+    rng = np.random.default_rng(31 + m)
+    x = rng.standard_normal((m, d))
+    t = rng.standard_normal((d - 1, m, d))
+    assert np.array_equal(
+        harmonic.hess_apply(x, t),
+        np.einsum("mde,ime->imd", harmonic_hess(harmonic, x), t))
+
+
+@pytest.mark.parametrize("d, harmonic", _HARMONICS, ids=_HARMONIC_IDS)
+def test_perturbed_tangent_form_is_the_hessian_formula(d, harmonic):
+    # bit for bit the formula through the d x d harmonic Hessian
+    norm = PerturbedNorm(d, 0.07, harmonic)
+    rng = np.random.default_rng(32)
+    nu = rng.standard_normal((500, d))
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    t = np.einsum("imj,jmd->imd", rng.standard_normal((d - 1, 500, d - 1)),
+                  _tangent_frame(nu))
+    k = harmonic.degree
+    f = norm._value_batch(nu)
+    ht = np.einsum("mde,ime->imd", harmonic_hess(harmonic, nu), t)
+    c = np.einsum("imd,jmd->ijm", t, t)
+    c *= k - (k - 1) * f
+    c += norm.eps * np.einsum("imd,jmd->ijm", t, ht)
+    f_new, c_new = norm.tangent_form(nu, t)
+    assert np.array_equal(f_new, f) and np.array_equal(c_new, c)
 
 
 @pytest.fixture(scope="module")
