@@ -34,6 +34,7 @@ from .hypersurface import (
     wulff_surface,
     fourier_surface,
     surface_from_spec,
+    family_surfaces,
     MeanConvexityError,
 )
 from .iamcf import (

@@ -4,9 +4,10 @@ Usage: wulff-lab <task> --config <path> [--out <dir>] [--seed <int>]
 
 Tasks: verify-identities, flow, deficits, stability-sweep, convergence.
 Each run reads a JSON configuration, checks every key of it against one
-schema, writes a summary JSON (plus a trace or sweep CSV where applicable)
-into the output directory, and exits 0 when all enabled checks pass, 2 on a
-check failure, 1 on input or runtime errors.
+schema and builds every input the task acts on; the task then computes,
+and `run` writes a summary JSON (plus a trace, sweep or convergence CSV
+where applicable) into the output directory.  It exits 0 when all enabled
+checks pass, 2 on a check failure, 1 on input or runtime errors.
 Identical configuration and seed produce byte-identical outputs.
 """
 
@@ -27,6 +28,7 @@ from . import __version__
 from .hypersurface import (
     HARMONIC_KEYS,
     MeanConvexityError,
+    family_surfaces,
     geometry,
     surface_from_spec,
     wulff_surface,
@@ -34,11 +36,7 @@ from .hypersurface import (
 from .iamcf import FlowConfig, monotonicity_report, run_flow
 from .minkowski import make_wulff, norm_from_spec, verify_duality
 from .sphere_grid import make_grid
-from .stability import (
-    full_deficit_report,
-    stability_sweep,
-    write_sweep_csv,
-)
+from .stability import full_deficit_report, stability_sweep
 
 SCHEMA_VERSION = 2
 
@@ -55,8 +53,6 @@ _DEFAULT_TOLERANCES = {
     "convergence_residual": 1e-8,
 }
 
-_FLOW_DEFAULTS = {"t_end": 1.0, "cfl": 0.8, "max_steps": 500_000,
-                  "cadence": 0.05}
 _GRID_DEFAULTS = {"dim": 1, "resolution": 256}
 
 
@@ -149,8 +145,8 @@ _SCHEMA = {
         "wulff": {"scale": _REAL, "center": _REALS},
         "radial-fourier": {"r0": _REAL, "harmonics": [_HARMONIC],
                            "center": _REALS}}),
-    "flow": {k: _INTEGER if isinstance(v, int) else _REAL
-             for k, v in _FLOW_DEFAULTS.items()},
+    "flow": {"t_end": _REAL, "cfl": _REAL, "max_steps": _INTEGER,
+             "cadence": _REAL},
     "family": {"deltas": _REALS, "r0": _REAL, "harmonics": [_HARMONIC]},
     "center": _REALS,
     "p_exponents": ("a non-empty list of finite numbers >= 1", _reals(1.0)),
@@ -207,15 +203,37 @@ def _write_summary(out_dir, task, cfg, seed, results, checks):
     return status
 
 
+# the columns of the CSV files the tasks return as tables
+_TRACE_COLUMNS = ("t", "dt", "Q", "perimeter_F", "volume", "minHF",
+                  "supDistToWulff")
+_SWEEP_COLUMNS = ("delta", "eps1", "eps_p", "alpha", "hausdorff",
+                  "f1_eps1", "f2_eps1", "ratio_alpha_f1", "ratio_dist_f2",
+                  "qw_alpha_sq", "qw_deficit", "zero_over_zero")
+_CONVERGENCE_ERRORS = ("wulff_identity", "mean_curvature_error",
+                       "gradient_error")
+
+
+def _write_csv(path, columns, rows):
+    """The header, then one line per row: a bool or an integer (a
+    resolution) as str(v), every other number as repr(float(v))."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([str(v) if isinstance(v, numbers.Integral)
+                          else repr(float(v)) for v in row] for row in rows)
+
+
 def _check(value, tol):
     return {"value": float(value), "tolerance": float(tol),
             "passed": bool(value <= tol)}
 
 
 # -------------------------------------------------------------------- tasks
+# Each task returns (results, checks, tables), tables mapping a CSV file
+# name to its (columns, rows); no task writes a file.
 
 
-def _task_verify_identities(cfg, norm, grid, tol, out_dir, seed):
+def _task_verify_identities(cfg, norm, grid, tol, seed):
     rng = np.random.default_rng(seed)
     n_samples = cfg.get("samples", 1000)
     report = verify_duality(norm, n_samples, rng)
@@ -232,23 +250,18 @@ def _task_verify_identities(cfg, norm, grid, tol, out_dir, seed):
                   "identity_residual": wulff.identity_residual},
         "norm_positivity": float(norm.positivity),
     }
-    return results, checks
+    return results, checks, {}
 
 
 def _flow_config(cfg, norm, surface):
-    flow_cfg = _settings(cfg, "flow", _FLOW_DEFAULTS)
-    return FlowConfig(
-        norm=norm, surface=surface,
-        t_end=float(flow_cfg["t_end"]),
-        cfl=float(flow_cfg["cfl"]),
-        max_steps=int(flow_cfg["max_steps"]),
-        center=cfg.get("center"),
-        cadence=float(flow_cfg["cadence"]))
+    """The config's flow settings, t_end 1 unless given; FlowConfig holds
+    the defaults of the others."""
+    return FlowConfig(norm=norm, surface=surface, center=cfg.get("center"),
+                      **{"t_end": 1.0, **cfg.get("flow", {})})
 
 
-def _task_flow(cfg, norm, config, tol, out_dir, seed):
+def _task_flow(cfg, norm, config, tol, seed):
     trace, final = run_flow(config)
-    trace.write_csv(Path(out_dir) / "trace.csv")
     mono = monotonicity_report(trace)
     summary = trace.summary()
     checks = {
@@ -262,10 +275,12 @@ def _task_flow(cfg, norm, config, tol, out_dir, seed):
     results = {"trace_summary": summary, "monotonicity": asdict(mono),
                "final_radial_range": [float(np.min(final.r)),
                                       float(np.max(final.r))]}
-    return results, checks
+    records = list(zip(trace.times, trace.dts, trace.q, trace.perimeter,
+                       trace.volume, trace.min_hf, trace.sup_dist))
+    return results, checks, {"trace.csv": (_TRACE_COLUMNS, records)}
 
 
-def _task_deficits(cfg, norm, surface, tol, out_dir, seed):
+def _task_deficits(cfg, norm, surface, tol, seed):
     p_list = [float(p) for p in cfg.get("p_exponents", [2.0])]
     report = full_deficit_report(surface, norm, cfg.get("center"), p_list)
     worst_p = min(report.eps_p.values()) if report.eps_p else 0.0
@@ -276,14 +291,12 @@ def _task_deficits(cfg, norm, surface, tol, out_dir, seed):
         "qw_deficit_nonnegative": _check(-report.qw_deficit,
                                          tol["deficit_negativity"]),
     }
-    return {"deficits": asdict(report)}, checks
+    return {"deficits": asdict(report)}, checks, {}
 
 
-def _task_stability_sweep(cfg, norm, grid, tol, out_dir, seed):
-    family = cfg.get("family", {"deltas": [0.05, 0.1, 0.2, 0.4]})
+def _task_stability_sweep(cfg, norm, family, tol, seed):
     p = float(cfg.get("p_exponents", [2.0])[0])
-    rows = stability_sweep(family, norm, grid, p, cfg.get("center"))
-    write_sweep_csv(rows, Path(out_dir) / "sweep.csv")
+    rows = stability_sweep(family, norm, p, cfg.get("center"))
     finite = np.all(np.isfinite([(r["ratio_alpha_f1"], r["ratio_dist_f2"])
                                  for r in rows if not r["zero_over_zero"]]))
     worst_eps = min(min(r["eps1"], r["eps_p"]) for r in rows)
@@ -292,10 +305,11 @@ def _task_stability_sweep(cfg, norm, grid, tol, out_dir, seed):
                           "passed": bool(finite)},
         "deficits_nonnegative": _check(-worst_eps, tol["deficit_negativity"]),
     }
-    return {"rows": rows}, checks
+    table = [[row[c] for c in _SWEEP_COLUMNS] for row in rows]
+    return {"rows": rows}, checks, {"sweep.csv": (_SWEEP_COLUMNS, table)}
 
 
-def _task_convergence(cfg, norm, dim, tol, out_dir, seed):
+def _task_convergence(cfg, norm, dim, tol, seed):
     resolutions = cfg.get(
         "resolutions", [32, 64, 128, 256] if dim == 1 else [12, 16, 24, 32])
     rows = []
@@ -315,13 +329,6 @@ def _task_convergence(cfg, norm, dim, tol, out_dir, seed):
                      "wulff_identity": wulff.identity_residual,
                      "mean_curvature_error": hf_err,
                      "gradient_error": grad_err})
-    errors = ("wulff_identity", "mean_curvature_error", "gradient_error")
-    with open(Path(out_dir) / "convergence.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("resolution",) + errors)
-        for row in rows:
-            writer.writerow([row["resolution"]]
-                            + [repr(float(row[k])) for k in errors])
 
     def order(key):
         errs = np.array([max(r[key], 1e-16) for r in rows], dtype=float)
@@ -331,23 +338,26 @@ def _task_convergence(cfg, norm, dim, tol, out_dir, seed):
         fit = np.polyfit(np.log(hs), np.log(errs), 1)
         return float(fit[0])
 
-    orders = {key: order(key) for key in errors}
+    orders = {key: order(key) for key in _CONVERGENCE_ERRORS}
     ok = all(o >= 2.0 for o in orders.values())
     reported = {k: (None if np.isinf(v) else v) for k, v in orders.items()}
     checks = {"orders_at_least_two": {"value": reported, "tolerance": 2.0,
                                       "passed": bool(ok)}}
-    return {"rows": rows, "orders": reported}, checks
+    columns = ("resolution",) + _CONVERGENCE_ERRORS
+    table = [[row[c] for c in columns] for row in rows]
+    return ({"rows": rows, "orders": reported}, checks,
+            {"convergence.csv": (columns, table)})
 
 
 # each task and what it acts on, built by `run` before anything is written:
 # the config's grid, its surface on that grid, the FlowConfig of that
-# surface, or only the grid dimension (convergence builds one grid per
-# resolution)
+# surface, the family's (delta, surface) pairs on that grid, or only the
+# grid dimension (convergence builds one grid per resolution)
 _TASK_FN = {
     "verify-identities": (_task_verify_identities, "grid"),
     "flow": (_task_flow, "flow"),
     "deficits": (_task_deficits, "surface"),
-    "stability-sweep": (_task_stability_sweep, "grid"),
+    "stability-sweep": (_task_stability_sweep, "family"),
     "convergence": (_task_convergence, "dim"),
 }
 
@@ -360,8 +370,8 @@ def run(task, config_path, out_dir=None, seed=None):
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        # the whole config is checked, and the norm, grid and surface
-        # built, before anything is written; center's length, the norm's
+        # build: the whole config is checked, and every input the task acts
+        # on built, before anything is written; center's length, the norm's
         # dimension, family.deltas and the keys of a harmonic span fields
         _validate(cfg, _SCHEMA, "")
         if cfg.get("task", task) != task:
@@ -406,10 +416,14 @@ def run(task, config_path, out_dir=None, seed=None):
             target = surface_from_spec(_section(cfg, "surface"), target, norm)
         if acts_on == "flow":
             target = _flow_config(cfg, norm, target)
+        if acts_on == "family":
+            target = family_surfaces(cfg.get("family"), target)
         out_dir.mkdir(parents=True, exist_ok=True)
-        results, checks = task_fn(
+        results, checks, tables = task_fn(
             cfg, norm, target,
-            _settings(cfg, "tolerances", _DEFAULT_TOLERANCES), out_dir, seed)
+            _settings(cfg, "tolerances", _DEFAULT_TOLERANCES), seed)
+        for name, (columns, rows) in tables.items():
+            _write_csv(out_dir / name, columns, rows)
     except (KeyError, ValueError, MeanConvexityError, RuntimeError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

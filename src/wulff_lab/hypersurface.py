@@ -80,10 +80,7 @@ class GeometryCache:
     aniso_area_w: np.ndarray = field(repr=False)  # F(normal) d(mu)
     norm_hess_max: np.ndarray = field(repr=False)  # top eigenvalue, tangent
     aniso_mean_curv: np.ndarray = field(repr=False)
-
-    @property
-    def min_mean_curv(self):
-        return float(np.min(self.aniso_mean_curv))
+    min_mean_curv: float                          # least H_F, over nodes
 
 
 def geometry(surface, norm):
@@ -141,7 +138,8 @@ def geometry(surface, norm):
     return GeometryCache(
         normal=normal, sq=sq, area_w=area_w,
         f_normal=f_nu, aniso_area_w=f_nu * area_w,
-        norm_hess_max=hess_max, aniso_mean_curv=hf)
+        norm_hess_max=hess_max, aniso_mean_curv=hf,
+        min_mean_curv=float(np.min(hf)))
 
 
 # --------------------------------------------------------------------------
@@ -283,3 +281,19 @@ def surface_from_spec(spec, grid, norm=None):
         return fourier_surface(grid, float(spec.get("r0", 1.0)),
                                spec.get("harmonics", ()), center)
     raise ValueError(f"unknown surface kind: {kind}")
+
+
+def family_surfaces(family, grid):
+    """(delta, surface) pairs of a shrinking family described by {deltas,
+    r0 (default 1), harmonics (default one k = 1 harmonic of delta 1)}, or
+    by None for deltas 0.05, 0.1, 0.2 and 0.4: r = r0 * (1 + sum of
+    harmonics), each harmonic's delta scaled by the row's delta.  An
+    invalid harmonic or radius raises ValueError before any computation."""
+    if family is None:
+        family = {"deltas": [0.05, 0.1, 0.2, 0.4]}
+    r0 = float(family.get("r0", 1.0))
+    base = family.get("harmonics", [{"k": 1, "delta": 1.0}])
+    return [(float(delta), fourier_surface(
+                grid, r0, [dict(h, delta=delta * float(h.get("delta", 1.0)))
+                           for h in base]))
+            for delta in family["deltas"]]

@@ -20,7 +20,6 @@ range) refer to.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +40,6 @@ _CFL_MARGIN = 0.85
 # Relative tolerance of the embedded error estimate of `step`, against the
 # step's own increment.
 _RTOL = 0.05
-
-TRACE_COLUMNS = ("t", "dt", "Q", "perimeter_F", "volume", "minHF",
-                 "supDistToWulff")
 
 # Floor of the dQ/dt relative error's denominator, relative to the size of
 # the formula's terms: a round-off multiple, far below any moving shape's
@@ -191,7 +187,8 @@ class FlowTrace:
     All per-record arrays refer to the modified (rescaled, recentered)
     trajectory except `perimeter` and `volume`, which are the raw surface's.
     `snapshots` holds the raw radial fields so later analyses can rebuild
-    either trajectory at any recorded time.
+    either trajectory at any recorded time.  The CLI writes the records
+    `times` through `sup_dist` as trace.csv.
     """
 
     grid: object
@@ -243,15 +240,6 @@ class FlowTrace:
 
     def raw_surface(self, index):
         return StarSurface(self.grid, self.snapshots[index], self.surface_center)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for i in range(len(self.times)):
-                writer.writerow([repr(float(v)) for v in (
-                    self.times[i], self.dts[i], self.q[i], self.perimeter[i],
-                    self.volume[i], self.min_hf[i], self.sup_dist[i])])
 
     def summary(self):
         n = self.n

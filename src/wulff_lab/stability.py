@@ -10,14 +10,12 @@ distance bounds.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hypersurface import (
     aniso_perimeter,
-    fourier_surface,
     geometry,
     q_functional,
     volume,
@@ -736,32 +734,22 @@ def full_deficit_report(surface, norm, center=None, p_exponents=(2.0,),
         asymmetry_method=asym.method, asymmetry_converged=asym.converged)
 
 
-SWEEP_COLUMNS = ("delta", "eps1", "eps_p", "alpha", "hausdorff",
-                 "f1_eps1", "f2_eps1", "ratio_alpha_f1", "ratio_dist_f2",
-                 "qw_alpha_sq", "qw_deficit", "zero_over_zero")
-
-
-def stability_sweep(family, norm, grid, p=2.0, center=None):
+def stability_sweep(family, norm, p=2.0, center=None):
     """Deficits, distances and modulus ratios along a shrinking family.
 
-    `family` is {"deltas": [...], "r0": float, "harmonics": [...]}; for each
-    delta the surface r = r0 * (1 + delta * sum of harmonics) is evaluated
-    by `full_deficit_report`, so every surface must be star-shaped about
+    `family` holds (delta, surface) pairs on one grid, as `family_surfaces`
+    builds them; each surface is evaluated by `full_deficit_report` against
+    the Wulff shape on that grid, so every surface must be star-shaped about
     `center` (ValueError otherwise).  Ratios with a vanishing denominator
     are reported as 0 and flagged.
     """
-    r0 = float(family.get("r0", 1.0))
-    base = family.get("harmonics", [{"k": 1, "delta": 1.0}])
-    w = make_wulff(norm, grid)
+    w = make_wulff(norm, family[0][1].grid)
     rows = []
-    for delta in family["deltas"]:
-        harmonics = [dict(h, delta=delta * float(h.get("delta", 1.0)))
-                     for h in base]
-        surface = fourier_surface(grid, r0, harmonics)
+    for delta, surface in family:
         rep = full_deficit_report(surface, norm, center, (p,), w)
         zero = rep.eps1 <= 1e-14  # deficit at roundoff: ratios are 0/0
         rows.append({
-            "delta": float(delta),
+            "delta": delta,
             "eps1": rep.eps1,
             "eps_p": float(rep.eps_p[str(float(p))]),
             "alpha": rep.alpha,
@@ -775,12 +763,3 @@ def stability_sweep(family, norm, grid, p=2.0, center=None):
             "zero_over_zero": bool(zero),
         })
     return rows
-
-
-def write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([str(row[c]) if isinstance(row[c], bool)
-                             else repr(float(row[c])) for c in SWEEP_COLUMNS])

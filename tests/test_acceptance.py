@@ -20,6 +20,7 @@ from wulff_lab import (
     SectoralHarmonic,
     deficit_pmomentum,
     deficit_thm11,
+    family_surfaces,
     fourier_surface,
     geometry,
     make_grid,
@@ -238,9 +239,9 @@ def test_criterion_08_deficit_positivity(norms):
 @pytest.fixture(scope="module")
 def sweep_rows(norms):
     t0 = time.perf_counter()
-    rows = stability_sweep(
+    rows = stability_sweep(family_surfaces(
         {"deltas": [0.05, 0.1, 0.2, 0.4], "harmonics": [{"k": 1, "delta": 1.0}]},
-        norms["euclid2"], make_grid(1, 512))
+        make_grid(1, 512)), norms["euclid2"])
     return rows, time.perf_counter() - t0
 
 

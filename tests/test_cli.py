@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wulff_lab import cli, stability
 from wulff_lab.cli import run
 
 
@@ -45,6 +46,7 @@ def test_flow_task_perimeter_law(tmp_path):
     assert summary["results"]["trace_summary"]["perimeter_growth_residual"] < 1e-3
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == "t,dt,Q,perimeter_F,volume,minHF,supDistToWulff"
+    assert len(trace) == summary["results"]["trace_summary"]["records"] + 1
     last = trace[-1].split(",")
     assert float(last[3]) == pytest.approx(2 * np.pi * np.e, rel=1e-3)
 
@@ -85,6 +87,29 @@ def test_convergence_task(tmp_path):
     out = tmp_path / "out"
     assert run("convergence", cfg, out) == 0
     assert (out / "convergence.csv").exists()
+
+
+def test_convergence_task_fits_orders(tmp_path):
+    # at 16 to 32 nodes the Wulff identity and H_F errors are still above
+    # roundoff, so their orders are fitted; a linear field's gradient is
+    # exact on every grid, so its order is saturated and reported as None
+    cfg = _write_config(tmp_path, "cfg.json", {
+        "norm": {"family": "ellipsoid", "matrix": [[4.0, 0.0], [0.0, 1.0]]},
+        "grid": {"dim": 1},
+        "resolutions": [16, 24, 32],
+    })
+    out = tmp_path / "out"
+    assert run("convergence", cfg, out) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    orders = summary["results"]["orders"]
+    for key in ("wulff_identity", "mean_curvature_error"):
+        assert np.isfinite(orders[key]) and orders[key] >= 2.0
+    assert orders["gradient_error"] is None
+    assert summary["checks"]["orders_at_least_two"]["passed"]
+    lines = (out / "convergence.csv").read_text().splitlines()
+    assert lines[0] == ("resolution,wulff_identity,mean_curvature_error,"
+                        "gradient_error")
+    assert [line.split(",")[0] for line in lines[1:]] == ["16", "24", "32"]
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -372,6 +397,15 @@ def _family(**family):
     ("stability-sweep", {**_SPHERE, "family": {"deltas": [0.1], "harmonics": [
         {"kind": "zonal", "k": 2, "degree": 3}]}}, True,
      "family.harmonics[0].degree"),
+    # the family's surfaces are built before anything is written, so the
+    # surface before a bad one is not evaluated either
+    ("stability-sweep", {**_SPHERE, "family": {"deltas": [0.1], "harmonics": [
+        {"kind": "zonal", "k": -1, "delta": 1.0}]}}, True,
+     "zonal harmonic degree must be >= 0, got -1"),
+    # r = 1 + 3 cos t is negative at t = pi
+    ("stability-sweep", _family(deltas=[0.1, 3.0],
+                                harmonics=[{"k": 1, "delta": 1.0}]), True,
+     "radial field must be finite and positive"),
 ], ids=["seed-string", "seed-bool", "seed-float", "seed-negative",
         "top-level-array", "output-dir-int", "grid-int", "grid-dim-list",
         "norm-string", "norm-harmonic-int", "harmonics-int", "flow-list",
@@ -402,17 +436,28 @@ def _family(**family):
         "norm-harmonic-kind-unknown", "sphere-r0",
         "sphere-harmonics", "sphere-scale", "sphere-product-harmonic-k",
         "sphere-harmonic-kind-unknown", "harmonic-k-and-degree",
-        "family-harmonic-k-and-degree"])
+        "family-harmonic-k-and-degree", "family-zonal-negative-degree",
+        "family-radius-negative"])
 def test_bad_run_setting_is_input_error_before_compute(tmp_path, capsys,
                                                        monkeypatch, task,
                                                        cfg, use_out, key):
     monkeypatch.chdir(tmp_path)
+    reports = []
+    report = stability.full_deficit_report
+
+    def counted(*args, **kwargs):
+        reports.append(args)
+        return report(*args, **kwargs)
+
+    for module in (cli, stability):
+        monkeypatch.setattr(module, "full_deficit_report", counted)
     path = _write_config(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out"
     assert run(task, path, out if use_out else None) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    assert reports == []
 
 
 @pytest.mark.parametrize("flow, key", [

@@ -191,17 +191,6 @@ def test_rescaled_min_curvature_stays_positive(euclid2):
     assert trace.min_hf[-1] == pytest.approx(1.0, abs=0.05)
 
 
-def test_trace_csv_schema(tmp_path, grid256, euclid2):
-    cfg = FlowConfig(norm=euclid2, surface=sphere_surface(grid256),
-                     t_end=0.1, cadence=0.05)
-    trace, _ = run_flow(cfg)
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,dt,Q,perimeter_F,volume,minHF,supDistToWulff"
-    assert len(lines) == len(trace.times) + 1
-
-
 def test_cfl_calibration_on_circle(grid256, euclid2):
     # the implicit stabilization removes the explicit bound: 200 steps at
     # 50 times it stay round (an explicit scheme blows up at 3 times)

@@ -12,6 +12,7 @@ from wulff_lab import (
     asymmetry_index,
     deficit_pmomentum,
     deficit_thm11,
+    family_surfaces,
     fourier_surface,
     full_deficit_report,
     gap_integral,
@@ -352,9 +353,9 @@ def test_moduli_strictly_increasing(s1, ds, n):
 
 
 def test_stability_sweep_table(grid512, euclid2):
-    rows = stability_sweep(
+    rows = stability_sweep(family_surfaces(
         {"deltas": [0.05, 0.1, 0.2, 0.4], "harmonics": [{"k": 1, "delta": 1.0}]},
-        euclid2, grid512)
+        grid512), euclid2)
     eps = [r["eps1"] for r in rows]
     alpha = [r["alpha"] for r in rows]
     dist = [r["hausdorff"] for r in rows]
@@ -366,9 +367,9 @@ def test_stability_sweep_table(grid512, euclid2):
 
 
 def test_stability_sweep_ellipse_norm(grid512, ellipse2):
-    rows = stability_sweep(
+    rows = stability_sweep(family_surfaces(
         {"deltas": [0.1, 0.2], "harmonics": [{"k": 1, "delta": 1.0}]},
-        ellipse2, grid512)
+        grid512), ellipse2)
     for r in rows:
         assert r["eps1"] > 0.0
         assert np.isfinite(r["ratio_alpha_f1"])
@@ -377,9 +378,9 @@ def test_stability_sweep_ellipse_norm(grid512, ellipse2):
 
 
 def test_stability_sweep_wulff_family_zero_convention(grid512, euclid2):
-    rows = stability_sweep(
+    rows = stability_sweep(family_surfaces(
         {"deltas": [0.1, 0.2], "harmonics": [{"k": 1, "delta": 0.0}]},
-        euclid2, grid512)
+        grid512), euclid2)
     for r in rows:
         assert r["zero_over_zero"]
         assert r["ratio_alpha_f1"] == 0.0
