@@ -1,13 +1,14 @@
 """Minkowski norms, their duals, and Wulff shapes.
 
-Three norm families are provided.  The ellipsoidal norms sqrt(x^T A x) have
-closed-form duals and ray exits from their Wulff shapes, and serve as
-oracles; the euclidean norm is the identity ellipsoid, A = I, and shares
-their code.  The "perturbed" family has support function
-h = 1 + eps*Y on the unit sphere, with Y the restriction of a low-degree
-harmonic polynomial, and exercises the numerical path: its dual and its ray
-exits are solved by one Newton kernel on the Wulff boundary, with one
-scan-seeded second pass (see `PerturbedNorm`).
+The dual norm F0 is the ray exit from the origin, written once in
+`MinkowskiNorm`.  Three norm families are provided.  The ellipsoidal norms
+sqrt(x^T A x) have closed-form ray exits from their Wulff shapes and
+closed-form duals, and serve as oracles; the euclidean norm is the identity
+ellipsoid, A = I, and shares their code.  The "perturbed" family has support
+function h = 1 + eps*Y on the unit sphere, with Y the restriction of a
+low-degree harmonic polynomial, and exercises the numerical path: its ray
+exits, the dual among them, are solved by one Newton kernel on the Wulff
+boundary, with one scan-seeded second pass (see `PerturbedNorm`).
 
 All evaluation methods are vectorized: `x` may be a single vector of shape
 (d,) or a batch of shape (..., d).
@@ -175,9 +176,15 @@ def _quadric_exit(dirs, offset, scale, form):
 class MinkowskiNorm:
     """Base class: a convex 1-homogeneous norm, smooth away from the origin.
 
-    Subclasses implement `value`, `grad`, `tangent_form`, `dual_value`,
-    `dual_grad` and `exit_distance`.  Instances are immutable value objects;
-    all methods are pure.
+    Subclasses implement `value`, `grad`, `tangent_form` and
+    `exit_distance`, and may override `dual_value` and `dual_grad` with a
+    closed form.  Instances are immutable value objects; all methods are
+    pure.
+
+    The dual is the ray exit from the origin: the ray through x leaves the
+    Wulff shape W = {F0 <= 1} at s = 1/F0(x/|x|), where DF0 equals DF0(x)
+    (it is 0-homogeneous).  So DF0(x) is the g of `exit_distance`(x/|x|, 0,
+    1), F0(x) = x . DF0(x) by Euler's identity, and `wulff_radius` = 1/F0.
 
     `tangent_form(nu, t)` is D^2F where the flow and the Newton solves read
     it: on the tangent plane of a unit normal.  It takes unit rows nu of
@@ -209,11 +216,20 @@ class MinkowskiNorm:
     def tangent_form(self, nu, t):
         raise NotImplementedError
 
+    def _dual_grad_batch(self, x):
+        """DF0 at the nonzero rows x, read off the ray exit from the origin."""
+        _check_nonzero(x)
+        theta = x / np.linalg.norm(x, axis=1, keepdims=True)
+        return self.exit_distance(theta, np.zeros(self.ambient_dim), 1.0)[1]
+
     def dual_value(self, x):
-        raise NotImplementedError
+        x, single, lead = _as_batch(x, self.ambient_dim)
+        vals = np.einsum("ij,ij->i", x, self._dual_grad_batch(x))
+        return _restore(vals, single, lead)
 
     def dual_grad(self, x):
-        raise NotImplementedError
+        x, single, lead = _as_batch(x, self.ambient_dim)
+        return _restore(self._dual_grad_batch(x), single, lead)
 
     def wulff_radius(self, directions):
         """Radial profile rho of the unit dual ball: rho = 1/dual_value."""
@@ -235,7 +251,11 @@ class EllipsoidNorm(MinkowskiNorm):
     The unit dual ball is the ellipsoid {x : x^T A^-1 x <= 1}, with semi-axes
     the square roots of the eigenvalues of A, and F0(x) = sqrt(x^T A^-1 x):
     the primal and the dual share one value kernel and one gradient kernel,
-    applied to A and to its inverse.
+    applied to A and to its inverse.  The closed-form dual overrides the
+    base class's ray exit from the origin, which agrees with it to roundoff
+    but costs 5-10 times as much per call.  F reads only the symmetric part
+    of A and DF = A x/F all of A, so A is stored as (A + A^T)/2, and an
+    input whose asymmetry exceeds 1e-12 of its largest entry is rejected.
     """
 
     family = "ellipsoid"
@@ -246,13 +266,14 @@ class EllipsoidNorm(MinkowskiNorm):
             raise ValueError("matrix must be square of size 2 or 3")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix must be finite")
-        if not np.allclose(a, a.T, atol=1e-12):
+        if np.max(np.abs(a - a.T)) > 1e-12 * np.max(np.abs(a)):
             raise ValueError("matrix must be symmetric")
+        a = (a + a.T) / 2.0   # also a copy of the caller's matrix
         try:
             np.linalg.cholesky(a)
         except np.linalg.LinAlgError as exc:
             raise ValueError("matrix must be positive definite") from exc
-        self.matrix = a.copy()
+        self.matrix = a
         self.matrix.setflags(write=False)
         self.inverse = np.linalg.inv(a)
         self.inverse.setflags(write=False)
@@ -323,13 +344,13 @@ class PerturbedNorm(MinkowskiNorm):
     Construction fails if the perturbation breaks strict convexity of F^2/2.
 
     The dual norm has no closed form.  Its unit ball W has the boundary
-    {DF(nu) : |nu| = 1}, so F0(x) = x.nu/F(nu) and DF0(x) = nu/F(nu) at the
-    nu where the ray from the origin through x leaves W.  One Newton kernel,
-    `_boundary_newton`, solves that exit and every other ray exit from
-    scale*W.  Rows it cannot certify take one second pass, `_scan_pass`,
-    seeded from a grid scan; a ray's line is first tested against the
-    support function of scale*W (`_meets`), and a line that misses it
-    gets no second pass.
+    {DF(nu) : |nu| = 1}, so DF0(x) = nu/F(nu) at the nu where the ray from
+    the origin through x leaves W: the base class reads the dual off that
+    exit.  One Newton kernel, `_boundary_newton`, solves it and every other
+    ray exit from scale*W.  Rows it cannot certify take one second pass,
+    `_scan_pass`, seeded from a grid scan; a ray's line is first tested
+    against the support function of scale*W (`_meets`), and a line that
+    misses it gets no second pass.  A ray from the origin always meets W.
     """
 
     family = "perturbed"
@@ -528,38 +549,6 @@ class PerturbedNorm(MinkowskiNorm):
             curv = scale * c[0, 0] - g
             phi = phi - slope / np.where(curv > 0.0, curv, np.inf)
         return low > 0.0
-
-    def _dual_maximizer(self, x):
-        """The unit normal nu of W where the ray through each row of x leaves
-        it: DF(nu) = s*x/|x| with s = 1/F0(x/|x|) > 0, so that F0(x) =
-        x.nu/F(nu) and DF0(x) = nu/F(nu).
-
-        This is the ray exit from the origin (`_boundary_newton` with
-        offset 0, scale 1), started at s = 1 from x/|x|.  Every ray from the
-        origin meets W, so the rows that fail the exit certificate go
-        straight to `_scan_pass`.
-        """
-        theta = x / np.linalg.norm(x, axis=1, keepdims=True)
-        origin = np.zeros(self.ambient_dim)
-        _, y, ok = self._boundary_newton(theta, origin, 1.0, np.ones(len(x)),
-                                         theta, _FIRST_MAXIT)
-        if not np.all(ok):
-            y[~ok] = self._scan_pass(theta[~ok], origin, 1.0)[1]
-        return y
-
-    def dual_value(self, x):
-        x, single, lead = _as_batch(x, self.ambient_dim)
-        _check_nonzero(x)
-        y = self._dual_maximizer(x)
-        vals = np.einsum("ij,ij->i", x, y) / self._value_batch(y)
-        return _restore(vals, single, lead)
-
-    def dual_grad(self, x):
-        x, single, lead = _as_batch(x, self.ambient_dim)
-        _check_nonzero(x)
-        y = self._dual_maximizer(x)
-        g = y / self._value_batch(y)[:, None]
-        return _restore(g, single, lead)
 
     def exit_distance(self, dirs, offset, scale, start=None):
         """Largest root s of F0(offset + s*dir) = scale along each row of

@@ -6,7 +6,7 @@ The solvers and formulas here take other routes to the same answers, so that
 tests can compare against them:
 
 - `nested_exit`: a monotone Newton iteration on the ray parameter with one
-  cold dual solve per step;
+  cold dual solve, a ray exit from the origin, per step;
 - `full_hess`: the full d x d Hessian D^2F in closed form, for the
   ellipsoid and perturbed families, and `harmonic_hess`, the d x d Hessian
   of a harmonic polynomial;
@@ -26,10 +26,15 @@ from wulff_lab.minkowski import SectoralHarmonic
 from wulff_lab.stability import _barycenter, _symmetric_difference
 
 
-def nested_exit(norm, dirs, offset, scale):
+def nested_exit(norm, dirs, offset, scale, dual_grad=None):
     """Largest root s of F0(offset + s*dir) = scale along each row of dirs,
     with DF0 at each row's last Newton point: returns (s, g), s = -inf and
     g = NaN where the line misses scale*W.
+
+    `dual_grad` evaluates DF0 at rows of points and defaults to
+    `norm.dual_grad`.  `MinkowskiNorm.dual_grad` reads `exit_distance`, so
+    a caller that replaces `norm.exit_distance` by this reference passes
+    the norm's own exit from the origin, taken before the replacement.
 
     F0 is convex along every line, so a Newton iteration started beyond the
     root, at max F(dir) * scale + |offset| with slack (the Wulff radius
@@ -45,6 +50,8 @@ def nested_exit(norm, dirs, offset, scale):
     the body from an offset close to its boundary, whose roundoff exceeds
     the 1e-13 step test.
     """
+    if dual_grad is None:
+        dual_grad = norm.dual_grad
     far = 1.1 * (scale * float(np.max(norm.value(dirs)))
                  + np.linalg.norm(offset))
     s_out = np.full(len(dirs), -np.inf)
@@ -54,7 +61,7 @@ def nested_exit(norm, dirs, offset, scale):
     moving = np.ones(len(dirs), dtype=bool)   # no step <= 0 after the first
     for it in range(60):
         x = offset[None, :] + s[:, None] * dirs
-        g = norm.dual_grad(x)
+        g = dual_grad(x)
         slope = np.einsum("ij,ij->i", g, dirs)
         hit = slope > 0.0
         if not np.all(hit):

@@ -222,6 +222,20 @@ def test_non_finite_ellipsoid_matrix_is_input_error(tmp_path, capsys):
     assert err == ["error: matrix must be finite"]
 
 
+def test_asymmetric_ellipsoid_matrix_is_input_error(tmp_path, capsys):
+    # asymmetric by 2e-6: F reads only the symmetric part of the matrix,
+    # DF = A x/F all of it, so such a norm is rejected before any compute
+    cfg = _write_config(tmp_path, "cfg.json", {
+        "norm": {"family": "ellipsoid", "matrix": [[4.0, 0.5], [0.500002, 1.0]]},
+        "grid": {"dim": 1, "resolution": 64},
+    })
+    out = tmp_path / "out"
+    assert run("verify-identities", cfg, out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: matrix must be symmetric"]
+    assert not out.exists()
+
+
 _BASE = {"norm": {"family": "euclidean", "dim": 1},
          "grid": {"dim": 1, "resolution": 64}}
 _FLOW = {**_BASE, "surface": {"kind": "sphere"},

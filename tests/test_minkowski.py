@@ -15,7 +15,7 @@ from wulff_lab import (
     verify_duality,
 )
 from wulff_lab import minkowski
-from wulff_lab.minkowski import _SCAN_MAXIT, _tangent_frame
+from wulff_lab.minkowski import _SCAN_MAXIT, MinkowskiNorm, _tangent_frame
 
 from reference import full_hess, harmonic_hess
 
@@ -90,8 +90,11 @@ def test_ellipsoid_values(ellipse2):
 
 
 def test_ellipsoid_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        EllipsoidNorm([[1.0, 0.5], [0.0, 1.0]])
+    # the second matrix is asymmetric by 2e-6, within numpy's default
+    # relative tolerance of allclose
+    for bad in ([[1.0, 0.5], [0.0, 1.0]], [[4.0, 0.5], [0.500002, 1.0]]):
+        with pytest.raises(ValueError, match="symmetric"):
+            EllipsoidNorm(bad)
     with pytest.raises(ValueError, match="positive definite"):
         EllipsoidNorm([[1.0, 0.0], [0.0, -2.0]])
     for bad in (np.nan, np.inf):
@@ -347,23 +350,32 @@ def test_perturbed_dual_rows_are_independent(name, request):
     assert np.max(np.abs(batch - single) / batch) <= 1e-15
 
 
-@pytest.mark.parametrize("name", ["perturbed2", "perturbed3", "near_limit2"])
-def test_perturbed_dual_is_the_ray_exit_from_the_origin(name, request):
+@pytest.mark.parametrize("name", ["euclid2", "euclid3", "ellipse2", "ellipse3",
+                                  "tilted2", "tilted3", "perturbed2",
+                                  "perturbed3", "near_limit2"])
+def test_dual_is_the_ray_exit_from_the_origin(name, request):
     # the Wulff radius along theta is where the ray from the origin leaves
-    # W, and DF0 there is the dual gradient: at grid nodes and at random
-    # unit directions, the ray exit and the dual agree to roundoff
+    # W, and DF0 there is the dual gradient.  The base class reads the dual
+    # off that exit, and the quadric families override it with closed
+    # forms: at grid nodes and at random points, every family's dual agrees
+    # with the base route and with the exit to roundoff
     norm = request.getfixturevalue(name)
     d = norm.ambient_dim
-    theta = np.random.default_rng(21).standard_normal((300, d))
+    rng = np.random.default_rng(21)
+    theta = rng.standard_normal((300, d))
     theta /= np.linalg.norm(theta, axis=1, keepdims=True)
     theta = np.concatenate([make_grid(d - 1, 64 if d == 2 else 16).nodes,
                             theta])
+    x = theta * rng.uniform(0.5, 2.0, size=len(theta))[:, None]
     s, g = norm.exit_distance(theta, np.zeros(d), 1.0)
     rho = norm.wulff_radius(theta)
-    grad = norm.dual_grad(theta)
     assert np.max(np.abs(s - rho) / rho) <= 1e-14
-    assert np.max(np.linalg.norm(g - grad, axis=1)
-                  / np.linalg.norm(grad, axis=1)) <= 1e-14
+    for grad, base in ((norm.dual_grad(theta), g),
+                       (norm.dual_grad(x), MinkowskiNorm.dual_grad(norm, x))):
+        assert np.max(np.linalg.norm(grad - base, axis=1)
+                      / np.linalg.norm(base, axis=1)) <= 1e-14
+    value, base = norm.dual_value(x), MinkowskiNorm.dual_value(norm, x)
+    assert np.max(np.abs(value - base) / base) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["perturbed2", "perturbed3", "near_limit2"])

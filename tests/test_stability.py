@@ -648,13 +648,20 @@ def test_asymmetry_index_off_center_search_is_deterministic_perturbed(
                                                     np.zeros(dim + 1)))
     tested = []
     meets = norm._meets
+    exit_distance = norm.exit_distance
 
     def recording(dirs, offset, scale):
         tested.append(len(dirs))
         return meets(dirs, offset, scale)
 
+    def dual_grad(x):
+        # the dual is the ray exit from the origin; the unpatched one, so
+        # that the reference below does not call itself
+        theta = x / np.linalg.norm(x, axis=1, keepdims=True)
+        return exit_distance(theta, np.zeros(dim + 1), 1.0)[1]
+
     def reference(dirs, offset, scale, start=None):
-        return nested_exit(norm, dirs, offset, scale)
+        return nested_exit(norm, dirs, offset, scale, dual_grad)
 
     monkeypatch.setattr(norm, "_meets", recording)
     for offset in (stability._START_OFFSET, 0.1):
@@ -988,13 +995,16 @@ def test_asymmetry_hands_a_start_only_to_a_norm_that_reads_it(
         {"kind": "zonal", "k": 3, "delta": 0.045}])
     starts = []
     exit_distance = norm.exit_distance
+    # the Wulff shape's dual rays are exits from the origin too: built
+    # before the patch, so that only the search's calls are recorded
+    wulff = make_wulff(norm, surface.grid)
 
     def recording(dirs, offset, scale, start=None):
         starts.append(start)
         return exit_distance(dirs, offset, scale, start)
 
     monkeypatch.setattr(norm, "exit_distance", recording)
-    result = asymmetry_index(surface, norm)
+    result = asymmetry_index(surface, norm, wulff)
     assert result.converged and len(starts) > 1
     assert starts[0] is None
     assert all((s is not None) is warm for s in starts[1:])
