@@ -325,10 +325,17 @@ def _task_convergence(cfg, norm, dim, tol, seed):
         grad = grid.gradient(lin)
         exact = e[None, :] - lin[:, None] * grid.nodes
         grad_err = float(np.max(np.linalg.norm(grad - exact, axis=1)))
-        rows.append({"resolution": res,
-                     "wulff_identity": wulff.identity_residual,
-                     "mean_curvature_error": hf_err,
-                     "gradient_error": grad_err})
+        row = {"resolution": res,
+               "wulff_identity": wulff.identity_residual,
+               "mean_curvature_error": hf_err,
+               "gradient_error": grad_err}
+        # the errors at roundoff: below res^2 eps times the size of what
+        # they measure, H_F = n for the mean curvature and 1 for the others
+        floor = res * res * np.finfo(float).eps
+        row["at_roundoff"] = [
+            key for key in _CONVERGENCE_ERRORS
+            if row[key] < floor * (dim if key == "mean_curvature_error" else 1)]
+        rows.append(row)
 
     def order(key):
         errs = np.array([max(r[key], 1e-16) for r in rows], dtype=float)

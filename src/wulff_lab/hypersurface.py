@@ -70,7 +70,8 @@ class GeometryCache:
     plane.  `sq` is the area factor sqrt(r^2 + |grad r|^2), which the
     flow's radial speed reads.  `area_w` and `aniso_area_w` already include
     the quadrature weights, so integrals over the surface are plain sums
-    against them.
+    against them.  `normal` is an (n_nodes, dim+1) view of node-contiguous
+    storage (normal.T is contiguous), like the grid's nodes.
     """
 
     normal: np.ndarray = field(repr=False)
@@ -101,9 +102,12 @@ def geometry(surface, norm):
     M = g^-1 C = C~ + (C~ v) v^T / r^2 has the top eigenvalue
     `norm_hess_max` and the trace tr C~ + v^T C~ v / r^2, so the numerator
     is read as r^2 tr M + v^T C~ v - r sum_ij C~_ij h_ij.  The same
-    formulas serve the circle (one tangent) and the sphere (two); the small
-    matrices are held node-last, [i, j, node], so every product runs along
-    node rows.
+    formulas serve the circle (one tangent) and the sphere (two).  Every
+    per-node array is node-contiguous, so every product runs along node
+    rows: the small matrices are held [i, j, node], and the vectors (grad r,
+    the normal and P e_i) one row of nodes per coordinate, as the grid
+    stores its nodes and frame; the norm's `tangent_form` takes (n_nodes,
+    dim+1) views of them.
     """
     grid = surface.grid
     if norm.ambient_dim != grid.dim + 1:
@@ -112,18 +116,24 @@ def geometry(surface, norm):
     v, h = grid.frame_derivatives(r)
     r2 = r * r
     sq = np.sqrt(r2 + np.einsum("in,in->n", v, v))
-    grad_r = np.einsum("in,ind->nd", v, grid.frame)
-    normal = (r[:, None] * grid.nodes - grad_r) / sq[:, None]
+    frame = grid.frame.transpose(0, 2, 1)   # [i, coordinate, node]
+    normal = r * grid.nodes.T
+    normal -= np.einsum("in,idn->dn", v, frame)   # grad r
+    normal /= sq
 
     # C~ = r^2 g^-1 C g^-1, from the projected frame, and M = g^-1 C
-    pe = grid.frame + (v / sq)[:, :, None] * normal
-    f_nu, c = norm.tangent_form(normal, pe)
+    pe = (v / sq)[:, None] * normal
+    pe += frame
+    f_nu, c = norm.tangent_form(normal.T, pe.transpose(0, 2, 1))
     cv = np.einsum("ijn,jn->in", c, v)
-    m = c + cv[:, None] * (v / r2)[None]
+    m = cv[:, None] * (v / r2)[None]
+    m += c
     tr_m = m.trace()
     # r^2 tr M = r^2 tr C~ + v^T C~ v
-    hf = (r2 * tr_m + np.einsum("in,in->n", v, cv)
-          - r * np.einsum("ijn,ijn->n", c, h)) / (r2 * sq)
+    hf = r2 * tr_m
+    hf += np.einsum("in,in->n", v, cv)
+    hf -= r * np.einsum("ijn,ijn->n", c, h)
+    hf /= r2 * sq
     if not np.isfinite(hf).all():
         raise ValueError("non-finite mean curvature; the surface is under-resolved")
 
@@ -136,7 +146,7 @@ def geometry(surface, norm):
 
     area_w = r ** (grid.dim - 1) * sq * grid.weights
     return GeometryCache(
-        normal=normal, sq=sq, area_w=area_w,
+        normal=normal.T, sq=sq, area_w=area_w,
         f_normal=f_nu, aniso_area_w=f_nu * area_w,
         norm_hess_max=hess_max, aniso_mean_curv=hf,
         min_mean_curv=float(np.min(hf)))

@@ -45,7 +45,8 @@ def _restore(values, single, lead_shape):
 
 def _tangent_frame(y):
     """Orthonormal tangent vectors at unit rows y, shape (d-1, m, d) and
-    stored node-last, as `tangent_form` takes them.
+    stored node-contiguous (the transpose(0, 2, 1) is contiguous), as
+    `tangent_form` takes them; y may be a view in either layout.
 
     In 3-D this is the branchless frame of Duff et al., "Building an
     Orthonormal Basis, Revisited", JCGT 6(1), 2017.
@@ -137,10 +138,12 @@ class ProductHarmonic:
 
 
 def _quadric_grad(x, form):
-    """B x / F and F = sqrt(x^T B x) at the nonzero rows x, B = form."""
-    bx = x @ form
-    f = np.sqrt(np.einsum("ij,ij->i", x, bx))
-    return bx / f[:, None], f
+    """B x / F and F = sqrt(x^T B x) at the nonzero rows x, B = form; the
+    gradient rows are stored node-contiguous, whatever the layout of x."""
+    bx = form.T @ x.T   # [coordinate, row]
+    f = np.sqrt(np.einsum("dm,dm->m", x.T, bx))
+    bx /= f
+    return bx.T, f
 
 
 def _quadric_exit(dirs, offset, scale, form):
@@ -150,12 +153,13 @@ def _quadric_exit(dirs, offset, scale, form):
     <= 0).
 
     The larger root (-b + sqrt(disc))/a is taken in the form c/(-b - sqrt(disc))
-    when b > 0, so neither form subtracts nearly equal numbers.
+    when b > 0, so neither form subtracts nearly equal numbers.  g is
+    stored node-contiguous.
     """
-    bt = dirs @ form
+    bt = form.T @ dirs.T   # [coordinate, row]
     bo = form @ offset
-    a = np.einsum("ij,ij->i", dirs, bt)
-    b = bt @ offset
+    a = np.einsum("dm,dm->m", dirs.T, bt)
+    b = offset @ bt
     c = offset @ bo - scale * scale
     disc = b * b - a * c
     hit = disc > 0.0
@@ -163,9 +167,9 @@ def _quadric_exit(dirs, offset, scale, form):
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(b > 0.0, c / (-b - root), (root - b) / a)
     s = np.where(hit, s, 0.0)
-    g = (bo[None, :] + s[:, None] * bt) / scale
-    s[~hit], g[~hit] = -np.inf, np.nan
-    return s, g
+    g = (bo[:, None] + s * bt) / scale
+    s[~hit], g[:, ~hit] = -np.inf, np.nan
+    return s, g.T
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +195,10 @@ class MinkowskiNorm:
     shape (m, d) and tangent vectors t of shape (k, m, d), t_i . nu = 0, and
     returns F(nu) and C_ij = t_i . D^2F(nu) t_j, shape (k, k, m), in closed
     form and without the d x d Hessian.  F is 1-homogeneous, so
-    D^2F(nu) nu = 0 and C determines D^2F(nu) there.
+    D^2F(nu) nu = 0 and C determines D^2F(nu) there.  nu and t may be views
+    in any layout, and the per-node products keep theirs: given the
+    node-contiguous views of `SphereGrid` and `geometry` (nu.T and
+    t.transpose(0, 2, 1) contiguous), every product runs along node rows.
 
     `exit_distance(dirs, offset, scale, start)` is the largest root s of
     F0(offset + s*dir) = scale along each row of dirs, with DF0 there:
@@ -283,7 +290,7 @@ class EllipsoidNorm(MinkowskiNorm):
     def _value(self, x, form):
         """sqrt(x^T B x) per row, B = form."""
         x, single, lead = _as_batch(x, self.ambient_dim)
-        return _restore(np.sqrt(np.einsum("ij,ij->i", x, x @ form)),
+        return _restore(np.sqrt(np.einsum("dm,dm->m", x.T, form.T @ x.T)),
                         single, lead)
 
     def _grad(self, x, form):
@@ -302,8 +309,9 @@ class EllipsoidNorm(MinkowskiNorm):
         """(T^T A T - (T^T DF)(DF^T T)) / F: D^2F = (A - DF DF^T) / F
         between tangents."""
         g, f = _quadric_grad(nu, self.matrix)
-        tg = np.einsum("imd,md->im", t, g)
-        c = np.einsum("imd,jmd->ijm", t, t @ self.matrix)
+        t = t.transpose(0, 2, 1)   # [i, coordinate, node]
+        tg = np.einsum("idm,md->im", t, g)
+        c = np.einsum("idm,jdm->ijm", t, self.matrix.T @ t)
         c -= tg[:, None] * tg[None]
         c /= f
         return f, c
@@ -456,22 +464,24 @@ class PerturbedNorm(MinkowskiNorm):
 
         A line meets the strictly convex boundary at most twice and only the
         exit has nu.dir > 0, so a converged row with nu.dir > 0 is the
-        largest root.  Returns (s, nu, ok), ok the mask of those rows.
+        largest root.  Returns (s, nu, ok), ok the mask of those rows.  The
+        iterates are held node-contiguous, nu as a (d, m) array, and the
+        returned nu is a view of that storage.
         """
-        s, nu = s.copy(), nu.copy()
+        s, nu = s.copy(), nu.T.copy()   # nu as [coordinate, row]
         ok = np.zeros(len(dirs), dtype=bool)
         idx = np.flatnonzero(np.isfinite(s))
-        sa, th = s[idx], dirs[idx]
+        sa, th = s[idx], np.take(dirs.T, idx, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            na = nu[idx] / np.linalg.norm(nu[idx], axis=1, keepdims=True)
+            na = np.take(nu, idx, axis=1)
+            na /= np.linalg.norm(na, axis=0)
             for _ in range(maxit):
-                frame = _tangent_frame(na)
-                r = (scale * self._grad_batch(na) - offset[None, :]
-                     - sa[:, None] * th)
-                ds = np.einsum("ij,ij->i", na, r) / np.einsum("ij,ij->i", na, th)
-                v = th * ds[:, None] - r
-                bv = [np.einsum("ij,ij->i", v, b) / scale for b in frame]
-                _, t = self.tangent_form(na, frame)
+                frame = _tangent_frame(na.T)
+                r = scale * self._grad_batch(na.T).T - offset[:, None] - sa * th
+                ds = np.einsum("dm,dm->m", na, r) / np.einsum("dm,dm->m", na, th)
+                v = th * ds - r
+                bv = [np.einsum("dm,md->m", v, b) / scale for b in frame]
+                _, t = self.tangent_form(na.T, frame)
                 if len(frame) == 1:
                     c = [bv[0] / t[0, 0]]
                 else:
@@ -481,16 +491,19 @@ class PerturbedNorm(MinkowskiNorm):
                 step = np.sqrt(sum(ck * ck for ck in c))
                 cap = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-300), 1.0)
                 sa = sa + ds
-                na = na + sum((cap * ck)[:, None] * b for ck, b in zip(c, frame))
-                na /= np.linalg.norm(na, axis=1, keepdims=True)
+                na = na + sum((cap * ck) * b.T for ck, b in zip(c, frame))
+                na /= np.linalg.norm(na, axis=0)
                 conv = (np.abs(ds) <= 1e-13 * scale) & (step < _NEWTON_STEP_TOL)
-                s[idx[conv]], nu[idx[conv]], ok[idx[conv]] = sa[conv], na[conv], True
+                s[idx[conv]], nu[:, idx[conv]], ok[idx[conv]] = (
+                    sa[conv], na[:, conv], True)
                 keep = ~conv & np.isfinite(step) & np.isfinite(ds)
-                idx, sa, th, na = idx[keep], sa[keep], th[keep], na[keep]
+                idx, sa = idx[keep], sa[keep]
+                th, na = np.compress(keep, th, axis=1), np.compress(keep, na, axis=1)
                 if idx.size == 0:
                     break
-        ok[ok] = np.einsum("ij,ij->i", nu[ok], dirs[ok]) > 0.0
-        return s, nu, ok
+        ok[ok] = np.einsum("dm,dm->m", np.compress(ok, nu, axis=1),
+                           np.compress(ok, dirs.T, axis=1)) > 0.0
+        return s, nu.T, ok
 
     def _scan_pass(self, dirs, offset, scale):
         """`_boundary_newton` for _SCAN_MAXIT steps from a grid scan's seed,
@@ -565,7 +578,7 @@ class PerturbedNorm(MinkowskiNorm):
         the path change the result by roundoff only.
         """
         s = np.full(len(dirs), -np.inf)
-        g = np.full(dirs.shape, np.nan)
+        g = np.full(dirs.shape[::-1], np.nan).T   # node-contiguous
         warm = np.zeros(len(dirs), dtype=bool)
         if start is not None:
             warm = np.isfinite(start[0]) & np.all(np.isfinite(start[1]), axis=1)
@@ -580,7 +593,8 @@ class PerturbedNorm(MinkowskiNorm):
             rows = rows[self._meets(dirs[rows], offset, scale)]
             s[rows], g[rows] = self._scan_pass(dirs[rows], offset, scale)
             ok[rows] = True
-        g[ok] /= self._value_batch(g[ok])[:, None]   # g = nu on these rows
+        nu = np.compress(ok, g.T, axis=1)   # g = nu on these rows
+        g.T[:, ok] = nu / self._value_batch(nu.T)
         return s, g
 
     def spec(self):

@@ -59,21 +59,49 @@ def legendre_table(mu, lmax):
     [m, l, j], zero where l < m; lmax >= 1.  dP comes from the functions of
     orders m -/+ 1 of the same degree,
         dP_l^m = (sqrt((l+m)(l-m+1)) P_l^(m-1) - sqrt((l+m+1)(l-m)) P_l^(m+1)) / 2,
-    with P_l^(-1) = -P_l^1, so it needs no division by sin(colatitude); it is
-    filled one order at a time, so the two tables are all that is held.
+    with P_l^(-1) = -P_l^1, so it needs no division by sin(colatitude).  It
+    is filled in place for all orders at once.  Each product is rounded
+    before the difference, and the second product is zero where l <= m, so
+    it is held for two slabs in turn, the orders below k at every degree
+    and the rest at degrees above k: the product held is at most about 0.4
+    of a table, besides the two tables.
     """
     p = np.zeros((lmax + 1, lmax + 1, np.size(mu)))
     for l, row in enumerate(legendre_degrees(mu, lmax)):
         p[:l + 1, l] = row
-    l = np.arange(lmax + 1)[:, None]
+    l = np.arange(lmax + 1)
+    m = l[:, None]
+    a = np.sqrt(np.maximum((l + m) * (l - m + 1), 0))[:, :, None]
+    b = np.sqrt(np.maximum((l + m + 1) * (l - m), 0))[:, :, None]
     dp = np.empty_like(p)
-    for m in range(lmax + 1):
-        dp[m] = np.sqrt(np.maximum((l + m) * (l - m + 1), 0)) * (
-            p[m - 1] if m else -p[1])
-        if m < lmax:
-            dp[m] -= np.sqrt(np.maximum((l + m + 1) * (l - m), 0)) * p[m + 1]
-        dp[m] *= 0.5
+    np.multiply(a[1:], p[:-1], out=dp[1:])
+    np.multiply(a[0], -p[1], out=dp[0])
+    k = 3 * (lmax + 1) // 8
+    dp[:k] -= b[:k] * p[1:k + 1]
+    dp[k:lmax, k + 1:] -= b[k:lmax, k + 1:] * p[k + 1:, k + 1:]
+    dp *= 0.5
     return p, dp
+
+
+def gauss_nodes(n):
+    """The n Gauss-Legendre nodes in increasing order.
+
+    They start as the eigenvalues of the Jacobi matrix of the Legendre
+    polynomials, whose off-diagonal is k / sqrt(4k^2 - 1), k = 1..n-1
+    (Golub and Welsch, Math. Comp. 23, 1969).  Those carry errors of up to
+    about 100 ulps at n = 64, which the top-degree Laplacian reads; one
+    Newton step on P_n, with P_n and P_(n-1) from the three-term
+    recurrence, brings them to about an ulp.  The result is symmetrized
+    about 0, as the exact nodes are.
+    """
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    prev, p = np.ones(n), x
+    for j in range(2, n + 1):
+        prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
+    # P_n' = n (x P_n - P_(n-1)) / (x^2 - 1)
+    x = x - p * (x * x - 1.0) / (n * (x * p - prev))
+    return (x - x[::-1]) / 2.0
 
 
 class SphereGrid:
@@ -87,15 +115,18 @@ class SphereGrid:
     `legendre_table`'s arrays), the Gauss weights and the per-ring chart
     factors of `frame_derivatives`.
 
+    Per-node vectors are stored node-contiguous, one row of nodes per
+    coordinate, and exposed as (n_nodes, dim+1) views of that storage, so
+    per-node products and contractions with them run along node rows.
+
     Attributes
     ----------
     dim : 1 or 2 (dimension of the sphere, ambient space has dim+1 coords)
-    nodes : (n_nodes, dim+1) unit vectors
+    nodes : (n_nodes, dim+1) unit vectors; nodes.T is contiguous
     weights : (n_nodes,) positive quadrature weights summing to |S^dim|
     frame : (dim, n_nodes, dim+1) orthonormal tangent frame, the angle
         direction on the circle and the colatitude and longitude directions
-        on the sphere; stored node-last (frame.transpose(0, 2, 1) is
-        contiguous), so per-node contractions with it run along node rows
+        on the sphere; frame.transpose(0, 2, 1) is contiguous
     """
 
     def __init__(self, dim, resolution):
@@ -117,7 +148,7 @@ class SphereGrid:
 
     def _build_circle(self, n):
         a = self.angles = 2.0 * np.pi * np.arange(n) / n
-        self.nodes = np.column_stack([np.cos(a), np.sin(a)])
+        self.nodes = np.array([np.cos(a), np.sin(a)]).T
         self.weights = np.full(n, 2.0 * np.pi / n)
         self.frame = np.array([[-np.sin(a), np.cos(a)]]).transpose(0, 2, 1)
         k = np.fft.rfftfreq(n, d=1.0 / n)  # integer wavenumbers 0..n/2
@@ -146,7 +177,7 @@ class SphereGrid:
     def _build_sphere(self, nlat):
         nlon = 2 * nlat
         # colatitude increasing from north to south
-        mu = np.sort(np.polynomial.legendre.leggauss(nlat)[0])[::-1]
+        mu = gauss_nodes(nlat)[::-1]
         # Spherical harmonics up to degree L = nlat - 1: the nlat-point Gauss
         # rule integrates the product of two such Legendre functions exactly,
         # and 2 nlat longitudes resolve every order m <= L.  The longitude
@@ -174,7 +205,7 @@ class SphereGrid:
         xyz = np.array([[st * cp, st * sp, ct + zero],
                         [ct * cp, ct * sp, -st + zero],
                         [-sp + zero, cp + zero, zero]]).reshape(3, 3, -1)
-        self.nodes = np.ascontiguousarray(xyz[0].T)
+        self.nodes = xyz[0].T
         self.frame = xyz[1:].transpose(0, 2, 1)
         self.weights = np.repeat(glw * (2.0 * np.pi / nlon), nlon)
 
@@ -340,10 +371,11 @@ class SphereGrid:
     def gradient(self, field):
         """Tangential gradient of a scalar field, in ambient coordinates.
 
-        The returned (n_nodes, dim+1) vectors are orthogonal to the nodes.
+        The returned (n_nodes, dim+1) vectors are orthogonal to the nodes and
+        stored node-contiguous, as the nodes are.
         """
         v, _ = self.frame_derivatives(field)
-        return np.einsum("in,ind->nd", v, self.frame)
+        return np.einsum("in,idn->dn", v, self.frame.transpose(0, 2, 1)).T
 
     def _circle_solve(self, field, a):
         n = self.n_nodes

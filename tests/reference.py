@@ -14,7 +14,10 @@ tests can compare against them:
   the chart tangents, the Sherman-Morrison inverse metric and the second
   fundamental form;
 - `asymmetry_reference`: the asymmetry index by Nelder-Mead on the exact
-  symmetric difference, from several starts with a scale-aware simplex.
+  symmetric difference, from several starts with a scale-aware simplex;
+- `legendre_derivative_loop`: the colatitude derivatives of a Legendre
+  table filled one order at a time, the same arithmetic as
+  `legendre_table`'s in-place fill.
 """
 
 from itertools import combinations
@@ -188,3 +191,19 @@ def asymmetry_reference(surface, norm, offset=0.02, xatol=1e-10):
         if best is None or res.fun < best.fun:
             best = res
     return float(best.fun), best.x
+
+
+def legendre_derivative_loop(p):
+    """dP of a table P indexed [m, l, j], one order m at a time:
+    dP_l^m = (sqrt((l+m)(l-m+1)) P_l^(m-1) - sqrt((l+m+1)(l-m)) P_l^(m+1)) / 2
+    with P_l^(-1) = -P_l^1, each product rounded before the difference."""
+    lmax = p.shape[0] - 1
+    l = np.arange(lmax + 1)[:, None]
+    dp = np.empty_like(p)
+    for m in range(lmax + 1):
+        dp[m] = np.sqrt(np.maximum((l + m) * (l - m + 1), 0)) * (
+            p[m - 1] if m else -p[1])
+        if m < lmax:
+            dp[m] -= np.sqrt(np.maximum((l + m + 1) * (l - m), 0)) * p[m + 1]
+        dp[m] *= 0.5
+    return dp

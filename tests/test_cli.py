@@ -112,6 +112,27 @@ def test_convergence_task_fits_orders(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["16", "24", "32"]
 
 
+def test_convergence_flags_errors_at_roundoff(tmp_path):
+    # under the perturbed sectoral-2 norm H_F's error reads 1.1e-5 and
+    # 1.1e-9 at 32 and 64 nodes, then about 1e-12 at 128 and 256, below
+    # res^2 eps n; the flags ride on the summary rows, not the CSV
+    cfg = _write_config(tmp_path, "cfg.json", {
+        "norm": {"family": "perturbed", "dim": 1, "epsilon": 0.08,
+                 "harmonic": {"kind": "sectoral", "degree": 2}},
+        "grid": {"dim": 1},
+        "resolutions": [32, 64, 128, 256],
+    })
+    out = tmp_path / "out"
+    assert run("convergence", cfg, out) == 0
+    rows = json.loads((out / "summary.json").read_text())["results"]["rows"]
+    flagged = [r["resolution"] for r in rows
+               if "mean_curvature_error" in r["at_roundoff"]]
+    assert flagged == [128, 256]
+    header = (out / "convergence.csv").read_text().splitlines()[0]
+    assert header == ("resolution,wulff_identity,mean_curvature_error,"
+                      "gradient_error")
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = _write_config(tmp_path, "cfg.json", {
         "norm": {"family": "perturbed", "dim": 1, "epsilon": 0.1},

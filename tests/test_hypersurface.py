@@ -1,7 +1,11 @@
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from wulff_lab import (
+    GeometryCache,
     StarSurface,
     aniso_perimeter,
     flux_volume,
@@ -173,6 +177,27 @@ def test_geometry_matches_metric_formula(request, dim, res, norm_name):
     np.testing.assert_allclose(
         cache.sq, np.sqrt(s.r ** 2 + np.einsum("ij,ij->i", grad, grad)),
         rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("dim, norm_name", [
+    (1, "euclid2"), (1, "tilted2"), (1, "perturbed2"),
+    (2, "euclid3"), (2, "tilted3"), (2, "perturbed3")])
+def test_geometry_layout_is_not_semantics(request, dim, norm_name):
+    # a grid whose nodes and frame are stored row-major gives the same
+    # geometry as the node-contiguous grid, up to the summation order of
+    # the per-node products; the normal's layout is pinned
+    grid = make_grid(dim, 64 if dim == 1 else 16)
+    rows = copy.copy(grid)
+    rows.nodes = np.ascontiguousarray(grid.nodes)
+    rows.frame = np.ascontiguousarray(grid.frame)
+    norm = request.getfixturevalue(norm_name)
+    s = _asymmetric_surface(grid)
+    cache = geometry(s, norm)
+    other = geometry(StarSurface(rows, s.r, s.center), norm)
+    for f in fields(GeometryCache):
+        a, b = getattr(cache, f.name), getattr(other, f.name)
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a)), f.name
+    assert cache.normal.T.flags.c_contiguous
 
 
 def test_volume_examples(grid512, grid2_32, ellipse2):

@@ -457,3 +457,24 @@ def test_tangent_form_matches_full_hessian(name, request):
     assert c.shape == (d - 1, d - 1, 300)
     assert np.max(np.abs(c - full) / scale) <= 1e-14
     assert np.array_equal(f, norm.value(nu))
+
+
+@pytest.mark.parametrize("name", ["euclid2", "tilted2", "perturbed2",
+                                  "euclid3", "tilted3", "perturbed3"])
+def test_tangent_form_layout_is_not_semantics(name, request):
+    # the same rows and tangents, stored row-major and node-contiguous,
+    # give the same form up to the summation order of the products
+    norm = request.getfixturevalue(name)
+    d = norm.ambient_dim
+    rng = np.random.default_rng(21 + d)
+    nu = rng.standard_normal((300, d))
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    coef = rng.standard_normal((d - 1, 300, d - 1))
+    t = np.einsum("imj,jmd->imd", coef, _tangent_frame(nu))
+    f_rows, c_rows = norm.tangent_form(np.ascontiguousarray(nu),
+                                       np.ascontiguousarray(t))
+    f_nodes, c_nodes = norm.tangent_form(
+        np.ascontiguousarray(nu.T).T,
+        np.ascontiguousarray(t.transpose(0, 2, 1)).transpose(0, 2, 1))
+    assert np.max(np.abs(f_rows - f_nodes)) <= 1e-15 * np.max(np.abs(f_rows))
+    assert np.max(np.abs(c_rows - c_nodes)) <= 1e-15 * np.max(np.abs(c_rows))

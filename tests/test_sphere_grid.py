@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from wulff_lab import make_grid
-from wulff_lab.sphere_grid import legendre_table
+from wulff_lab.sphere_grid import gauss_nodes, legendre_table
+
+from reference import legendre_derivative_loop
 
 
 def _laplacian(grid, field):
@@ -234,6 +236,32 @@ def test_legendre_table_is_orthonormal(res):
     np.testing.assert_allclose(p[1, 1], np.sqrt(0.75) * s, atol=1e-15)
     np.testing.assert_allclose(p[0, 2], np.sqrt(2.5) * (1.5 * mu ** 2 - 0.5),
                                atol=1e-15)
+
+
+@pytest.mark.parametrize("nlat", [8, 16, 48])
+def test_legendre_derivative_table_is_the_per_order_loop(nlat):
+    # the in-place fill does the loop's arithmetic: equal bit for bit,
+    # signed zeros included
+    p, dp = legendre_table(gauss_nodes(nlat)[::-1], nlat - 1)
+    assert dp.tobytes() == legendre_derivative_loop(p).tobytes()
+
+
+def test_gauss_nodes_match_numpy():
+    # the Golub-Welsch eigenvalues after one Newton step, against numpy's
+    # leggauss (measured at most 1.1e-16 apart)
+    for n in range(8, 65):
+        ref = np.polynomial.legendre.leggauss(n)[0]
+        assert np.max(np.abs(gauss_nodes(n) - ref)) <= 2e-15, n
+
+
+@pytest.mark.parametrize("dim, res", [(1, 64), (2, 16)])
+def test_per_node_vectors_are_node_contiguous(dim, res):
+    # nodes, frame and the gradient are (n_nodes, dim+1) views of storage
+    # with one row of nodes per coordinate
+    grid = make_grid(dim, res)
+    assert grid.nodes.T.flags.c_contiguous
+    assert grid.frame.transpose(0, 2, 1).flags.c_contiguous
+    assert grid.gradient(grid.nodes[:, -1] ** 2).T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("res", [16, 48])
