@@ -18,6 +18,9 @@ tests can compare against them:
 - `legendre_derivative_loop`: the colatitude derivatives of a Legendre
   table filled one order at a time, the same arithmetic as
   `legendre_table`'s in-place fill.
+- `directed_hausdorff_exhaustive`: the directed Hausdorff distance with
+  every row's nearest sample searched, no pruning, in the same arithmetic
+  as `_directed_hausdorff`.
 """
 
 from itertools import combinations
@@ -207,3 +210,14 @@ def legendre_derivative_loop(p):
             dp[m] -= np.sqrt(np.maximum((l + m + 1) * (l - m), 0)) * p[m + 1]
         dp[m] *= 0.5
     return dp
+
+
+def directed_hausdorff_exhaustive(pts_a, pts_b, normal_b):
+    """Largest |(a_i - b_j) . normal_b[j]| over the rows a_i of pts_a, b_j
+    the nearest row of pts_b (squared differences summed per coordinate,
+    the lowest index on ties), every row searched against every row."""
+    d2 = sum((pts_a[:, None, k] - pts_b[None, :, k]) ** 2
+             for k in range(pts_a.shape[1]))
+    idx = np.argmin(d2, axis=1)
+    gap = np.einsum("ij,ij->i", pts_a - pts_b[idx], normal_b[idx])
+    return float(np.max(np.abs(gap)))

@@ -602,8 +602,7 @@ def test_each_task_imports_only_the_scipy_modules_it_calls(tmp_path):
                             json.dumps(args)], env=env, capture_output=True,
                            text=True, timeout=120, check=True)
     loaded = json.loads(probe.stdout.splitlines()[-1])
-    # import, the dim-1 tasks and the dim-2 flow, whose transforms are numpy
-    assert loaded[:5] == [[], [], [], [], []]
-    # the KD-tree, which loads scipy.linalg; the asymmetry search's
-    # Nelder-Mead fallback does not run, and no spline on the sphere
-    assert loaded[5] == loaded[6] == ["scipy.linalg", "scipy.spatial"]
+    # import, the dim-1 tasks and the dim-2 flow, whose transforms are numpy;
+    # the deficits and the sweep, whose Hausdorff search is numpy and whose
+    # asymmetry search's Nelder-Mead fallback does not run
+    assert loaded == [[]] * 7

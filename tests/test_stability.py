@@ -36,12 +36,13 @@ from wulff_lab.minkowski import _FIRST_MAXIT, _SCAN_MAXIT
 from wulff_lab.sphere_grid import SphereGrid
 from wulff_lab.stability import (
     _certified,
-    _cloud_min_dists,
+    _directed_hausdorff,
     _l1_vertex,
     _symmetric_difference,
 )
 
-from reference import asymmetry_reference, nested_exit
+from reference import (asymmetry_reference,
+                       directed_hausdorff_exhaustive, nested_exit)
 
 
 def test_deficit_zero_on_translated_wulff(grid512, ellipse2):
@@ -420,23 +421,56 @@ def test_wulff_profile_about_perturbed_off_center(name, dim, res, p0, request):
     assert res.method == "radial"
 
 
-def _brute_min_dists(pts_a, pts_b):
-    d = np.linalg.norm(pts_a[:, None, :] - pts_b[None, :, :], axis=2)
-    return d.min(axis=1)
+def _unit(v):
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _hausdorff_clouds(d):
+    """(label, pts_a, pts_b, normal_b) sampled along shared directions."""
+    rng = np.random.default_rng(10 + d)
+    dirs = _unit(rng.standard_normal((300, d)))
+    r_a, r_b = 1.0 + 0.2 * rng.random((2, 300))
+    pts_b = r_b[:, None] * dirs
+    normal_b = _unit(dirs + 0.3 * rng.standard_normal((300, d)))
+    # a doubled direction repeats its sample in both clouds, an exact tie
+    # between two partners whose normals differ
+    twice = np.concatenate([np.arange(300), np.arange(50)])
+    other_normal = _unit(rng.standard_normal((50, d)))
+    # a radial graph over grid directions rotated by three grid steps: every
+    # sample keeps a near partner, but its own direction's partner lies
+    # three steps away, so the bound prunes few rows
+    grid = make_grid(d - 1, 64 if d == 2 else 16)
+    steps = 2.0 * np.pi * 3.0 / (grid.resolution * (1 if d == 2 else 2))
+    c, s = np.cos(steps), np.sin(steps)
+    rot = np.array([[c, -s], [s, c]]) if d == 2 else \
+        np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    nodes = grid.nodes
+    graph = (1.0 + 0.2 * nodes[:, 0] ** 2 + 0.1 * nodes[:, 1])[:, None] * nodes
+    return [
+        ("random", r_a[:, None] * dirs, pts_b, normal_b),
+        ("tied", r_a[twice, None] * dirs[twice], pts_b[twice],
+         np.concatenate([normal_b, other_normal])),
+        ("identical", pts_b, pts_b.copy(), normal_b),
+        ("rotated", graph @ rot.T, graph, _unit(nodes + 0.1 * graph)),
+    ]
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_cloud_min_dists_matches_brute_force(d):
-    rng = np.random.default_rng(10 + d)
-    b = rng.standard_normal((300, d))
-    clouds = [(rng.standard_normal((200, d)), b),
-              # duplicated points give exact ties in both roles
-              (np.concatenate([b[:50], b[:50]]), np.concatenate([b, b[:100]]))]
-    for pts_a, pts_b in clouds:
-        dist, idx = _cloud_min_dists(pts_a, pts_b)
-        ref = _brute_min_dists(pts_a, pts_b)
-        assert np.array_equal(dist, ref)
-        assert np.array_equal(np.linalg.norm(pts_a - pts_b[idx], axis=1), ref)
+def test_directed_hausdorff_matches_exhaustive_reference(d, monkeypatch):
+    # the pruned search returns the unpruned one's value bit for bit, with
+    # one row per pass and with the default passes
+    for pairs in (1, stability._HAUSDORFF_PASS_PAIRS):
+        monkeypatch.setattr(stability, "_HAUSDORFF_PASS_PAIRS", pairs)
+        for label, pts_a, pts_b, normal_b in _hausdorff_clouds(d):
+            got = _directed_hausdorff(pts_a, pts_b, normal_b)
+            assert got == directed_hausdorff_exhaustive(pts_a, pts_b,
+                                                        normal_b), label
+            if label == "identical":
+                assert got == 0.0
+            elif label == "rotated":
+                # the bound of most rows exceeds the result: they are searched
+                bound = np.linalg.norm(pts_a - pts_b, axis=1)
+                assert np.mean(bound > got) > 0.5
 
 
 def test_wulff_profile_about_rejects_outside_center(grid256, euclid2):
