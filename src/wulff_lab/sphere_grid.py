@@ -11,11 +11,14 @@ in latitude (see `legendre_table`).
 The grid is the only module that knows its expansion.  Other modules read a
 field through `frame_derivatives`, `interpolate` (the expansion summed in
 any direction), `resample` (the same at the nodes of a finer grid, by one
-zero-padded transform) and `shifted_laplace_solve`, (I - a*Delta) x = f with
-`a` a scalar or one value per node, never solved below a node's own.
+zero-padded transform), `great_circles` (the same along great circles, as
+trigonometric polynomials) and `shifted_laplace_solve`, (I - a*Delta) x = f
+with `a` a scalar or one value per node, never solved below a node's own.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -283,10 +286,7 @@ class SphereGrid:
         field = self._check_field(field)
         dirs = np.asarray(dirs, dtype=float)
         if self.dim == 1:
-            coeff = np.fft.rfft(field) / self.n_nodes
-            coeff[1:] *= 2.0
-            if self.n_nodes % 2 == 0:
-                coeff[-1] *= 0.5   # the Nyquist mode is not doubled
+            coeff = self._circle_coefficients(field)
         else:
             harmonic = self._analysis(field).view(np.complex128)[..., 0] / self.nlon
             harmonic[1:] *= 2.0
@@ -325,6 +325,48 @@ class SphereGrid:
         coeff = self._analysis(field) * (finer.nlon / self.nlon)
         table = finer._leg[:self.nlat, :, :self.nlat]
         return finer._to_nodes(finer._synthesis(table, coeff)[0])
+
+    def great_circles(self, fields):
+        """Each row's expansion along a fixed family of K great circles:
+        weights w (K,) and coefficients c (len(fields), K, D+1) of
+        T_fk(psi) = Re sum_j c_fkj exp(i j psi), such that
+        sum_k w_k (integral of g(F_k) |sin psi|) is the integral of g(F),
+        exactly for g the identity.  On the circle K = 1, w = 1 and T is
+        `interpolate`'s expansion.  On the sphere the lines pass through the
+        poles at the grid longitudes phi_k < pi, (sin psi cos phi_k,
+        sin psi sin phi_k, cos psi), w = pi / nlat, and T = F sin psi, of
+        degree nlat, is read off 2 nlat + 2 equally spaced psi.
+        """
+        if self.dim == 1:
+            return np.ones(1), self._circle_coefficients(fields)[:, None]
+        nlat = self.nlat
+        coeff = np.concatenate([self._analysis(f) for f in fields], axis=-1)
+        spectra = self._synthesis(self._circle_leg, coeff)     # [f, m, q]
+        rings = np.fft.irfft(np.swapaxes(spectra, -1, -2), n=self.nlon,
+                             axis=-1)                          # [f, q, lon]
+        # colatitude psi_q at phi_k for psi_q <= pi, 2 pi - psi_q at phi_k + pi
+        line = np.concatenate([rings[:, :, :nlat],
+                               rings[:, nlat:0:-1, nlat:]], axis=1)
+        psi = np.pi * np.arange(2 * nlat + 2) / (nlat + 1)
+        c = np.fft.rfft(np.swapaxes(line, 1, 2) * np.sin(psi), axis=-1)
+        c /= 2 * nlat + 2
+        c[..., 1:] *= 2.0
+        return np.full(nlat, np.pi / nlat), c[..., :nlat + 1]
+
+    @functools.cached_property
+    def _circle_leg(self):
+        """Legendre table [m, q, l] at the colatitudes pi q / (nlat + 1),
+        q = 0..nlat + 1, for `great_circles`."""
+        mu = np.cos(np.pi * np.arange(self.nlat + 2) / (self.nlat + 1))
+        return legendre_table(mu, self.nlat - 1)[0].transpose(0, 2, 1)
+
+    def _circle_coefficients(self, field):
+        """c_m of the circle's expansion Re sum_m c_m exp(i m angle)."""
+        coeff = np.fft.rfft(field, axis=-1) / self.n_nodes
+        coeff[..., 1:] *= 2.0
+        if self.n_nodes % 2 == 0:
+            coeff[..., -1] *= 0.5   # the Nyquist mode is not doubled
+        return coeff
 
     # ------------------------------------------------------------ derivatives
 

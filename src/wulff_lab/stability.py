@@ -145,9 +145,10 @@ def wulff_profile_about(norm, grid, scale, wulff_center, graph_center, *,
 class AsymmetryResult:
     """The asymmetry index `alpha`, reached at the Wulff shape
     center + scale*W.  `converged` is True only when the search certified
-    center as a first-order minimum of the nodal objective (see
-    `asymmetry_index`); it is False when the certificate failed or the
-    Nelder-Mead fallback ran.  `method` is always "radial"."""
+    center as a minimum (see `asymmetry_index`): |grad alpha| within
+    _GRAD_TOL / scale with no negative curvature, or alpha at its lower
+    bound |integral of R - S| / ((n+1)|Omega|), to roundoff.  `method` is
+    always "radial"."""
 
     alpha: float
     center: np.ndarray
@@ -166,291 +167,256 @@ def _barycenter(surface):
     return surface.center + first / vol
 
 
+_ROOT_TOL = 1e-12        # radians: a Newton step this short ends a root solve
+_ROOT_MAX_ITER = 100     # bracketed Newton steps per root; 2 to 6 in practice
+_SAMPLES_PER_DEGREE = 8  # sign samples of a line polynomial per degree
+
+
+def _trig(c, x, order=0):
+    """The order-th and next derivatives of Re sum_j c_j exp(i j x), one row
+    of c per entry of x."""
+    j = 1j * np.arange(c.shape[-1])
+    terms = c * np.exp(x[:, None] * j) * j ** order
+    return terms.sum(axis=1).real, (terms @ j).real
+
+
+def _bracketed_root(c, a, b, fa, fb, order=0):
+    """A root in [a, b] of the order-th derivative T of each row's
+    polynomial (`_trig`), of values fa and fb of opposite signs at the ends:
+    Newton from the secant point, bisecting where a step would leave the
+    bracket, until the step or the bracket is _ROOT_TOL or |T| is at its
+    roundoff level."""
+    up = fb >= 0.0
+    x = np.clip(a - fa * (b - a) / (fb - fa), a, b)   # fb != fa
+    noise = 8.0 * np.finfo(float).eps * (
+        np.abs(c) @ np.arange(c.shape[-1], dtype=float) ** order)
+    root = np.empty_like(a)
+    rows = np.arange(len(a))
+    for _ in range(_ROOT_MAX_ITER):
+        f, df = _trig(c, x, order)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / df
+        right = (f >= 0.0) == up
+        a, b = np.where(right, a, x), np.where(right, x, b)
+        newton = x - step
+        inside = (newton >= a - _ROOT_TOL) & (newton <= b + _ROOT_TOL)
+        newton = np.clip(newton, a, b)
+        level = np.abs(f) <= noise
+        done = level | (np.abs(step) <= _ROOT_TOL) | (b - a <= _ROOT_TOL)
+        root[rows[done]] = np.where(level, x, newton)[done]
+        keep = ~done
+        if not np.any(keep):
+            return root
+        x = np.where(inside, newton, 0.5 * (a + b))
+        rows, c, a, b, x, up, noise = (
+            v[keep] for v in (rows, c, a, b, x, up, noise))
+    raise RuntimeError("a line root did not converge")
+
+
+def _line_roots(c):
+    """Every sign change of each line's polynomial T (rows of c), sorted by
+    line and angle: (line, psi, up), up where T turns nonnegative.
+
+    T and T' are sampled at _SAMPLES_PER_DEGREE points per degree.  An
+    interval whose ends differ in sign holds a root; one whose ends agree
+    while |T| falls at its start and rises at its end holds an extremum,
+    found by Newton on T', and two roots where T changes sign there.  So
+    two crossings within one sample spacing are found.
+    """
+    size = c.shape[-1]
+    samples = _SAMPLES_PER_DEGREE * size
+    half = c * (samples / 2.0)
+    half[:, 0] *= 2.0
+    t, dt = np.fft.irfft([half, half * (1j * np.arange(size))], n=samples)
+    h = 2.0 * np.pi / samples
+    psi = h * np.arange(samples)
+    t_next, dt_next = np.roll(t, -1, axis=1), np.roll(dt, -1, axis=1)
+    change = (t >= 0.0) != (t_next >= 0.0)
+    line, i = np.nonzero(change)
+    lo, hi, f_lo, f_hi = psi[i], psi[i] + h, t[line, i], t_next[line, i]
+    dip, k = np.nonzero(~change & (t * dt < 0.0) & (t_next * dt_next > 0.0))
+    e = _bracketed_root(c[dip], psi[k], psi[k] + h, dt[dip, k],
+                        dt_next[dip, k], order=1)
+    t_e = _trig(c[dip], e)[0]
+    cross = (t_e >= 0.0) != (t[dip, k] >= 0.0)
+    dip, k, e, t_e = (v[cross] for v in (dip, k, e, t_e))
+    line = np.concatenate([line, dip, dip])
+    lo, hi = np.concatenate([lo, psi[k], e]), np.concatenate([hi, e, psi[k] + h])
+    f_lo = np.concatenate([f_lo, t[dip, k], t_e])
+    f_hi = np.concatenate([f_hi, t_e, t_next[dip, k]])
+    roots = _bracketed_root(c[line], lo, hi, f_lo, f_hi)
+    order = np.lexsort((roots, line))
+    return line[order], roots[order], (f_hi >= 0.0)[order]
+
+
+def _signed_line_integrals(w, c):
+    """sum_k w_k (integral over a period of sign(T_0k) T_fk) for line
+    polynomials c of shape (fields, K, D+1) (`SphereGrid.great_circles`),
+    and the root Hessian sum_k w_k sum_r 2 T_fk T_gk / |T_0k'| over the
+    roots of T_0k, f, g >= 1.
+
+    With A_f the antiderivative of T_f and s_r = +1 where T_0 turns
+    nonnegative, the integral is s_last 2 pi c_f0 - 2 sum_r s_r A_f(psi_r),
+    s_last the sign after a line's last root.  For T_0 that is the integral
+    of |T_0|; for T_f = dT_0/dp_f its derivative, which has no term from the
+    moving roots since |T_0| vanishes there; the root Hessian is what they
+    add to the second derivative.
+    """
+    line, psi, up = _line_roots(c[0])
+    sign = np.where(up, 1.0, -1.0)
+    last = np.where(_trig(c[0], np.zeros(len(w)))[0] >= 0.0, 1.0, -1.0)
+    ends = np.flatnonzero(np.diff(line, append=-1))
+    last[line[ends]] = sign[ends]
+    j = np.arange(c.shape[-1])
+    e = np.exp(1j * psi[:, None] * j)
+    at_root = np.einsum("frj,rj->fr", c[:, line], e).real
+    e[:, 0] = 0.0
+    e[:, 1:] /= 1j * j[1:]
+    anti = (np.einsum("frj,rj->fr", c[:, line], e).real
+            + c[:, line, 0].real * psi)
+    integrals = (2.0 * np.pi * (c[:, :, 0].real @ (w * last))
+                 - 2.0 * anti @ (w[line] * sign))
+    slope = np.abs(_trig(c[0][line], psi)[1])
+    hess = 2.0 * (at_root[1:] * (w[line] / slope)) @ at_root[1:].T
+    return integrals, hess
+
+
 def _symmetric_difference(surface, norm, scale, center, *, warm=None):
-    """|Omega symdiff L| for L = center + scale*W, by exact ray integration.
+    """|Omega symdiff L| for L = center + scale*W, its gradient in the
+    center, the root Hessian of `_signed_line_integrals` and the integral
+    of R - S, all divided by n + 1.
 
-    The convex body L meets the ray C + s*theta from the surface's star
-    center C in one interval [s_in, s_out].  With R = r^(n+1),
-    S = max(s_out, 0)^(n+1) and A = max(s_in, 0)^(n+1) the ray contributes
-    (|R - S| + A - 2 max(A - min(R, S), 0)) / (n+1), which is exact in the
-    radial variable and continuous in the center.  s_out is the re-graphed
-    profile, solved warm from `warm` (see `wulff_profile_about`).  While C
-    lies inside L every s_out is positive and s_in < 0, so A = 0; otherwise
-    (`wulff_profile_about` raises) s_in = -s_out(-theta) is solved as well,
-    from the far point.  The two formulas agree where C meets the boundary.
+    While the star center C lies inside L (`wulff_profile_about`, solved
+    warm from `warm`, raises ValueError otherwise), L meets the ray from C
+    in [s_in, s_out] with s_in < 0, so the ray contributes |R - S|,
+    R = r^(n+1), S = s_out^(n+1).  DF0 at the exits gives the Jacobian
+    dS/dp = (n+1) s^n DF0 / (DF0 . theta) with no further solve.  The grid's
+    own expansion of R - S is integrated exactly along the lines of
+    `SphereGrid.great_circles`, so the value is C^1 in the center.
     """
-    n = surface.grid.dim
+    grid = surface.grid
+    n = grid.dim
     warm = {} if warm is None else warm
-    a = 0.0
-    try:
-        s_out = wulff_profile_about(norm, surface.grid, scale, center,
-                                    surface.center, warm=warm)
-    except ValueError:   # the star center is on or outside the body
-        s_out = warm["rays"][0]
-        s_in = -norm.exit_distance(-surface.grid.nodes, surface.center - center,
-                                   scale)[0]
-        # where one solve misses the line (s_out = -inf or s_in = +inf) the
-        # chord is empty: A = S, and the ray contributes R
-        a = np.maximum(np.minimum(s_in, s_out), 0.0) ** (n + 1)
-    big_r = surface.r ** (n + 1)
-    big_s = np.maximum(s_out, 0.0) ** (n + 1)
-    ray = (np.abs(big_r - big_s) + a
-           - 2.0 * np.maximum(a - np.minimum(big_r, big_s), 0.0)) / (n + 1)
-    return surface.grid.integrate(ray)
+    s = wulff_profile_about(norm, grid, scale, center, surface.center,
+                            warm=warm)
+    g = warm["rays"][1]
+    slope = np.einsum("ij,ij->i", g, grid.nodes)
+    jac = ((n + 1) * s ** n / slope)[:, None] * g
+    residual = surface.r ** (n + 1) - s ** (n + 1)
+    integrals, hess = _signed_line_integrals(
+        *grid.great_circles(np.vstack([residual, -jac.T])))
+    return (integrals[0] / (n + 1), integrals[1:] / (n + 1), hess / (n + 1),
+            grid.integrate(residual) / (n + 1))
 
 
-# The search runs from the barycenter and from its offsets by
-# +-_START_OFFSET * scale along each axis and keeps the lowest value: the
-# nodal objective has ripple minima about 5e-3 apart in the center.
-_START_OFFSET = 0.02
-_GN_MAX_ITER = 50        # Gauss-Newton steps per start; 4 to 10 in practice
-_GN_MIN_STEP = 1e-3      # shortest fraction of a step tried by backtracking
-_GN_DECREASE = 0.25      # accepted share of the model's predicted decrease
-_ZERO_TOL = 1e-12        # residuals below this, times max R, count as zero
-_MAX_PIVOTS = 500        # vertex pivots per linearized problem; 0 to 10 seen
-_FALLBACK_XATOL, _FALLBACK_MAX_ITER = 1e-8, 400   # Nelder-Mead, times scale
-
-
-def _first_vertex(b, jac):
-    """n+1 rows for a first vertex of sum_j w_j |b_j - jac_j . d|: the rows
-    of least |b_j| / |jac_j| whose normalized gradients keep a distance of
-    at least 0.5 from the span of those already taken."""
-    unit = jac / np.linalg.norm(jac, axis=1, keepdims=True)
-    order = np.argsort(np.abs(b) / np.linalg.norm(jac, axis=1), kind="stable")
-    z = []
-    rest = unit[order]
-    for _ in range(jac.shape[1]):
-        j = int(np.argmax(np.linalg.norm(rest, axis=1) > 0.5))
-        q = rest[j] / np.linalg.norm(rest[j])
-        z.append(int(order[j]))
-        rest = rest - np.outer(rest @ q, q)
-    return np.array(z)
-
-
-def _l1_vertex(b, jac, w, z, tol):
-    """Exact minimizer d of sum_j w_j |b_j - jac_j . d| by vertex descent.
-
-    A vertex is d with the residuals e = b - jac d zero on n+1 rows z of
-    invertible jac_z.  Every other row carries a sign sigma_j, sign(e_j)
-    where |e_j| > tol; a row at zero keeps the sign it was given.  The dual
-    y_j = w_j sigma_j off z, with y_z solving jac^T y = 0, certifies the
-    vertex optimal when |y_k| <= w_k on z.  Otherwise the row k of z with
-    the largest |y_k|/w_k leaves it along the edge jac_z d' = -sign(y_k) e_k,
-    on which the misfit falls at rate |y_k| - w_k.  The step goes to the
-    weighted median of the breakpoints of the rows it moves toward zero:
-    each adds 2 w_j |jac_j . d'| to the slope, and the row where the slope
-    turns nonnegative enters z.  A step that moves no residual by more than
-    tol (a degenerate vertex) makes the next choice by Bland's rule, the
-    least row index both for the row that leaves and among tied breakpoints,
-    so the descent cannot cycle.  z starts from the given rows when jac_z is
-    well conditioned, else from `_first_vertex`.
-
-    Returns (d, z, sigma, optimal); optimal is False only if _MAX_PIVOTS
-    pivots did not reach a certified vertex.
-    """
-    if z is None or abs(np.linalg.det(jac[z])) <= 1e-8 * np.prod(
-            np.linalg.norm(jac[z], axis=1)):
-        z = _first_vertex(b, jac)
-    z = z.copy()
-    sigma = np.where(b < 0.0, -1.0, 1.0)
-    bland = False
-    for _ in range(_MAX_PIVOTS):
-        inv = np.linalg.inv(jac[z])
-        d = inv @ b[z]
-        e = b - jac @ d
-        e[z] = 0.0
-        sigma = np.where(np.abs(e) > tol, np.sign(e), sigma)
-        y = w * sigma
-        y[z] = 0.0
-        yz = -(jac.T @ y) @ inv
-        excess = np.abs(yz) - w[z]
-        out = excess > 1e-12 * w[z]
-        if not np.any(out):
-            return d, z, sigma, True
-        if bland:
-            pos = int(np.flatnonzero(out)[np.argmin(z[out])])
-        else:
-            pos = int(np.argmax(excess / w[z]))
-        k = z[pos]
-        edge = -np.sign(yz[pos]) * inv[:, pos]
-        move = jac @ edge
-        move[z] = 0.0   # no breakpoint on z: k leaves zero, the rest stay
-        cross = np.flatnonzero(sigma * move > 0.0)
-        t = np.maximum(e[cross] / move[cross], 0.0)
-        order = np.argsort(t, kind="stable")   # ties keep the least row first
-        cross = cross[order]
-        slope = -excess[pos] + np.cumsum(2.0 * w[cross] * np.abs(move[cross]))
-        if not (slope.size and slope[-1] >= 0.0):
-            break   # the misfit is bounded below: only roundoff gets here
-        at = int(np.argmax(slope >= 0.0))
-        sigma[cross[:at]] *= -1.0
-        sigma[k] = np.sign(yz[pos])
-        z[pos] = cross[at]
-        bland = abs(e[cross[at]]) <= tol
-    return d, z, sigma, False
-
-
-def _certified(b, jac, w, z, sigma, tol):
-    """True if the center is a first-order minimum of the nodal misfit
-    sum_j w_j |b_j| over Gauss-Newton steps: the dual y of the vertex
-    (y_j = w_j sigma_j off z, jac^T y = 0) has |y_j| <= w_j, its rows z have
-    |b_j| <= tol, and y_j = w_j sign(b_j) on every other row with |b_j| > tol.
-    Then 0 is a subgradient of the linearized misfit
-    sum_j w_j |b_j - jac_j . d| at d = 0: it falls along no direction, and
-    along no edge of the vertex in particular."""
-    y = w * sigma
-    y[z] = 0.0
-    y[z] = -(jac.T @ y) @ np.linalg.inv(jac[z])
-    big = np.abs(b) > tol
-    big[z] = False
-    return bool(np.all(np.abs(y) <= w * (1.0 + 1e-9))
-                and np.all(np.abs(b[z]) <= tol)
-                and np.all(sigma[big] == np.sign(b[big]))
-                and np.all(np.abs(jac.T @ y) <= 1e-9 * (np.abs(jac).T @ w)))
-
-
-class _LeftBody(Exception):
-    """An iterate of the asymmetry search left the star center on or
-    outside the translated body."""
+_GRAD_TOL = 1e-10        # |grad alpha| * scale that certifies a minimum
+_ONE_SIGN_TOL = 1e-13    # alpha above its lower bound that certifies it
+_ARMIJO = 1e-4           # accepted share of the predicted decrease
+_CURVATURE_STEP = 1e-5   # difference step of the Hessian check, times scale
+_CURVATURE_TOL = 1e-6    # negative curvature below this share is roundoff
+_ESCAPE_STEP = 1e-2      # first step from a saddle, times scale
 
 
 def asymmetry_index(surface, norm, wulff=None):
     """Volume-normalized minimal symmetric difference to a volume-matched
-    translated rescaled Wulff shape, found by Gauss-Newton on the L1 misfit.
+    translated rescaled Wulff shape, by BFGS on a C^1 objective.
 
-    While the star center C lies inside the translated body p + scale*W,
-    the objective is the weighted nodal sum
-    alpha(p) = sum_j w_j |R_j - S_j(p)| / ((n+1)|Omega|), R = r^(n+1),
-    S = s_out^(n+1) (`_symmetric_difference`).  Each evaluation is one
-    `wulff_profile_about` call, whose DF0 at the exits gives the Jacobian
-    dS_j/dp = (n+1) s_j^n DF0_j / (DF0_j . theta_j) with no further solve.
-    A step minimizes the linearized misfit sum_j w_j |b_j - J_j d|,
-    b = R - S, exactly at a vertex (`_l1_vertex`, warm-started from the
-    last step's vertex); it is backtracked until the true value falls by at
-    least _GN_DECREASE of the predicted decrease.  A run stops when
-    `_certified` holds: the center is then a first-order minimum of the
-    nodal objective.  Runs start at the barycenter and at its offsets by
-    +-_START_OFFSET*scale along each axis; a run whose step leads onto the
-    vertex of an earlier run's certified end stops there, and the lowest
-    value wins.  `converged` is True exactly when that value carries the
-    certificate.
+    alpha(p) = integral of |F| / ((n+1)|Omega|), F the grid's own expansion
+    of the nodal R - S(p), integrated exactly with its exact gradient by
+    `_symmetric_difference`: one `wulff_profile_about` call per evaluation.
+    The search starts at the barycenter, its inverse Hessian at the root
+    Hessian there.  A step is halved until alpha falls by _ARMIJO of the
+    predicted decrease or, below roundoff, stays within _ONE_SIGN_TOL while
+    |grad alpha| falls; a trial center that leaves the star center on or
+    outside the body is a rejected step.  `converged` is True on either
+    certificate: |grad alpha| <= _GRAD_TOL / scale where a forward
+    difference Hessian of the gradient has no negative curvature beyond
+    _CURVATURE_TOL of its largest (a saddle, as where symmetry makes the
+    barycenter stationary, is left along it, _ESCAPE_STEP * scale first);
+    or alpha within _ONE_SIGN_TOL of its lower bound
+    |integral of F| / ((n+1)|Omega|), which no translation moves (it is the
+    volume difference): so F keeps one sign, as at equality, where alpha
+    is a cone rather than a smooth minimum.  It is False only when the
+    step falls below roundoff in the center.
 
     Under a norm whose `exit_distance` reads a start (`exit_reads_start`),
-    each evaluation's ray solve starts from the last one's roots and DF0,
-    moved to their first-order exits from the new center: the roots by
+    each ray solve starts from the last successful evaluation's roots and
+    DF0, moved to their first-order exits from the new center: the roots by
     DF0.dp / (DF0.theta), DF0 by a per-ray secant model of D^2F0.  A start
     changes the value by roundoff only, and repeated calls are
-    bit-identical.
-
-    Nelder-Mead on the exact `_symmetric_difference` takes over, from the
-    lowest center evaluated and with a simplex of edge _START_OFFSET*scale,
-    when an iterate leaves C on or outside the body, where the sum above no
-    longer holds, and when the lowest value is not certified: a run that
-    alternates between two vertices has its minimum between them, where
-    the nodal objective is smooth along a face rather than kinked.
-    `converged` is then False.  `method` is always "radial".
+    bit-identical.  `method` is always "radial".
     """
     grid = surface.grid
     w = _wulff(norm, grid, wulff)
     vol = volume(surface)
     n = grid.dim
     scale = (vol / w.volume) ** (1.0 / (n + 1.0))
-    big_r = surface.r ** (n + 1)
-    tol = _ZERO_TOL * float(np.max(big_r))
-    warm = {}   # the last evaluation's ray solution
-    last = []   # (value, center) of every evaluation; warm holds the last's
+    state = {}   # the last successful evaluation's center and rays
     # the exit point's last move dx and DF0's change dg on every ray: the
     # warm DF0 moves by a model of D^2F0 that is the unit ball's curvature
     # 1/scale except along dx, where it reproduces dg
     secant = [np.zeros((grid.n_nodes, n + 1)), np.zeros((grid.n_nodes, n + 1))]
 
-    def misfit(res):
-        return grid.integrate(np.abs(res) / (n + 1)) / vol
-
     def evaluate(p):
-        predict = bool(last) and norm.exit_reads_start
+        trial = {}
+        predict = bool(state) and norm.exit_reads_start
         if predict:   # move the last rays to their first-order exits from p
-            s0, g0 = warm["rays"]
-            dp = p - last[-1][1]
+            s0, g0 = state["rays"]
+            dp = p - state["center"]
             ds = (g0 @ dp) / np.einsum("ij,ij->i", g0, grid.nodes)
             step = ds[:, None] * grid.nodes - dp
             dx, dg = secant
             length = np.maximum(np.einsum("ij,ij->i", dx, dx), 1e-300)
             along = np.einsum("ij,ij->i", dx, step) / length
-            warm["rays"] = (s0 + ds, g0 + step / scale
-                            + (dg - dx / scale) * along[:, None])
-        try:
-            s = wulff_profile_about(norm, grid, scale, p, surface.center,
-                                    warm=warm)
-        except ValueError:
-            raise _LeftBody from None
-        g = warm["rays"][1]
+            trial["rays"] = (s0 + ds, g0 + step / scale
+                             + (dg - dx / scale) * along[:, None])
+        value, grad, hess, signed = _symmetric_difference(
+            surface, norm, scale, p, warm=trial)
         if predict:
+            s, g = trial["rays"]
             secant[:] = [(s - s0)[:, None] * grid.nodes - dp, g - g0]
-        b = big_r - s ** (n + 1)
-        slope = np.einsum("ij,ij->i", g, grid.nodes)
-        jac = ((n + 1) * s ** n / slope)[:, None] * g
-        last.append((misfit(b), p))
-        return last[-1][0], b, jac
+        state.update(center=p, rays=trial["rays"])
+        return value / vol, grad / vol, hess / vol, abs(signed) / vol
 
-    ends = {}   # vertex rows of each certified end -> its center
-
-    def gauss_newton(p, z):
-        f, b, jac = evaluate(p)
-        seen = []   # the vertex rows of each step, without repeats
-        for _ in range(_GN_MAX_ITER):
-            d, z, sigma, optimal = _l1_vertex(b, jac, grid.weights, z, tol)
-            rows = frozenset(z.tolist())
-            if optimal and _certified(b, jac, grid.weights, z, sigma, tol):
-                ends[rows] = p
-                return f, p, True, z
-            end = ends.get(rows)
-            if end is not None and (np.max(np.abs(p + d - end))
-                                    <= np.max(np.abs(d))):
-                return np.inf, p, False, z   # bound for a certified end
-            pred = f - misfit(b - jac @ d)
-            if not seen or rows != seen[-1]:
-                seen.append(rows)
-            if not (optimal and pred > 0.0) or (
-                    len(seen) > 3 and seen[-4:-2] == seen[-2:]):
-                break   # stalled, or alternating between two vertices
-            t = 1.0
-            while t >= _GN_MIN_STEP:
-                q = p + t * d
-                fq, bq, jq = evaluate(q)
-                if fq <= f - _GN_DECREASE * t * pred:
-                    break
-                t *= 0.5
-            else:
-                break   # the true value does not fall along the step
-            p, f, b, jac = q, fq, bq, jq
-        return f, p, False, z
-
-    start = _barycenter(surface)
-    offsets = _START_OFFSET * scale * np.eye(n + 1)
-    best, z = (np.inf, start, False), None
-    try:
-        for p in [start] + [start + sign * e for e in offsets
-                            for sign in (1.0, -1.0)]:
-            f, p, ok, z = gauss_newton(p, z)
-            if f < best[0]:
-                best = (f, p, ok)
-    except _LeftBody:
-        best = (np.inf, start, False)
-    if not best[2]:
-        from scipy.optimize import minimize
-        p = min(last, key=lambda v: v[0])[1] if last else start
-        res = minimize(
-            lambda q: _symmetric_difference(surface, norm, scale, q,
-                                            warm=warm) / vol,
-            p, method="Nelder-Mead",
-            options={"initial_simplex": np.vstack([p, p + offsets]),
-                     "xatol": _FALLBACK_XATOL * scale, "fatol": 1e-12,
-                     "maxiter": _FALLBACK_MAX_ITER})
-        best = (res.fun, res.x, False)
-    return AsymmetryResult(alpha=float(best[0]),
-                           center=np.asarray(best[1], dtype=float),
-                           scale=float(scale), converged=bool(best[2]))
+    roundoff = 4.0 * np.finfo(float).eps
+    p = _barycenter(surface)
+    f, g, hess, lower = evaluate(p)
+    inverse = np.linalg.pinv(hess)
+    while f - lower > _ONE_SIGN_TOL:
+        d = -inverse @ g
+        slope = g @ d
+        if np.linalg.norm(g) * scale <= _GRAD_TOL:
+            h = _CURVATURE_STEP * scale
+            hess = np.array([(evaluate(p + h * e)[1] - g) / h
+                             for e in np.eye(n + 1)])
+            values, vectors = np.linalg.eigh(0.5 * (hess + hess.T))
+            if values[0] >= -_CURVATURE_TOL * values[-1]:
+                break
+            d = -np.copysign(_ESCAPE_STEP * scale, g @ vectors[:, 0]) \
+                * vectors[:, 0]
+            slope = 0.5 * values[0] * (d @ d)
+        t = 1.0
+        while True:
+            if t * np.linalg.norm(d) <= roundoff * (np.linalg.norm(p) + scale):
+                return AsymmetryResult(alpha=float(f), center=np.asarray(p),
+                                       scale=float(scale), converged=False)
+            q = p + t * d
+            try:
+                fq, gq, _, lower_q = evaluate(q)
+            except ValueError:   # the star center left the body
+                fq = np.inf
+            if fq <= f + _ARMIJO * t * slope or (
+                    fq <= f + _ONE_SIGN_TOL
+                    and np.linalg.norm(gq) < np.linalg.norm(g)):
+                break
+            t *= 0.5
+        s, y = q - p, gq - g
+        if s @ y > 0.0:
+            v = np.eye(n + 1) - np.outer(s, y) / (s @ y)
+            inverse = v @ inverse @ v.T + np.outer(s, s) / (s @ y)
+        p, f, g, lower = q, fq, gq, lower_q
+    return AsymmetryResult(alpha=float(f), center=np.asarray(p, dtype=float),
+                           scale=float(scale), converged=True)
 
 
 # --------------------------------------------------------------------------

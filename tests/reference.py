@@ -13,8 +13,8 @@ tests can compare against them:
 - `metric_geometry`: H_F and the top tangential eigenvalue of D^2F through
   the chart tangents, the Sherman-Morrison inverse metric and the second
   fundamental form;
-- `asymmetry_reference`: the asymmetry index by Nelder-Mead on the exact
-  symmetric difference, from several starts with a scale-aware simplex;
+- `asymmetry_reference`: the symmetric difference to a translated Wulff
+  shape by brute quadrature on a fine grid, with exact ray exits;
 - `legendre_derivative_loop`: the colatitude derivatives of a Legendre
   table filled one order at a time, the same arithmetic as
   `legendre_table`'s in-place fill.
@@ -27,9 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from wulff_lab import EllipsoidNorm, make_wulff, volume
+from wulff_lab import EllipsoidNorm, make_grid, make_wulff, volume
 from wulff_lab.minkowski import SectoralHarmonic
-from wulff_lab.stability import _barycenter, _symmetric_difference
 
 
 def nested_exit(norm, dirs, offset, scale, dual_grad=None):
@@ -160,40 +159,28 @@ def full_hess(norm, x):
         * x[:, :, None] * x[:, None, :] / n[:, None, None] ** (k + 3))
 
 
-def asymmetry_reference(surface, norm, offset=0.02, xatol=1e-10):
-    """(alpha, center) of the least volume-normalized symmetric difference
-    to a translated, volume-matched Wulff shape, by Nelder-Mead.
+def asymmetry_reference(surface, norm, center, fine_resolution):
+    """The volume-normalized symmetric difference between the surface and
+    the volume-matched Wulff shape translated to `center`, by brute
+    quadrature on a fine grid of the same dimension.
 
-    The objective is `_symmetric_difference`, which also holds where the
-    star center leaves the body.  One search starts at the barycenter and
-    one at each of its offsets by +-offset*scale along an axis, each from a
-    simplex of edge offset*scale, and stops once the simplex is within
-    xatol*scale; the lowest value wins.  The nodal objective has ripple
-    minima about 5e-3 apart in the center, so a single start can stop in
-    the wrong one.
+    The surface's radius is read between the nodes by its own expansion
+    (`SphereGrid.interpolate`), the translated body's exit distances are
+    solved exactly along every fine direction (`exit_distance`), and
+    |r^(n+1) - s_out^(n+1)| / (n+1) is summed by the fine grid's nodal
+    rule, kinks and all: no sign change is located, so the error falls
+    only algebraically with the fine resolution.
     """
-    from scipy.optimize import minimize
     grid = surface.grid
     n = grid.dim
     vol = volume(surface)
     scale = (vol / make_wulff(norm, grid).volume) ** (1.0 / (n + 1.0))
-    warm = {}
-
-    def objective(p):
-        return _symmetric_difference(surface, norm, scale, p, warm=warm) / vol
-
-    base = _barycenter(surface)
-    edges = offset * scale * np.eye(n + 1)
-    best = None
-    for start in [base] + [base + sign * e for e in edges for sign in (1, -1)]:
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"initial_simplex": np.vstack([start,
-                                                              start + edges]),
-                                "xatol": xatol * scale, "fatol": 1e-15,
-                                "maxiter": 4000, "maxfev": 8000})
-        if best is None or res.fun < best.fun:
-            best = res
-    return float(best.fun), best.x
+    fine = make_grid(n, fine_resolution)
+    r = grid.interpolate(surface.r, fine.nodes)
+    s = norm.exit_distance(fine.nodes, surface.center - np.asarray(center),
+                           scale)[0]
+    assert np.all(s > 0.0)
+    return fine.integrate(np.abs(r ** (n + 1) - s ** (n + 1))) / ((n + 1) * vol)
 
 
 def legendre_derivative_loop(p):

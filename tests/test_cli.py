@@ -569,11 +569,10 @@ _IMPORT_PROBE = """
 import json, sys
 from wulff_lab import cli
 tasks = json.loads(sys.argv[1])
-heavy = ("scipy.linalg", "scipy.optimize", "scipy.spatial", "scipy.interpolate")
-loaded = [[m for m in heavy if m in sys.modules]]
+loaded = [[m for m in sys.modules if m.split(".")[0] == "scipy"]]
 for task, config, out in tasks:
     assert cli.run(task, config, out) == 0, task
-    loaded.append([m for m in heavy if m in sys.modules])
+    loaded.append([m for m in sys.modules if m.split(".")[0] == "scipy"])
 print(json.dumps(loaded))
 """
 
@@ -602,7 +601,5 @@ def test_each_task_imports_only_the_scipy_modules_it_calls(tmp_path):
                             json.dumps(args)], env=env, capture_output=True,
                            text=True, timeout=120, check=True)
     loaded = json.loads(probe.stdout.splitlines()[-1])
-    # import, the dim-1 tasks and the dim-2 flow, whose transforms are numpy;
-    # the deficits and the sweep, whose Hausdorff search is numpy and whose
-    # asymmetry search's Nelder-Mead fallback does not run
+    # no task loads any scipy module: the library imports none
     assert loaded == [[]] * 7

@@ -535,3 +535,36 @@ def test_resample_rejects_other_dimension_or_coarser_grid(dim, res, other):
     grid = make_grid(dim, res)
     with pytest.raises(ValueError, match="cannot resample"):
         grid.resample(np.ones(grid.n_nodes), make_grid(*other))
+
+
+@pytest.mark.parametrize("dim, res", [(1, 64), (1, 65), (2, 8), (2, 13),
+                                      (2, 16)])
+def test_great_circles_carry_the_expansion(dim, res):
+    # each line polynomial is the expansion summed along its great circle
+    # (times sin psi on the sphere), and the lines integrate the expansion
+    # exactly: sum_k w_k (integral of T_k sign(sin psi)) is the nodal rule
+    grid = make_grid(dim, res)
+    rng = np.random.default_rng(res)
+    fields = rng.standard_normal((2, grid.n_nodes))
+    w, c = grid.great_circles(fields)
+    psi = np.linspace(0.0, 2.0 * np.pi, 37)
+    e = np.exp(1j * np.outer(np.arange(c.shape[-1]), psi))
+    j = np.arange(1, c.shape[-1])
+    for f, field in enumerate(fields):
+        for k, coeff in enumerate(c[f]):
+            if dim == 1:
+                dirs, weight = np.column_stack([np.cos(psi), np.sin(psi)]), 1.0
+            else:
+                phi = np.pi * k / grid.nlat
+                dirs = np.column_stack([np.sin(psi) * np.cos(phi),
+                                        np.sin(psi) * np.sin(phi), np.cos(psi)])
+                weight = np.sin(psi)
+            ref = weight * grid.interpolate(field, dirs)
+            assert np.max(np.abs((coeff @ e).real - ref)) <= 1e-13 * np.max(
+                np.abs(field))
+        if dim == 1:
+            total = 2.0 * np.pi * np.sum(w * c[f, :, 0].real)
+        else:   # integral over [0, pi] minus that over [pi, 2 pi]
+            half = (np.exp(1j * np.pi * j) - 1.0) / (1j * j)
+            total = 2.0 * np.sum(w * (c[f, :, 1:] * half).real.sum(axis=1))
+        assert total == pytest.approx(grid.integrate(field), abs=1e-12)
