@@ -241,7 +241,8 @@ def _line_roots(c):
     cross = (t_e >= 0.0) != (t[dip, k] >= 0.0)
     dip, k, e, t_e = (v[cross] for v in (dip, k, e, t_e))
     line = np.concatenate([line, dip, dip])
-    lo, hi = np.concatenate([lo, psi[k], e]), np.concatenate([hi, e, psi[k] + h])
+    lo = np.concatenate([lo, psi[k], e])
+    hi = np.concatenate([hi, e, psi[k] + h])
     f_lo = np.concatenate([f_lo, t[dip, k], t_e])
     f_hi = np.concatenate([f_hi, t_e, t_next[dip, k]])
     roots = _bracketed_root(c[line], lo, hi, f_lo, f_hi)
@@ -313,7 +314,8 @@ _GRAD_TOL = 1e-10        # |grad alpha| * scale that certifies a minimum
 _ONE_SIGN_TOL = 1e-13    # alpha above its lower bound that certifies it
 _ARMIJO = 1e-4           # accepted share of the predicted decrease
 _CURVATURE_STEP = 1e-5   # difference step of the Hessian check, times scale
-_CURVATURE_TOL = 1e-6    # negative curvature below this share is roundoff
+_CURVATURE_TOL = 1e-6    # negative curvature below this share is roundoff,
+                         # as is a step direction below this share
 _ESCAPE_STEP = 1e-2      # first step from a saddle, times scale
 
 
@@ -330,9 +332,11 @@ def asymmetry_index(surface, norm, wulff=None):
     |grad alpha| falls; a trial center that leaves the star center on or
     outside the body is a rejected step.  `converged` is True on either
     certificate: |grad alpha| <= _GRAD_TOL / scale where a forward
-    difference Hessian of the gradient has no negative curvature beyond
-    _CURVATURE_TOL of its largest (a saddle, as where symmetry makes the
-    barycenter stationary, is left along it, _ESCAPE_STEP * scale first);
+    difference Hessian of the gradient, along the directions no accepted
+    step explored, has no negative curvature beyond _CURVATURE_TOL of its
+    largest (a saddle, as where symmetry makes the barycenter stationary
+    and keeps the steps on its axis, is left along that curvature,
+    _ESCAPE_STEP * scale first);
     or alpha within _ONE_SIGN_TOL of its lower bound
     |integral of F| / ((n+1)|Omega|), which no translation moves (it is the
     volume difference): so F keeps one sign, as at equality, where alpha
@@ -382,18 +386,24 @@ def asymmetry_index(surface, norm, wulff=None):
     p = _barycenter(surface)
     f, g, hess, lower = evaluate(p)
     inverse = np.linalg.pinv(hess)
+    steps = []
     while f - lower > _ONE_SIGN_TOL:
         d = -inverse @ g
         slope = g @ d
         if np.linalg.norm(g) * scale <= _GRAD_TOL:
-            h = _CURVATURE_STEP * scale
-            hess = np.array([(evaluate(p + h * e)[1] - g) / h
-                             for e in np.eye(n + 1)])
-            values, vectors = np.linalg.eigh(0.5 * (hess + hess.T))
-            if values[0] >= -_CURVATURE_TOL * values[-1]:
+            # the curvature along the directions no accepted step explored
+            _, sv, vt = np.linalg.svd(np.vstack(steps + [0.0 * p] * (n + 1)))
+            free = vt[sv <= _CURVATURE_TOL * sv[0]] if steps else np.eye(n + 1)
+            if not len(free):
                 break
-            d = -np.copysign(_ESCAPE_STEP * scale, g @ vectors[:, 0]) \
-                * vectors[:, 0]
+            h = _CURVATURE_STEP * scale
+            hess = np.array([(evaluate(p + h * u)[1] - g) / h for u in free])
+            values, vectors = np.linalg.eigh(0.5 * (hess @ free.T
+                                                    + free @ hess.T))
+            if values[0] >= -_CURVATURE_TOL * np.max(np.abs(values)):
+                break
+            d = free.T @ vectors[:, 0]
+            d *= -np.copysign(_ESCAPE_STEP * scale, g @ d)
             slope = 0.5 * values[0] * (d @ d)
         t = 1.0
         while True:
@@ -414,6 +424,7 @@ def asymmetry_index(surface, norm, wulff=None):
         if s @ y > 0.0:
             v = np.eye(n + 1) - np.outer(s, y) / (s @ y)
             inverse = v @ inverse @ v.T + np.outer(s, s) / (s @ y)
+        steps.append(s)
         p, f, g, lower = q, fq, gq, lower_q
     return AsymmetryResult(alpha=float(f), center=np.asarray(p, dtype=float),
                            scale=float(scale), converged=True)
