@@ -18,8 +18,6 @@ with `a` a scalar or one value per node, never solved below a node's own.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 # Most nodes of the circle's dense per-node shifted Laplace solve, so its LU
@@ -84,6 +82,24 @@ def legendre_table(mu, lmax):
     dp[k:lmax, k + 1:] -= b[k:lmax, k + 1:] * p[k + 1:, k + 1:]
     dp *= 0.5
     return p, dp
+
+
+def line_coefficients(mu):
+    """The matrix that takes a field F along a great circle through the
+    poles, given at the colatitudes theta = arccos(mu) (increasing) on one
+    half and at 2 pi - theta on the other, to the coefficients c_0..c_n,
+    n = len(mu), of T = F sin psi = Re sum_j c_j exp(i j psi): F is the
+    least-squares fit sum_j a_j exp(i j psi), |j| <= n - 1, which the
+    expansion of an n-ring grid along the circle is, and sin psi takes
+    (a_(j-1) - a_(j+1)) / 2i to degree j."""
+    n = len(mu)
+    theta = np.arccos(mu)
+    a = np.linalg.pinv(np.exp(1j * np.outer(
+        np.r_[theta, 2.0 * np.pi - theta[::-1]], np.arange(1 - n, n))))
+    a = np.pad(a, ((1, 2), (0, 0)))     # a_j in row j + n, j = -n..n + 1
+    c = (a[n - 1:2 * n] - a[n + 1:]) / 1j
+    c[0] *= 0.5   # degree 0 is not doubled
+    return c
 
 
 def gauss_nodes(n):
@@ -181,6 +197,7 @@ class SphereGrid:
         nlon = 2 * nlat
         # colatitude increasing from north to south
         mu = gauss_nodes(nlat)[::-1]
+        self._line_coefficients = line_coefficients(mu)
         # Spherical harmonics up to degree L = nlat - 1: the nlat-point Gauss
         # rule integrates the product of two such Legendre functions exactly,
         # and 2 nlat longitudes resolve every order m <= L.  The longitude
@@ -335,30 +352,19 @@ class SphereGrid:
         `interpolate`'s expansion.  On the sphere the lines pass through the
         poles at the grid longitudes phi_k < pi, (sin psi cos phi_k,
         sin psi sin phi_k, cos psi), w = pi / nlat, and T = F sin psi, of
-        degree nlat, is read off 2 nlat + 2 equally spaced psi.
+        degree nlat, is fitted to the expansion at the line's nodes
+        (`line_coefficients`).
         """
         if self.dim == 1:
             return np.ones(1), self._circle_coefficients(fields)[:, None]
         nlat = self.nlat
         coeff = np.concatenate([self._analysis(f) for f in fields], axis=-1)
-        spectra = self._synthesis(self._circle_leg, coeff)     # [f, m, q]
-        rings = np.fft.irfft(np.swapaxes(spectra, -1, -2), n=self.nlon,
-                             axis=-1)                          # [f, q, lon]
-        # colatitude psi_q at phi_k for psi_q <= pi, 2 pi - psi_q at phi_k + pi
-        line = np.concatenate([rings[:, :, :nlat],
-                               rings[:, nlat:0:-1, nlat:]], axis=1)
-        psi = np.pi * np.arange(2 * nlat + 2) / (nlat + 1)
-        c = np.fft.rfft(np.swapaxes(line, 1, 2) * np.sin(psi), axis=-1)
-        c /= 2 * nlat + 2
-        c[..., 1:] *= 2.0
-        return np.full(nlat, np.pi / nlat), c[..., :nlat + 1]
-
-    @functools.cached_property
-    def _circle_leg(self):
-        """Legendre table [m, q, l] at the colatitudes pi q / (nlat + 1),
-        q = 0..nlat + 1, for `great_circles`."""
-        mu = np.cos(np.pi * np.arange(self.nlat + 2) / (self.nlat + 1))
-        return legendre_table(mu, self.nlat - 1)[0].transpose(0, 2, 1)
+        rings = self._to_nodes(self._synthesis(self._leg, coeff)).reshape(
+            len(fields), nlat, self.nlon)                        # [f, j, lon]
+        line = np.concatenate([rings[:, :, :nlat], rings[:, ::-1, nlat:]],
+                              axis=1)                            # [f, 2 nlat, k]
+        return np.full(nlat, np.pi / nlat), np.swapaxes(
+            self._line_coefficients @ line, 1, 2)
 
     def _circle_coefficients(self, field):
         """c_m of the circle's expansion Re sum_m c_m exp(i m angle)."""

@@ -224,7 +224,7 @@ def _line_roots(c):
     two crossings within one sample spacing are found.
     """
     size = c.shape[-1]
-    samples = _SAMPLES_PER_DEGREE * size
+    samples = _SAMPLES_PER_DEGREE * (size - 1)
     half = c * (samples / 2.0)
     half[:, 0] *= 2.0
     t, dt = np.fft.irfft([half, half * (1j * np.arange(size))], n=samples)
@@ -250,11 +250,11 @@ def _line_roots(c):
     return line[order], roots[order], (f_hi >= 0.0)[order]
 
 
-def _signed_line_integrals(w, c):
+def _signed_line_integrals(w, c, hessian=False):
     """sum_k w_k (integral over a period of sign(T_0k) T_fk) for line
     polynomials c of shape (fields, K, D+1) (`SphereGrid.great_circles`),
-    and the root Hessian sum_k w_k sum_r 2 T_fk T_gk / |T_0k'| over the
-    roots of T_0k, f, g >= 1.
+    and, if `hessian`, the root Hessian sum_k w_k sum_r 2 T_fk T_gk / |T_0k'|
+    over the roots of T_0k, f, g >= 1 (else None).
 
     With A_f the antiderivative of T_f and s_r = +1 where T_0 turns
     nonnegative, the integral is s_last 2 pi c_f0 - 2 sum_r s_r A_f(psi_r),
@@ -268,24 +268,24 @@ def _signed_line_integrals(w, c):
     last = np.where(_trig(c[0], np.zeros(len(w)))[0] >= 0.0, 1.0, -1.0)
     ends = np.flatnonzero(np.diff(line, append=-1))
     last[line[ends]] = sign[ends]
-    j = np.arange(c.shape[-1])
-    e = np.exp(1j * psi[:, None] * j)
-    at_root = np.einsum("frj,rj->fr", c[:, line], e).real
-    e[:, 0] = 0.0
-    e[:, 1:] /= 1j * j[1:]
-    anti = (np.einsum("frj,rj->fr", c[:, line], e).real
+    j = np.arange(1, c.shape[-1])
+    anti = (np.einsum("frj,rj->fr", c[:, line, 1:],
+                      np.exp(1j * psi[:, None] * j) / (1j * j)).real
             + c[:, line, 0].real * psi)
     integrals = (2.0 * np.pi * (c[:, :, 0].real @ (w * last))
                  - 2.0 * anti @ (w[line] * sign))
+    if not hessian:
+        return integrals, None
+    at_root = np.array([_trig(cf[line], psi)[0] for cf in c[1:]])
     slope = np.abs(_trig(c[0][line], psi)[1])
-    hess = 2.0 * (at_root[1:] * (w[line] / slope)) @ at_root[1:].T
-    return integrals, hess
+    return integrals, 2.0 * (at_root * (w[line] / slope)) @ at_root.T
 
 
-def _symmetric_difference(surface, norm, scale, center, *, warm=None):
+def _symmetric_difference(surface, norm, scale, center, *, warm=None,
+                          hessian=False):
     """|Omega symdiff L| for L = center + scale*W, its gradient in the
-    center, the root Hessian of `_signed_line_integrals` and the integral
-    of R - S, all divided by n + 1.
+    center, if `hessian` the root Hessian of `_signed_line_integrals` (else
+    None), and the integral of R - S, all divided by n + 1.
 
     While the star center C lies inside L (`wulff_profile_about`, solved
     warm from `warm`, raises ValueError otherwise), L meets the ray from C
@@ -303,17 +303,16 @@ def _symmetric_difference(surface, norm, scale, center, *, warm=None):
     g = warm["rays"][1]
     slope = np.einsum("ij,ij->i", g, grid.nodes)
     jac = ((n + 1) * s ** n / slope)[:, None] * g
-    residual = surface.r ** (n + 1) - s ** (n + 1)
-    integrals, hess = _signed_line_integrals(
-        *grid.great_circles(np.vstack([residual, -jac.T])))
-    return (integrals[0] / (n + 1), integrals[1:] / (n + 1), hess / (n + 1),
-            grid.integrate(residual) / (n + 1))
+    fields = np.vstack([surface.r ** (n + 1) - s ** (n + 1), -jac.T]) / (n + 1)
+    integrals, hess = _signed_line_integrals(*grid.great_circles(fields),
+                                             hessian)
+    return integrals[0], integrals[1:], hess, grid.integrate(fields[0])
 
 
 _GRAD_TOL = 1e-10        # |grad alpha| * scale that certifies a minimum
 _ONE_SIGN_TOL = 1e-13    # alpha above its lower bound that certifies it
 _ARMIJO = 1e-4           # accepted share of the predicted decrease
-_CURVATURE_STEP = 1e-5   # difference step of the Hessian check, times scale
+_CURVATURE_STEP = 1e-7   # difference step of the Hessian check, times scale
 _CURVATURE_TOL = 1e-6    # negative curvature below this share is roundoff,
                          # as is a step direction below this share
 _ESCAPE_STEP = 1e-2      # first step from a saddle, times scale
@@ -343,10 +342,11 @@ def asymmetry_index(surface, norm, wulff=None):
     is a cone rather than a smooth minimum.  It is False only when the
     step falls below roundoff in the center.
 
-    Under a norm whose `exit_distance` reads a start (`exit_reads_start`),
-    each ray solve starts from the last successful evaluation's roots and
-    DF0, moved to their first-order exits from the new center: the roots by
-    DF0.dp / (DF0.theta), DF0 by a per-ray secant model of D^2F0.  A start
+    Under a norm whose `exit_reads_start`, each ray solve starts from the
+    last successful evaluation's roots and DF0 (at the first, the scaled
+    Wulff shape's about its own center), moved to their predicted exits from
+    the new center: the roots by DF0.dp / (DF0.theta) and the second-order
+    term of a per-ray secant model of D^2F0, DF0 by that model.  A start
     changes the value by roundoff only, and repeated calls are
     bit-identical.  `method` is always "radial".
     """
@@ -355,37 +355,46 @@ def asymmetry_index(surface, norm, wulff=None):
     vol = volume(surface)
     n = grid.dim
     scale = (vol / w.volume) ** (1.0 / (n + 1.0))
-    state = {}   # the last successful evaluation's center and rays
+    # the last successful evaluation's center and rays, first those of the
+    # scaled Wulff shape about its own center, where DF0 = (theta - grad rho
+    # / rho) / rho follows from rho
+    state = {"center": surface.center, "rays": (
+        scale * w.rho,
+        (grid.nodes * w.rho[:, None] - grid.gradient(w.rho))
+        / (w.rho ** 2)[:, None])}
     # the exit point's last move dx and DF0's change dg on every ray: the
     # warm DF0 moves by a model of D^2F0 that is the unit ball's curvature
     # 1/scale except along dx, where it reproduces dg
     secant = [np.zeros((grid.n_nodes, n + 1)), np.zeros((grid.n_nodes, n + 1))]
 
-    def evaluate(p):
+    def evaluate(p, hessian=False):
         trial = {}
-        predict = bool(state) and norm.exit_reads_start
-        if predict:   # move the last rays to their first-order exits from p
+        predict = norm.exit_reads_start
+        if predict:   # move the last rays to their predicted exits from p
             s0, g0 = state["rays"]
             dp = p - state["center"]
-            ds = (g0 @ dp) / np.einsum("ij,ij->i", g0, grid.nodes)
+            slope = np.einsum("ij,ij->i", g0, grid.nodes)
+            ds = (g0 @ dp) / slope
             step = ds[:, None] * grid.nodes - dp
             dx, dg = secant
             length = np.maximum(np.einsum("ij,ij->i", dx, dx), 1e-300)
             along = np.einsum("ij,ij->i", dx, step) / length
-            trial["rays"] = (s0 + ds, g0 + step / scale
-                             + (dg - dx / scale) * along[:, None])
+            turn = step / scale + (dg - dx / scale) * along[:, None]
+            trial["rays"] = (
+                s0 + ds - 0.5 * np.einsum("ij,ij->i", step, turn) / slope,
+                g0 + turn)
         value, grad, hess, signed = _symmetric_difference(
-            surface, norm, scale, p, warm=trial)
+            surface, norm, scale, p, warm=trial, hessian=hessian)
         if predict:
             s, g = trial["rays"]
             secant[:] = [(s - s0)[:, None] * grid.nodes - dp, g - g0]
         state.update(center=p, rays=trial["rays"])
-        return value / vol, grad / vol, hess / vol, abs(signed) / vol
+        return value / vol, grad / vol, hess, abs(signed) / vol
 
     roundoff = 4.0 * np.finfo(float).eps
     p = _barycenter(surface)
-    f, g, hess, lower = evaluate(p)
-    inverse = np.linalg.pinv(hess)
+    f, g, hess, lower = evaluate(p, hessian=True)
+    inverse = vol * np.linalg.pinv(hess)
     steps = []
     while f - lower > _ONE_SIGN_TOL:
         d = -inverse @ g

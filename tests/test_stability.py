@@ -666,7 +666,7 @@ def test_signed_line_integrals_differentiate_the_integral_of_abs():
     rng = np.random.default_rng(6)
     c = np.stack([_random_lines(rng, 2, 12), _random_lines(rng, 2, 12)])
     w = np.array([0.7, 1.3])
-    got, hess = _signed_line_integrals(w, c)
+    got, hess = _signed_line_integrals(w, c, hessian=True)
 
     def along(h):
         return _signed_line_integrals(w, c + h * c[1] * np.eye(2)[:, 0, None,
@@ -1029,7 +1029,7 @@ def test_asymmetry_warm_rays_save_newton_steps(monkeypatch):
     monkeypatch.setattr(norm, "exit_distance", cold_exit)
     calls.clear()
     cold = asymmetry_index(surface, norm)
-    assert n_warm <= 0.6 * len(calls)   # 34 against 61
+    assert n_warm <= 0.5 * len(calls), (n_warm, len(calls))
     assert abs(warm.alpha - cold.alpha) <= 1e-11
     np.testing.assert_allclose(warm.center, cold.center, rtol=0.0, atol=1e-7)
     assert warm.converged and cold.converged
@@ -1046,7 +1046,8 @@ def test_asymmetry_hands_a_start_only_to_a_norm_that_reads_it(
         monkeypatch, spec, warm):
     # the quadric families solve their ray exits in closed form, so their
     # search predicts no warm start and hands exit_distance none; the
-    # perturbed family's search hands one to every evaluation but the first
+    # perturbed family's search hands one to every evaluation, the first
+    # predicted from the scaled Wulff shape about its own center
     norm = norm_from_spec(spec)
     assert norm.exit_reads_start is warm
     surface = fourier_surface(make_grid(2, 12), 1.0, [
@@ -1065,8 +1066,7 @@ def test_asymmetry_hands_a_start_only_to_a_norm_that_reads_it(
     monkeypatch.setattr(norm, "exit_distance", recording)
     result = asymmetry_index(surface, norm, wulff)
     assert result.converged and len(starts) > 1
-    assert starts[0] is None
-    assert all((s is not None) is warm for s in starts[1:])
+    assert all((s is not None) is warm for s in starts)
 
 
 @pytest.mark.parametrize("spec, res", [
