@@ -357,11 +357,11 @@ def asymmetry_index(surface, norm, wulff=None):
     scale = (vol / w.volume) ** (1.0 / (n + 1.0))
     # the last successful evaluation's center and rays, first those of the
     # scaled Wulff shape about its own center, where DF0 = (theta - grad rho
-    # / rho) / rho follows from rho
+    # / rho) / rho follows from rho; read only by a norm that reads a start
     state = {"center": surface.center, "rays": (
         scale * w.rho,
         (grid.nodes * w.rho[:, None] - grid.gradient(w.rho))
-        / (w.rho ** 2)[:, None])}
+        / (w.rho ** 2)[:, None])} if norm.exit_reads_start else {}
     # the exit point's last move dx and DF0's change dg on every ray: the
     # warm DF0 moves by a model of D^2F0 that is the unit ball's curvature
     # 1/scale except along dx, where it reproduces dg
