@@ -85,21 +85,28 @@ def legendre_table(mu, lmax):
 
 
 def line_coefficients(mu):
-    """The matrix that takes a field F along a great circle through the
+    """The real matrix that takes a field F along a great circle through the
     poles, given at the colatitudes theta = arccos(mu) (increasing) on one
-    half and at 2 pi - theta on the other, to the coefficients c_0..c_n,
-    n = len(mu), of T = F sin psi = Re sum_j c_j exp(i j psi): F is the
+    half and at 2 pi - theta on the other, to the real and imaginary parts
+    (alternate rows) of the coefficients c_0..c_n, n = len(mu), of
+    T = F sin psi = Re sum_j c_j exp(i j psi): F is the
     least-squares fit sum_j a_j exp(i j psi), |j| <= n - 1, which the
     expansion of an n-ring grid along the circle is, and sin psi takes
     (a_(j-1) - a_(j+1)) / 2i to degree j."""
     n = len(mu)
     theta = np.arccos(mu)
-    a = np.linalg.pinv(np.exp(1j * np.outer(
-        np.r_[theta, 2.0 * np.pi - theta[::-1]], np.arange(1 - n, n))))
-    a = np.pad(a, ((1, 2), (0, 0)))     # a_j in row j + n, j = -n..n + 1
+    angle = np.outer(np.r_[theta, 2.0 * np.pi - theta[::-1]], np.arange(1, n))
+    # a real fit, a_0 + sum_j (cos_j, sin_j) rows, then a_(+-j) = (cos_j -+
+    # i sin_j) / 2 (a complex pseudo-inverse would load LAPACK's complex SVD)
+    fit = np.linalg.pinv(np.column_stack([np.ones(len(angle)), np.cos(angle),
+                                          np.sin(angle)]))
+    half = 0.5 * (fit[1:n] - 1j * fit[n:])
+    zero = np.zeros((1, 2 * n))
+    a = np.vstack([zero, half[::-1].conj(), fit[:1], half, zero, zero])
+    # a_j in row j + n, j = -n..n + 1
     c = (a[n - 1:2 * n] - a[n + 1:]) / 1j
     c[0] *= 0.5   # degree 0 is not doubled
-    return c
+    return np.stack([c.real, c.imag], axis=1).reshape(2 * n + 2, 2 * n)
 
 
 def gauss_nodes(n):
@@ -363,8 +370,10 @@ class SphereGrid:
             len(fields), nlat, self.nlon)                        # [f, j, lon]
         line = np.concatenate([rings[:, :, :nlat], rings[:, ::-1, nlat:]],
                               axis=1)                            # [f, 2 nlat, k]
+        c = self._line_coefficients @ line       # [f, (re, im) per degree, k]
+        c = c.reshape(len(fields), -1, 2, nlat)
         return np.full(nlat, np.pi / nlat), np.swapaxes(
-            self._line_coefficients @ line, 1, 2)
+            c[:, :, 0] + 1j * c[:, :, 1], 1, 2)
 
     def _circle_coefficients(self, field):
         """c_m of the circle's expansion Re sum_m c_m exp(i m angle)."""
